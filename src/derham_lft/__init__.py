@@ -12,7 +12,6 @@ from .analysis import (
     dimension_bounds,
     repulsion_radius,
     singular_dimension_bound,
-    verify_normal_form,
 )
 from .errors import (
     ConditionHoldsError,
@@ -61,6 +60,7 @@ from .solution import (
     evaluate,
     functional_equation_residual,
     inverse_evaluate,
+    normal_form,
     value_at_dyadic,
     word_matrix,
 )

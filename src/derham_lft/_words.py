@@ -1,0 +1,227 @@
+"""Word products A_{i1} @ ... @ A_{in}, a whole tree level or one path at a time.
+
+Every enclosure, interval mass and ratio state of f is read off the word
+products of dyadic addresses.  This module owns their representation.
+
+* Exact mode.  A0 and A1 are scaled once to coprime integer matrices
+  M_i (``renormalize``), so A_i = k_i * M_i with rational k_i > 0.  A word
+  is a 4-tuple of Python ints, the product of the M_i.  Map values,
+  masses and ratio states are invariant under positive scaling, so they
+  are read off the integer word and a Fraction is built only for the
+  result; `literal` multiplies k0**n0 * k1**n1 back in when the product
+  itself is wanted.
+* Float mode.  A word is a 4-tuple of floats and a tree level is a
+  (2**k, 4) float64 array, the children of each row interleaved so rows
+  stay in address order.  Entries are formed in the same order as
+  ``numerics.mat_mul``, and every RENORM_EVERY-th product divides by the
+  largest entry magnitude like ``numerics.renormalize``, so the float
+  bits equal those of a mat_mul / renormalize fold.
+
+A level is never wider than 2**BLOCK_LEVELS rows: deeper sweeps run one
+block of 2**BLOCK_LEVELS rows under each prefix, in address order.
+
+numpy is imported only where float levels are formed, so exact-mode and
+single-path use of the package (and sampling-free imports) never load it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterator
+
+from .errors import PoleError, ZeroMatrixError
+from .numerics import POLE_RTOL, MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
+
+#: Float word products are rescaled after this many multiplications;
+#: entries otherwise grow or shrink geometrically.
+RENORM_EVERY = 16
+
+#: Levels wider than 2**BLOCK_LEVELS rows are swept block by block.
+BLOCK_LEVELS = 16
+
+#: Deepest tree level a sweep may be asked for (4M leaves).
+MAX_SWEEP_DEPTH = 22
+
+if TYPE_CHECKING:
+    import numpy as np
+
+Word = tuple  # (a, b, c, d) of ints (exact mode) or floats
+
+
+class WordBasis:
+    """The pair (A0, A1) as the factors of word products."""
+
+    __slots__ = ("exact", "m0", "m1", "k0", "k1", "dets", "identity")
+
+    def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool):
+        self.exact = exact
+        if exact:
+            self.m0, self.k0 = _integer_factor(a0)
+            self.m1, self.k1 = _integer_factor(a1)
+            self.dets = tuple(m[0] * m[3] - m[1] * m[2] for m in (self.m0, self.m1))
+            self.identity = (1, 0, 0, 1)
+        else:
+            self.m0 = tuple(float(e) for e in a0.entries)
+            self.m1 = tuple(float(e) for e in a1.entries)
+            # As mobius_derivative computes it: exact when A's entries are.
+            self.dets = (float(a0.det()), float(a1.det()))
+            self.identity = (1.0, 0.0, 0.0, 1.0)
+
+    # -- one path ------------------------------------------------------
+
+    def step(self, word: Word, digit: int, n: int) -> Word:
+        """word @ A_digit as the n-th product of its word."""
+        a, b, c, d = word
+        p, q, r, s = self.m1 if digit else self.m0
+        word = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+        if not self.exact and n % RENORM_EVERY == 0:
+            word = _unit_scaled(word)
+        return word
+
+    def path(self, bits) -> Word:
+        """Word product of the address."""
+        word = self.identity
+        for n, digit in enumerate(bits, start=1):
+            word = self.step(word, digit, n)
+        return word
+
+    def value(self, word: Word, z: Scalar) -> Scalar:
+        """The word's map at z, (a*z + b)/(c*z + d), with the pole check of
+        ``numerics.apply_mobius``."""
+        a, b, c, d = word
+        if self.exact:
+            p, q = z.numerator, z.denominator
+            den = c * p + d * q
+            _check_pole(den, c, d)
+            return Fraction(a * p + b * q, den)
+        den = c * z + d
+        _check_pole(den, c, d)
+        return (a * z + b) / den
+
+    def mass(self, word: Word) -> Scalar:
+        """Interval mass (a*d - b*c)/(d*(c + d)), as ``measure.mass_from_word``."""
+        a, b, c, d = word
+        if self.exact:
+            return Fraction(a * d - b * c, d * (c + d))
+        return (a * d - b * c) / (d * (c + d))
+
+    def literal(self, word: Word, n0: int, n1: int) -> MoebiusMatrix:
+        """The word as the literal product of n0 factors A0 and n1 factors A1."""
+        if not self.exact:
+            return MoebiusMatrix(*word)
+        scale = self.k0**n0 * self.k1**n1
+        return MoebiusMatrix(*(scale * e for e in word))
+
+    # -- whole levels --------------------------------------------------
+
+    def blocks(self, depth: int) -> Iterator:
+        """The words of every address at `depth` in address order, as
+        consecutive blocks of at most 2**BLOCK_LEVELS rows: lists of
+        tuples in exact mode, float64 arrays of shape (rows, 4) otherwise."""
+        if self.exact:
+            root = [self.identity]
+        else:
+            import numpy as np
+
+            root = np.array([self.identity])
+        top = max(depth - BLOCK_LEVELS, 0)
+        prefixes = self._grow(root, 0, top)
+        for i in range(len(prefixes)):
+            yield self._grow(prefixes[i : i + 1], top, depth)
+
+    def _grow(self, level, start: int, stop: int):
+        for n in range(start + 1, stop + 1):
+            level = self._children(level, n)
+        return level
+
+    def _children(self, level, n: int):
+        """The next level, the n-th products, children interleaved."""
+        if self.exact:
+            p0, q0, r0, s0 = self.m0
+            p1, q1, r1, s1 = self.m1
+            out = []
+            for a, b, c, d in level:
+                out += (
+                    (a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0),
+                    (a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1),
+                )
+            return out
+        import numpy as np
+
+        a, b, c, d = level.T
+        out = np.empty((len(level), 2, 4))
+        for digit, (p, q, r, s) in enumerate((self.m0, self.m1)):
+            child = out[:, digit]
+            child[:, 0] = a * p + b * r
+            child[:, 1] = a * q + b * s
+            child[:, 2] = c * p + d * r
+            child[:, 3] = c * q + d * s
+        out = out.reshape(-1, 4)
+        if n % RENORM_EVERY == 0:
+            top = np.abs(out).max(axis=1)
+            if not top.all():
+                raise ZeroMatrixError("cannot renormalize the zero matrix")
+            if not np.isfinite(top).all():
+                raise ZeroMatrixError("cannot renormalize a non-finite matrix")
+            out /= top[:, None]
+        return out
+
+    def values(self, level, z: Scalar):
+        """`value` at z for every row: Fractions in a list (exact mode) or a
+        float64 array."""
+        if self.exact:
+            p, q = z.numerator, z.denominator
+            try:
+                return [Fraction(a * p + b * q, c * p + d * q) for a, b, c, d in level]
+            except ZeroDivisionError:
+                raise PoleError("exact denominator c*z + d is zero") from None
+        a, b, c, d = level.T
+        den = c * z + d
+        _check_poles(den, c, d)
+        return (a * z + b) / den
+
+    def masses(self, level):
+        """Interval mass (a*d - b*c)/(d*(c + d)) of every row, as in
+        ``measure.mass_from_word``."""
+        if self.exact:
+            return [Fraction(a * d - b * c, d * (c + d)) for a, b, c, d in level]
+        a, b, c, d = level.T
+        den = d * (c + d)
+        if not den.all():
+            raise ZeroDivisionError("float division by zero")
+        return (a * d - b * c) / den
+
+    def derivatives(self, digit: int, zs):
+        """Derivative of A_digit at every z, as ``numerics.mobius_derivative``."""
+        _, _, c, d = self.m1 if digit else self.m0
+        det = self.dets[digit]
+        if self.exact:
+            out = []
+            for z in zs:
+                p, q = z.numerator, z.denominator
+                den = c * p + d * q
+                _check_pole(den, c, d)
+                out.append(Fraction(det * q * q, den * den))
+            return out
+        dens = c * zs + d
+        _check_poles(dens, c, d)
+        return det / (dens * dens)
+
+
+def _check_poles(den: np.ndarray, c, d) -> None:
+    """``numerics._check_pole`` for every entry of a float array."""
+    import numpy as np
+
+    c, d = np.broadcast_to(c, den.shape), np.broadcast_to(d, den.shape)
+    scale = np.maximum(np.maximum(np.abs(c), np.abs(d)), 1.0)
+    bad = np.flatnonzero(np.abs(den) <= POLE_RTOL * scale)
+    if bad.size:
+        i = bad[0]
+        _check_pole(float(den[i]), float(c[i]), float(d[i]))
+
+
+def _integer_factor(m: MoebiusMatrix) -> tuple[Word, Fraction]:
+    """(M, k) with M the coprime integer matrix of m and m = k * M."""
+    ints = tuple(int(e) for e in renormalize(m).entries)
+    k = next(Fraction(e) / i for e, i in zip(m.entries, ints) if i)
+    return ints, k

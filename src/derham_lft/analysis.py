@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConditionHoldsError, DomainError
-from .numerics import MoebiusMatrix, Scalar, apply_mobius, as_float
+from .numerics import Scalar, apply_mobius, as_float
 from .solution import normal_form
 from .system import DeRhamSystem, ac_conditions, binary_entropy, prob_digit0
 
@@ -187,9 +187,3 @@ def classify(sys: DeRhamSystem) -> ClassificationReport:
         bounds=bounds,
         defect_bound=defect,
     )
-
-
-def verify_normal_form(sys: DeRhamSystem) -> tuple[MoebiusMatrix, MoebiusMatrix]:
-    """Normalize (A0 by 1/d0, A1 by 1/b1) and assert the pair matches the
-    one-parameter family forced by the absolute-continuity identities."""
-    return normal_form(sys)

@@ -28,14 +28,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import ABSOLUTELY_CONTINUOUS, classify, dimension_bounds
-from .errors import (
-    ConditionHoldsError,
-    DeRhamError,
-    DomainError,
-    NonConvergenceError,
-    NotAbsolutelyContinuousError,
-    ValidationError,
-)
+from ._words import MAX_SWEEP_DEPTH
+from .errors import DeRhamError, ValidationError
 from .measure import DEFAULT_SEED, entropy_rate_estimate, sample_path
 from .numerics import MoebiusMatrix, Scalar, is_exact
 from .presets import PRESETS, force_approx
@@ -192,8 +186,8 @@ def cmd_validate(args) -> int:
 def cmd_grid(args) -> int:
     system, _ = load_system(args)
     depth = args.depth
-    if not 0 <= depth <= 22:
-        raise ConfigError("depth must be in [0, 22] for a value grid")
+    if not 0 <= depth <= MAX_SWEEP_DEPTH:
+        raise ConfigError(f"depth must be in [0, {MAX_SWEEP_DEPTH}] for a value grid")
     values = dyadic_value_table(system, depth)
     n = 1 << depth
     lines = ["x,f_lower,f_upper"]
@@ -357,15 +351,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _IOFailure as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (
-        ValidationError,
-        DomainError,
-        ConditionHoldsError,
-        NotAbsolutelyContinuousError,
-        NonConvergenceError,
-    ) as exc:
-        _sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
     except DeRhamError as exc:
         _sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

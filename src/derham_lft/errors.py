@@ -37,7 +37,15 @@ class ValidationError(DeRhamError, ValueError):
 
 
 class NonConvergenceError(DeRhamError, RuntimeError):
-    """An adaptive evaluation hit its depth cap before reaching tolerance."""
+    """An adaptive evaluation hit its depth cap before reaching tolerance.
+
+    Carries the depth it reached and the width of its final enclosure.
+    """
+
+    def __init__(self, message: str, depth: int | None = None, width=None):
+        super().__init__(message)
+        self.depth = depth
+        self.width = width
 
 
 class ConditionHoldsError(DeRhamError, ValueError):

@@ -17,23 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import _kernels
 from .errors import DomainError
-from .numerics import (
-    MoebiusMatrix,
-    Scalar,
-    as_float,
-    identity_matrix,
-    is_exact,
-    mat_mul,
-    maybe_renormalize,
-)
+from .numerics import MoebiusMatrix, Scalar, as_float, is_exact
 from .solution import Bits, check_bits, word_matrix
 from .system import DeRhamSystem, binary_entropy, prob_digit0
+
+if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
+    import numpy as np
 
 #: Containment of ratio states in [alpha, beta] is exact in exact mode;
 #: float orbits are allowed to spill by this much.
@@ -114,20 +107,28 @@ def walk_tree(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
     """Every node of the dyadic tree down to the given depth, pre-order.
 
     Word products share prefixes, so the full exhaustive sweep costs one
-    matrix multiplication per node.
+    matrix multiplication per node.  Exact states are the bottom-row
+    ratio r/s of the integer word; float states follow transposed_step.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    return _walk(sys, depth)  # not a generator itself: a bad depth raises here
 
-    def descend(bits: Bits, word: MoebiusMatrix, t: Scalar) -> Iterator[MeasureNode]:
-        yield MeasureNode(bits, word, mass_from_word(word), t)
-        if len(bits) == depth:
-            return
-        for digit in (0, 1):
-            child = maybe_renormalize(mat_mul(word, sys.matrix(digit)), len(bits) + 1)
-            yield from descend(bits + (digit,), child, transposed_step(sys, t, digit))
 
-    return descend((), identity_matrix(sys.exact), sys.zero())
+def _walk(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
+    basis = sys.word_basis
+    stack = [((), basis.identity, sys.zero())]  # (bits, parent word, parent state)
+    while stack:
+        bits, word, t = stack.pop()
+        if bits:
+            digit = bits[-1]
+            word = basis.step(word, digit, len(bits))
+            t = Fraction(word[2], word[3]) if sys.exact else transposed_step(sys, t, digit)
+        ones = sum(bits)
+        literal = basis.literal(word, len(bits) - ones, ones)
+        yield MeasureNode(bits, literal, basis.mass(word), t)
+        if len(bits) < depth:
+            stack += ((bits + (1,), word, t), (bits + (0,), word, t))
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,8 @@ class SamplePath:
 
 
 def _uniforms(seed: int, n: int) -> np.ndarray:
+    import numpy as np
+
     # Philox is counter-based and splittable: one stream per (seed, call).
     return np.random.Generator(np.random.Philox(seed)).random(n)
 
@@ -165,6 +168,8 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     with a non-degenerate state interval belong in approximate mode."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    import numpy as np
+
     u = _uniforms(seed, n)
     digits = np.empty(n, dtype=np.uint8)
     if not sys.exact:

@@ -30,10 +30,6 @@ Scalar = Union[int, Fraction, float]
 #: input is numerically unusable, not that the request is valid.
 POLE_RTOL = 1e-15
 
-#: Approximate-mode word products are rescaled after this many
-#: multiplications; entries otherwise grow or shrink geometrically.
-RENORM_EVERY = 16
-
 
 def is_exact(x: Scalar) -> bool:
     """True for int/Fraction scalars, False for floats."""
@@ -162,17 +158,14 @@ def renormalize(m: MoebiusMatrix) -> MoebiusMatrix:
         ints = [f.numerator * (lcm // f.denominator) for f in fracs]
         g = math.gcd(*ints)
         return MoebiusMatrix(*(Fraction(i // g) for i in ints))
-    mags = [abs(as_float(e)) for e in m.entries]
-    top = max(mags)
+    return MoebiusMatrix(*_unit_scaled(tuple(as_float(e) for e in m.entries)))
+
+
+def _unit_scaled(entries: tuple[float, ...]) -> tuple[float, ...]:
+    """Float entries divided by their largest magnitude."""
+    top = max([abs(e) for e in entries])
     if top == 0.0:
         raise ZeroMatrixError("cannot renormalize the zero matrix")
     if not math.isfinite(top):
         raise ZeroMatrixError("cannot renormalize a non-finite matrix")
-    return MoebiusMatrix(*(as_float(e) / top for e in m.entries))
-
-
-def maybe_renormalize(m: MoebiusMatrix, n_products: int) -> MoebiusMatrix:
-    """Apply the approximate-mode rescaling cadence to a word product."""
-    if not m.exact and n_products > 0 and n_products % RENORM_EVERY == 0:
-        return renormalize(m)
-    return m
+    return tuple(e / top for e in entries)

@@ -21,16 +21,7 @@ from .errors import (
     NonConvergenceError,
     NotAbsolutelyContinuousError,
 )
-from .numerics import (
-    MoebiusMatrix,
-    Scalar,
-    apply_mobius,
-    as_float,
-    identity_matrix,
-    is_exact,
-    mat_mul,
-    maybe_renormalize,
-)
+from .numerics import MoebiusMatrix, Scalar, apply_mobius, as_float, is_exact
 from .system import DeRhamSystem, ac_conditions
 
 Bits = tuple[int, ...]
@@ -106,10 +97,9 @@ def dyadic_digits(x: Scalar) -> Bits:
 def word_matrix(sys: DeRhamSystem, bits: Bits) -> MoebiusMatrix:
     """Left-to-right product of the matrices named by the address."""
     check_bits(bits)
-    word = identity_matrix(sys.exact)
-    for n, b in enumerate(bits, start=1):
-        word = maybe_renormalize(mat_mul(word, sys.matrix(b)), n)
-    return word
+    basis = sys.word_basis
+    ones = sum(bits)
+    return basis.literal(basis.path(bits), len(bits) - ones, ones)
 
 
 def dyadic_enclosure(sys: DeRhamSystem, bits: Bits) -> ValueEnclosure:
@@ -119,8 +109,10 @@ def dyadic_enclosure(sys: DeRhamSystem, bits: Bits) -> ValueEnclosure:
     the upper value of an address equals the lower value of its dyadic
     successor, exactly so in exact mode.
     """
-    word = word_matrix(sys, bits)
-    return ValueEnclosure(apply_mobius(word, 0), apply_mobius(word, 1))
+    check_bits(bits)
+    basis = sys.word_basis
+    word = basis.path(bits)
+    return ValueEnclosure(basis.value(word, 0), basis.value(word, 1))
 
 
 def value_at_dyadic(sys: DeRhamSystem, x: Scalar) -> Scalar:
@@ -129,25 +121,19 @@ def value_at_dyadic(sys: DeRhamSystem, x: Scalar) -> Scalar:
         return sys.one()
     if x == 0:
         return sys.zero()
-    bits = dyadic_digits(x)
-    return apply_mobius(word_matrix(sys, bits), 0)
+    basis = sys.word_basis
+    return basis.value(basis.path(dyadic_digits(x)), 0)
 
 
 def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
     """f(j / 2**depth) for j = 0 .. 2**depth, sharing word prefixes."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    basis = sys.word_basis
     out: list[Scalar] = []
-
-    def descend(word: MoebiusMatrix, level: int) -> None:
-        if level == depth:
-            out.append(apply_mobius(word, 0))
-            return
-        for digit in (0, 1):
-            child = maybe_renormalize(mat_mul(word, sys.matrix(digit)), level + 1)
-            descend(child, level + 1)
-
-    descend(identity_matrix(sys.exact), 0)
+    for block in basis.blocks(depth):
+        values = basis.values(block, 0)
+        out += values if sys.exact else values.tolist()
     out.append(sys.one())
     return out
 
@@ -183,8 +169,10 @@ def evaluate(
     else:
         y = as_float(x)
 
-    word = identity_matrix(sys.exact)
+    basis = sys.word_basis
+    word = basis.identity
     depth = 0
+    width = sys.one()
     while depth < max_depth:
         y = y * 2
         if y >= 1:
@@ -193,13 +181,16 @@ def evaluate(
         else:
             digit = 0
         depth += 1
-        word = maybe_renormalize(mat_mul(word, sys.matrix(digit)), depth)
-        lower = apply_mobius(word, 0)
-        upper = apply_mobius(word, 1)
-        if upper - lower <= 2 * tol:
+        word = basis.step(word, digit, depth)
+        lower = basis.value(word, 0)
+        upper = basis.value(word, 1)
+        width = upper - lower
+        if width <= 2 * tol:
             return (lower + upper) / 2
     raise NonConvergenceError(
-        f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits"
+        f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits",
+        depth=depth,
+        width=width,
     )
 
 
@@ -248,12 +239,13 @@ def inverse_evaluate(
     if y == 1:
         return sys.one()
 
-    word = identity_matrix(sys.exact)
+    basis = sys.word_basis
+    word = basis.identity
     x_lo: Scalar = sys.zero()
     half: Scalar = Fraction(1, 2) if sys.exact else 0.5
     depth = 0
     while depth < max_depth:
-        mid_value = apply_mobius(word, sys.split_value)
+        mid_value = basis.value(word, sys.split_value)
         if sys.exact and y == mid_value:
             return x_lo + half
         if y < mid_value:
@@ -262,11 +254,13 @@ def inverse_evaluate(
             digit = 1
             x_lo = x_lo + half
         depth += 1
-        word = maybe_renormalize(mat_mul(word, sys.matrix(digit)), depth)
+        word = basis.step(word, digit, depth)
         half = half / 2
         if half <= tol:  # x is pinned to an interval of width 2*half
             return x_lo + half
-    raise NonConvergenceError(f"no convergence to tol = {tol} in {max_depth} steps")
+    raise NonConvergenceError(
+        f"no convergence to tol = {tol} in {max_depth} steps", depth=depth, width=2 * half
+    )
 
 
 def normal_form(sys: DeRhamSystem) -> tuple[MoebiusMatrix, MoebiusMatrix]:

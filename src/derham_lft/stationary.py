@@ -21,19 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._words import MAX_SWEEP_DEPTH
 from .analysis import ABSOLUTELY_CONTINUOUS, classify
 from .errors import DomainError
-from .measure import mass_from_word
-from .numerics import (
-    MoebiusMatrix,
-    Scalar,
-    apply_mobius,
-    identity_matrix,
-    mat_mul,
-    maybe_renormalize,
-    mobius_derivative,
-)
-from .solution import dyadic_value_table, inverse_evaluate, word_matrix
+from .numerics import Scalar
+from .solution import dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
 
@@ -116,35 +108,55 @@ def doubling_map_change_of_measure(
     intervals (prepend digit 0 or 1 to A's address).  The right side sums
     (A0' + A1') at f(cell midpoint) times the exact cell mass over the
     cells of A at `quad_depth`; the residual is pure quadrature error,
-    shrinking like 2**-quad_depth.
+    shrinking like 2**-quad_depth.  quad_depth is capped at 22 (4M cells).
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     if quad_depth <= depth:
         raise DomainError("quad_depth must exceed depth")
+    if quad_depth > MAX_SWEEP_DEPTH:
+        raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
 
+    basis = sys.word_basis
     n_intervals = 1 << depth
-    zero = sys.zero()
-    rhs = [zero] * n_intervals
+    shift = quad_depth - depth
     split = sys.split_value  # f at the midpoint of any cell = word(split)
+    zero = sys.zero()
+    if sys.exact:
+        rhs = [zero] * n_intervals
+        index = 0
+        for block in basis.blocks(quad_depth):
+            z = basis.values(block, split)
+            cells = zip(basis.derivatives(0, z), basis.derivatives(1, z), basis.masses(block))
+            for w0, w1, mass in cells:
+                rhs[index >> shift] += (w0 + w1) * mass
+                index += 1
+    else:
+        import numpy as np
 
-    def descend(word: MoebiusMatrix, level: int, index: int) -> None:
-        if level == quad_depth:
-            z = apply_mobius(word, split)
-            weight = mobius_derivative(sys.A0, z) + mobius_derivative(sys.A1, z)
-            rhs[index >> (quad_depth - depth)] += weight * mass_from_word(word)
-            return
-        for digit in (0, 1):
-            child = maybe_renormalize(mat_mul(word, sys.matrix(digit)), level + 1)
-            descend(child, level + 1, (index << 1) | digit)
+        # Each interval sums its cells' terms left to right in address
+        # order, so the float result does not depend on the block size.
+        acc = np.zeros(n_intervals)
+        start = 0
+        for block in basis.blocks(quad_depth):
+            z = basis.values(block, split)
+            terms = (basis.derivatives(0, z) + basis.derivatives(1, z)) * basis.masses(block)
+            per = min(1 << shift, len(terms))
+            rows = slice(start >> shift, (start >> shift) + len(terms) // per)
+            running = np.empty((len(terms) // per, per + 1))
+            running[:, 0] = acc[rows]
+            running[:, 1:] = terms.reshape(-1, per)
+            acc[rows] = np.add.accumulate(running, axis=1)[:, -1]
+            start += len(terms)
+        rhs = acc.tolist()
 
-    descend(identity_matrix(sys.exact), 0, 0)
-
+    # Preimage masses: the addresses 0A and 1A lie 2**depth apart at depth + 1.
+    masses: list = []
+    for block in basis.blocks(depth + 1):
+        level = basis.masses(block)
+        masses += level if sys.exact else level.tolist()
     residual = zero
     for j in range(n_intervals):
-        bits = tuple((j >> (depth - 1 - i)) & 1 for i in range(depth))
-        lhs = zero
-        for lead in (0, 1):
-            lhs += mass_from_word(word_matrix(sys, (lead,) + bits))
+        lhs = zero + masses[j] + masses[n_intervals + j]
         residual = max(residual, abs(lhs - rhs[j]))
     return residual

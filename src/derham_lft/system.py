@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._words import WordBasis
 from .errors import DomainError, ValidationError
 from .numerics import (
     MoebiusMatrix,
@@ -77,6 +78,11 @@ class DeRhamSystem:
     @cached_property
     def tA1(self) -> MoebiusMatrix:
         return transpose(self.A1)
+
+    @cached_property
+    def word_basis(self) -> WordBasis:
+        """A0 and A1 as the factors of word products (see _words)."""
+        return WordBasis(self.A0, self.A1, self.exact)
 
     @cached_property
     def split_value(self) -> Scalar:

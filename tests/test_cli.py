@@ -260,6 +260,14 @@ class TestStationaryCommand:
         assert code == 0
         assert doc["doubling_residual"] == 0.0
 
+    def test_quad_depth_above_cap_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stationary", "--preset", "walk:1", "--depth", "2", "--quad-depth", "30"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: DomainError: quad_depth = 30 exceeds the cap of 22\n"
+
 
 class TestRoundTrip:
     def test_json_reemission_idempotent(self, capsys):

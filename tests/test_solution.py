@@ -21,9 +21,9 @@ from derham_lft import (
     functional_equation_residual,
     inverse_evaluate,
     lebesgue_system,
+    normal_form,
     validate,
     value_at_dyadic,
-    verify_normal_form,
     walk_system,
 )
 from helpers import coin_distribution, iterate_functional_equation, random_valid_system
@@ -135,8 +135,18 @@ class TestEvaluate:
                 assert abs(float(got) - want) < 1e-9
 
     def test_nonconvergence_depth_cap(self, leb13):
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError) as info:
             evaluate(leb13, Fraction(1, 3), 0, max_depth=64)
+        # 1/3 = 0.0101...: 32 zeros and 32 ones, so the final enclosure is
+        # the address mass (1/3)**32 * (2/3)**32.
+        assert info.value.depth == 64
+        assert info.value.width == Fraction(2**32, 3**64)
+        assert str(info.value) == "enclosure width above 2*tol = 0 after 64 digits"
+        # Values at dyadics have 3-power denominators: 1/7 is never hit.
+        with pytest.raises(NonConvergenceError) as info:
+            inverse_evaluate(leb13, Fraction(1, 7), 0, max_depth=20)
+        assert info.value.depth == 20
+        assert info.value.width == Fraction(1, 2**20)
 
     def test_midpoint_within_tol(self, walk05):
         for x in (0.1, 0.37, 0.62, 0.93):
@@ -253,7 +263,7 @@ class TestClosedForm:
         with pytest.raises(NotAbsolutelyContinuousError):
             closed_form_solution(leb13)
         with pytest.raises(NotAbsolutelyContinuousError):
-            verify_normal_form(leb13)
+            normal_form(leb13)
 
 
 class TestNormalForm:
@@ -275,22 +285,22 @@ class TestNormalForm:
                 system = validate(a0.scaled(k), a1.scaled(m))
             except Exception:
                 continue  # some c0 leave the admissible range
-            n0, n1 = verify_normal_form(system)
+            n0, n1 = normal_form(system)
             assert (n0, n1) == self.ac_family(c0)
 
     def test_walk1_normal_form(self, walk1):
-        n0, n1 = verify_normal_form(walk1)
+        n0, n1 = normal_form(walk1)
         assert n0 == MoebiusMatrix(Fraction(1, 2), 0, Fraction(-1, 4), 1)
         assert n1 == MoebiusMatrix(0, 1, Fraction(-1, 2), Fraction(3, 2))
 
     def test_lebesgue_half_normal_form(self, leb12):
-        n0, n1 = verify_normal_form(leb12)
+        n0, n1 = normal_form(leb12)
         assert n0 == MoebiusMatrix(Fraction(1, 2), 0, 0, 1)
         assert n1 == MoebiusMatrix(1, 1, 0, 2)
 
     def test_approx_ac_verdict_still_matches_family(self, walk1):
         approx = force_approx(walk1)
-        n0, n1 = verify_normal_form(approx)
+        n0, n1 = normal_form(approx)
         assert abs(n0.c - (-0.25)) <= 1e-12
 
 

@@ -119,6 +119,10 @@ class TestDoublingChangeOfMeasure:
         with pytest.raises(DomainError):
             doubling_map_change_of_measure(walk1, 0, 5)
 
+    def test_quad_depth_cap(self, walk1):
+        with pytest.raises(DomainError, match="cap of 22"):
+            doubling_map_change_of_measure(walk1, 4, 23)
+
 
 class TestVerdictTransfer:
     def test_all_presets(self):
