@@ -1,16 +1,14 @@
-"""Hot float64 loops for path sampling.
+"""The one hot float64 loop: the sampled digit path.
 
 The digit recursion is sequential (each state feeds the next), so the
-loops are jitted with numba when it is installed.  Set the environment
-variable DERHAM_LFT_NO_NUMBA=1 to force the pure-Python fallbacks; both
-implementations are kept importable so benchmarks can compare them.
-No fastmath: the jitted and fallback paths must agree bit for bit.
+loop is jitted with numba when it is installed; everything else derived
+from a path is a vectorised post-pass over the states it returns.
+numba's own switch NUMBA_DISABLE_JIT=1 runs the Python original, which
+a jitted function also keeps as `path_arrays.py_func`.  No fastmath:
+the jitted and Python loops must agree bit for bit.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 
 def _path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, uniforms, digits, states):
@@ -26,52 +24,13 @@ def _path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, uniforms, digits, states
             t = (a1 * t + c1) / (b1 * t + d1)
 
 
-def _path_sums(a0, b0, c0, d0, a1, b1, c1, d1, gamma, uniforms):
-    t = 0.0
-    entropy_sum = 0.0
-    neg_log_sum = 0.0
-    t_min = 0.0
-    t_max = 0.0
-    for i in range(uniforms.shape[0]):
-        p0 = (t + 1.0) / (t + gamma)
-        entropy_sum += -(p0 * math.log(p0) + (1.0 - p0) * math.log(1.0 - p0))
-        if uniforms[i] < p0:
-            neg_log_sum -= math.log(p0)
-            t = (a0 * t + c0) / (b0 * t + d0)
-        else:
-            neg_log_sum -= math.log(1.0 - p0)
-            t = (a1 * t + c1) / (b1 * t + d1)
-        if t < t_min:
-            t_min = t
-        elif t > t_max:
-            t_max = t
-    return entropy_sum, neg_log_sum, t_min, t_max
-
-
-path_arrays_py = _path_arrays
-path_sums_py = _path_sums
-
-NUMBA_DISABLED = os.environ.get("DERHAM_LFT_NO_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-path_arrays_jit = None
-path_sums_jit = None
-if not NUMBA_DISABLED:
-    try:
-        import numba
-    except ImportError:
-        numba = None
-    if numba is not None:
-        path_arrays_jit = numba.njit(cache=True)(_path_arrays)
-        path_sums_jit = numba.njit(cache=True)(_path_sums)
-
-path_arrays = path_arrays_jit if path_arrays_jit is not None else path_arrays_py
-path_sums = path_sums_jit if path_sums_jit is not None else path_sums_py
+try:
+    import numba
+except ImportError:
+    path_arrays = _path_arrays
+else:
+    path_arrays = numba.njit(cache=True)(_path_arrays)
 
 
 def using_numba() -> bool:
-    return path_arrays is not path_arrays_py
+    return path_arrays is not _path_arrays

@@ -28,9 +28,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import ABSOLUTELY_CONTINUOUS, classify, dimension_bounds
-from ._words import MAX_SWEEP_DEPTH
 from .errors import DeRhamError, ValidationError
-from .measure import DEFAULT_SEED, entropy_rate_estimate, sample_path
+from .measure import DEFAULT_SEED, _entropy_rate, sample_path
 from .numerics import MoebiusMatrix, Scalar, is_exact
 from .presets import PRESETS, force_approx
 from .solution import dyadic_value_table
@@ -186,8 +185,6 @@ def cmd_validate(args) -> int:
 def cmd_grid(args) -> int:
     system, _ = load_system(args)
     depth = args.depth
-    if not 0 <= depth <= MAX_SWEEP_DEPTH:
-        raise ConfigError(f"depth must be in [0, {MAX_SWEEP_DEPTH}] for a value grid")
     values = dyadic_value_table(system, depth)
     n = 1 << depth
     lines = ["x,f_lower,f_upper"]
@@ -246,7 +243,7 @@ def cmd_sample(args) -> int:
     system, meta = load_system(args)
     n = args.steps
     path = sample_path(system, n, args.seed)
-    estimate = entropy_rate_estimate(system, n, args.seed)
+    estimate = _entropy_rate(system, path)
     states = [float(t) for t in path.states] if system.exact else path.states
     doc = dict(meta, command="sample")
     doc.update(
@@ -309,11 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     common(sub.add_parser("validate", help="check admissibility, print constants"))
-    for name in ("eval", "plot"):
-        common(
-            sub.add_parser(name, help="CSV of f on the dyadic grid j/2^depth"),
-            depth_default=8,
-        )
+    # "eval" is an alias; the dispatch key stays "plot" whichever name was typed.
+    p_grid = common(
+        sub.add_parser("plot", aliases=["eval"], help="CSV of f on the dyadic grid j/2^depth"),
+        depth_default=8,
+    )
+    p_grid.set_defaults(command="plot")
     common(sub.add_parser("classify", help="singular vs absolutely continuous"))
     common(sub.add_parser("dimension", help="dimension bounds"))
     p_sample = common(sub.add_parser("sample", help="Monte Carlo digit sampling"))
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DISPATCH = {
     "validate": cmd_validate,
-    "eval": cmd_grid,
     "plot": cmd_grid,
     "classify": cmd_classify,
     "dimension": cmd_dimension,

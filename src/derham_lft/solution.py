@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+from ._words import MAX_SWEEP_DEPTH
 from .errors import (
     DomainError,
     FormMismatchError,
@@ -129,6 +130,8 @@ def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
     """f(j / 2**depth) for j = 0 .. 2**depth, sharing word prefixes."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    if depth > MAX_SWEEP_DEPTH:
+        raise DomainError(f"depth = {depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
     basis = sys.word_basis
     out: list[Scalar] = []
     for block in basis.blocks(depth):

@@ -105,6 +105,12 @@ class TestGrid:
         )
         assert code == 3
 
+    def test_depth_above_cap_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "plot", "--preset", "walk:1", "--depth", "23")
+        assert code == 1
+        assert out == ""
+        assert err == "error: DomainError: depth = 23 exceeds the cap of 22\n"
+
 
 class TestClassify:
     def test_singular_preset(self, capsys):
@@ -231,6 +237,25 @@ class TestSample:
     def test_default_seed_printed(self, capsys):
         _, out, _ = run_cli(capsys, "sample", "--preset", "lebesgue:1/2", "-n", "100")
         assert json.loads(out)["seed"] == 99991
+
+    def test_path_drawn_once(self, capsys, monkeypatch):
+        from derham_lft import measure
+
+        calls = []
+        draw = measure._uniforms
+
+        def counted(seed, n):
+            calls.append((seed, n))
+            return draw(seed, n)
+
+        monkeypatch.setattr(measure, "_uniforms", counted)
+        for mode in ("exact", "approx"):
+            calls.clear()
+            code, _, _ = run_cli(
+                capsys, "sample", "--preset", "walk:1", "--mode", mode, "-n", "500"
+            )
+            assert code == 0
+            assert calls == [(99991, 500)], mode
 
 
 class TestStationaryCommand:

@@ -15,50 +15,25 @@ def params():
 
 
 def test_jit_and_python_paths_agree_bitwise(params):
-    if _kernels.path_arrays_jit is None:
+    if not _kernels.using_numba():
         pytest.skip("numba unavailable or disabled")
     u = _uniforms(314, 50_000)
     d_jit = np.empty(u.size, dtype=np.uint8)
     s_jit = np.empty(u.size, dtype=np.float64)
-    _kernels.path_arrays_jit(*params, u, d_jit, s_jit)
+    _kernels.path_arrays(*params, u, d_jit, s_jit)
     d_py = np.empty(u.size, dtype=np.uint8)
     s_py = np.empty(u.size, dtype=np.float64)
-    _kernels.path_arrays_py(*params, u, d_py, s_py)
+    _kernels.path_arrays.py_func(*params, u, d_py, s_py)
     assert np.array_equal(d_jit, d_py)
     assert np.array_equal(s_jit, s_py)
-
-    sums_jit = _kernels.path_sums_jit(*params, u)
-    sums_py = _kernels.path_sums_py(*params, u)
-    assert sums_jit == sums_py
-
-
-def test_sums_consistent_with_arrays(params):
-    u = _uniforms(99, 20_000)
-    digits = np.empty(u.size, dtype=np.uint8)
-    states = np.empty(u.size, dtype=np.float64)
-    _kernels.path_arrays(*params, u, digits, states)
-    entropy_sum, neg_log_sum, t_min, t_max = _kernels.path_sums(*params, u)
-
-    gamma = params[-1]
-    p0 = (states + 1.0) / (states + gamma)
-    entropy = -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
-    chosen = np.where(digits == 0, p0, 1.0 - p0)
-    assert entropy_sum == pytest.approx(entropy.sum(), rel=1e-12)
-    assert neg_log_sum == pytest.approx(-np.log(chosen).sum(), rel=1e-12)
-    # The sums kernel tracks states after each update (one step beyond the
-    # array) while the array holds the states before each draw; both stay
-    # confined to the invariant interval.
-    alpha, beta = -0.5, 0.0
-    assert alpha - 1e-10 <= t_min <= t_max <= beta + 1e-10
-    assert t_min <= states.min() + 1e-15
 
 
 def test_env_flag_forces_fallback():
     code = (
         "from derham_lft import _kernels; "
-        "print(_kernels.using_numba(), _kernels.path_arrays_jit is None)"
+        "print(_kernels.using_numba(), _kernels.path_arrays is _kernels._path_arrays)"
     )
-    env = dict(os.environ, DERHAM_LFT_NO_NUMBA="1")
+    env = dict(os.environ, NUMBA_DISABLE_JIT="1")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -70,7 +45,7 @@ def test_default_uses_numba_when_available():
         import numba  # noqa: F401
     except ImportError:
         pytest.skip("numba not installed")
-    env = {k: v for k, v in os.environ.items() if k != "DERHAM_LFT_NO_NUMBA"}
+    env = {k: v for k, v in os.environ.items() if k != "NUMBA_DISABLE_JIT"}
     code = "from derham_lft import _kernels; print(_kernels.using_numba())"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -87,7 +62,7 @@ print(int(p.digits.sum()), repr(float(p.states.sum())))
 """
     outs = []
     for flag in ("0", "1"):
-        env = dict(os.environ, DERHAM_LFT_NO_NUMBA=flag)
+        env = dict(os.environ, NUMBA_DISABLE_JIT=flag)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )

@@ -166,14 +166,20 @@ class TestSamplePath:
 
 
 class TestEntropyRate:
-    def test_constant_summand_when_degenerate(self, leb14):
+    def test_constant_summand_when_degenerate(self, leb13, leb14):
+        from derham_lft import force_approx
+
         # alpha = beta = 0 pins every state at 0, so every summand equals
         # the entropy of the coin; the average can only differ by summation
-        # rounding.
-        n = 20_000
-        estimate = entropy_rate_estimate(leb14, n, seed=13)
+        # rounding.  The long float path would drift past the bound under
+        # a naive running sum.
+        for system, p, n, seed in (
+            (leb14, Fraction(1, 4), 20_000, 13),
+            (force_approx(leb13), Fraction(1, 3), 1_000_000, 7),
+        ):
+            estimate = entropy_rate_estimate(system, n, seed=seed)
+            assert abs(estimate - binary_entropy(p)) <= 1e-13
         target = binary_entropy(Fraction(1, 4))
-        assert abs(estimate - target) <= 1e-13
         path = sample_path(leb14, 200, seed=13)
         for t in path.states:
             assert binary_entropy(prob_digit0(leb14, t)) == target

@@ -88,6 +88,16 @@ class TestEnclosures:
                     assert enc.lower < enc.upper
                 assert values == sorted(values)
 
+    def test_table_depth_above_cap_refused_before_sweeping(self, walk1, monkeypatch):
+        from derham_lft._words import WordBasis
+
+        def no_sweep(self, depth):
+            raise AssertionError("swept a level before checking the depth cap")
+
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        with pytest.raises(DomainError, match="depth = 23 exceeds the cap of 22"):
+            dyadic_value_table(walk1, 23)
+
     def test_width_contracts_to_depth_64(self):
         rng = random.Random(11)
         for system in (
