@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys as _sys
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .analysis import ABSOLUTELY_CONTINUOUS, classify, dimension_bounds
@@ -54,7 +53,7 @@ def parse_scalar(text: str) -> Scalar:
         value = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse scalar {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"scalar {text!r} is not finite")
     return value
 
@@ -244,16 +243,20 @@ def cmd_sample(args) -> int:
     n = args.steps
     path = sample_path(system, n, args.seed)
     estimate = _entropy_rate(system, path)
-    states = [float(t) for t in path.states] if system.exact else path.states
+    if system.exact:
+        states = [float(t) for t in path.states]
+        state_min, state_max = min(states), max(states)
+    else:
+        state_min, state_max = float(path.states.min()), float(path.states.max())
     doc = dict(meta, command="sample")
     doc.update(
         seed=args.seed,
         steps=n,
-        digit0_frequency=float(np.mean(path.digits == 0)),
+        digit0_frequency=float((path.digits == 0).mean()),
         entropy_rate_estimate=estimate,
         entropy_rate_dim=estimate / binary_entropy(Fraction(1, 2)),
-        state_min=float(np.min(states)),
-        state_max=float(np.max(states)),
+        state_min=state_min,
+        state_max=state_max,
         alpha=_scalar_repr(system.alpha),
         beta=_scalar_repr(system.beta),
     )

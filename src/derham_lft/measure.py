@@ -10,6 +10,15 @@ bottom-row ratio t = r/s is the orbit of 0 under the transposed maps,
 stays inside [alpha, beta], and drives the digit law: the next digit is
 0 with probability (t + 1)/(t + gamma).  Sampling therefore only needs
 the scalar recursion t -> tAi(t), one float (or Fraction) per step.
+
+Exact sampling reads the state off the integer bottom row (r, s) of
+the word, the coprime integer matrices of ``_words``: each step forms
+the next pair with Python ints and one gcd (the Fraction constructor),
+and the digit probability is the correctly rounded int/int quotient.
+States that stay at 0 (the lebesgue presets) therefore cost the same at
+every step, while systems with a non-degenerate state interval (exact
+walk:1) gain about one bit of denominator per step and stay quadratic
+in the path length.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from . import _kernels
 from .errors import DomainError
 from .numerics import MoebiusMatrix, Scalar, as_float, is_exact
-from .solution import Bits, check_bits, word_matrix
+from .solution import Bits, check_bits
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
 if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
@@ -59,7 +68,9 @@ def mass_from_word(word: MoebiusMatrix) -> Scalar:
 def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
     """Mass of the dyadic interval named by the address. In (0, 1], equal
     to the width of the value enclosure of the same address."""
-    return mass_from_word(word_matrix(sys, bits))
+    check_bits(bits)
+    basis = sys.word_basis
+    return basis.mass(basis.path(bits))
 
 
 def transposed_step(sys: DeRhamSystem, t: Scalar, digit: int) -> Scalar:
@@ -74,9 +85,13 @@ def transposed_step(sys: DeRhamSystem, t: Scalar, digit: int) -> Scalar:
 
 
 def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
-    """Bottom-row ratio r/s of the address word, computed incrementally
-    from t = 0; guaranteed inside [alpha, beta]."""
+    """Bottom-row ratio r/s of the address word; guaranteed inside
+    [alpha, beta].  Exact states are read off the integer word, float
+    states are the orbit of t = 0 under transposed_step."""
     check_bits(bits)
+    if sys.exact:
+        _, _, r, s = sys.word_basis.path(bits)
+        return Fraction(r, s)
     t = sys.zero()
     for b in bits:
         t = transposed_step(sys, t, b)
@@ -163,30 +178,40 @@ def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
 
 def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePath:
     """Draw n digits with the exact conditional law, deterministically in
-    the seed.  Exact systems iterate Fraction states and convert the
-    digit probability to float only for the uniform comparison; state
-    denominators grow with the path length, so long paths over systems
-    with a non-degenerate state interval belong in approximate mode."""
+    the seed.  Exact systems step the integer bottom row (r, s) of the
+    word, reduced by one gcd per step into a Fraction state, and compare
+    the uniform with the correctly rounded float of the digit
+    probability; state denominators still grow with the path length on
+    systems with a non-degenerate state interval (about one bit per step
+    on walk:1, so the path is quadratic in n), and long paths over those
+    belong in approximate mode."""
     if n < 1:
         raise DomainError("n must be >= 1")
     import numpy as np
 
     u = _uniforms(seed, n)
-    digits = np.empty(n, dtype=np.uint8)
     if not sys.exact:
+        digits = np.empty(n, dtype=np.uint8)
         states = np.empty(n, dtype=np.float64)
         _kernels.path_arrays(*_float_params(sys), u, digits, states)
         return SamplePath(digits, states, seed)
-    states_list: list[Scalar] = []
-    t: Scalar = sys.zero()
-    gamma = sys.gamma
-    for i in range(n):
-        states_list.append(t)
-        p0 = (t + 1) / (t + gamma)
-        digit = 0 if u[i] < as_float(p0) else 1
-        digits[i] = digit
-        t = transposed_step(sys, t, digit)
-    return SamplePath(digits, states_list, seed)
+    # The transposed step (a*t + c)/(b*t + d) is invariant under positive
+    # scaling, so the coprime integer matrices serve as well as A0 and A1.
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = sys.word_basis.m0, sys.word_basis.m1
+    gn, gd = sys.gamma.numerator, sys.gamma.denominator
+    digit_bytes = bytearray(n)
+    states: list[Scalar] = []
+    t = sys.zero()
+    for i, x in enumerate(u.tolist()):
+        states.append(t)
+        r, s = t.numerator, t.denominator
+        # float((t + 1)/(t + gamma)): int/int division rounds correctly.
+        if x < gd * (r + s) / (gd * r + gn * s):
+            t = Fraction(a0 * r + c0 * s, b0 * r + d0 * s)
+        else:
+            digit_bytes[i] = 1
+            t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
+    return SamplePath(np.frombuffer(digit_bytes, dtype=np.uint8), states, seed)
 
 
 def entropy_rate_estimate(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> float:
@@ -210,8 +235,14 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
     """Entropy-rate estimate of an already sampled path: one fsum over
     the binary entropy of the digit law at every state."""
     if sys.exact:
-        terms = (binary_entropy(prob_digit0(sys, t)) for t in path.states)
-        return fsum(terms) / len(path)
+        gn, gd = sys.gamma.numerator, sys.gamma.denominator
+
+        def prob0(t: Fraction) -> float:
+            # float(prob_digit0(sys, t)): int/int division rounds correctly.
+            r, s = t.numerator, t.denominator
+            return gd * (r + s) / (gd * r + gn * s)
+
+        return fsum(map(binary_entropy, map(prob0, path.states))) / len(path)
     import numpy as np
 
     gamma = as_float(sys.gamma)

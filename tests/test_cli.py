@@ -294,6 +294,35 @@ class TestStationaryCommand:
         assert err == "error: DomainError: quad_depth = 30 exceeds the cap of 22\n"
 
 
+class TestImports:
+    def test_commands_without_float_work_skip_numpy(self):
+        # One fresh interpreter runs every command in turn and reports,
+        # after each, whether numpy has been imported so far.
+        code = (
+            "import contextlib, io, sys\n"
+            "from derham_lft.cli import main\n"
+            "for argv in (\n"
+            "    ['validate', '--preset', 'walk:1'],\n"
+            "    ['classify', '--preset', 'lebesgue:1/3'],\n"
+            "    ['dimension', '--preset', 'walk:1'],\n"
+            "    ['plot', '--preset', 'walk:1', '--depth', '6'],\n"
+            "    ['stationary', '--preset', 'walk:1', '--depth', '4', '--quad-depth', '6'],\n"
+            "):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(argv[0], 'numpy' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout.split("\n") == [
+            "validate False",
+            "classify False",
+            "dimension False",
+            "plot False",
+            "stationary False",
+            "",
+        ]
+
+
 class TestRoundTrip:
     def test_json_reemission_idempotent(self, capsys):
         _, first, _ = run_cli(capsys, "classify", "--preset", "walk:1")

@@ -1,5 +1,7 @@
 import random
+import struct
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 import pytest
@@ -10,7 +12,10 @@ from derham_lft import (
     dimension_bounds,
     dyadic_enclosure,
     entropy_rate_estimate,
+    force_approx,
     interval_measure,
+    lebesgue_system,
+    mass_from_word,
     prob_digit0,
     ratio_state,
     sample_path,
@@ -19,7 +24,10 @@ from derham_lft import (
     walk_system,
     walk_tree,
     binary_entropy,
+    word_matrix,
 )
+from derham_lft import measure
+from derham_lft.measure import transposed_step
 from helpers import random_valid_system
 
 
@@ -233,3 +241,58 @@ class TestRandomSystems:
                 assert masses[bits + (0,)] + masses[bits + (1,)] == mass
                 ratio = masses[bits + (0,)] / mass
                 assert ratio == prob_digit0(system, states[bits])
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+def _exact_systems():
+    rng = random.Random(2718)
+    systems = [lebesgue_system(Fraction(1, 4)), walk_system(1)]
+    systems += [random_valid_system(rng, scaled=bool(i % 2)) for i in range(20)]
+    return systems
+
+
+class TestExactBitIdentity:
+    """Exact sampling, ratio states and masses against Fraction folds of
+    the public single-step primitives."""
+
+    @pytest.mark.parametrize("index", range(22))
+    def test_sample_path_equals_fraction_fold(self, index):
+        system = _exact_systems()[index]
+        n, seed = (3000, 7) if index < 2 else (400, 100 + index)
+        u = measure._uniforms(seed, n)
+        states, digits = [], []
+        t = Fraction(0)
+        for x in u:
+            states.append(t)
+            digit = 0 if x < float(prob_digit0(system, t)) else 1
+            digits.append(digit)
+            t = transposed_step(system, t, digit)
+        path = sample_path(system, n, seed)
+        assert path.digits.dtype == np.uint8 and path.digits.tolist() == digits
+        assert all(type(t) is Fraction for t in path.states)
+        assert path.states == states
+        expect = fsum(binary_entropy(prob_digit0(system, t)) for t in states) / n
+        assert _float_bits(measure._entropy_rate(system, path)) == _float_bits(expect)
+        assert _float_bits(entropy_rate_estimate(system, n, seed)) == _float_bits(expect)
+
+    def test_ratio_state_and_mass_equal_the_folds(self):
+        rng = random.Random(1618)
+        for system in _exact_systems()[:8]:
+            for _ in range(15):
+                bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 40)))
+                t = Fraction(0)
+                for b in bits:
+                    t = transposed_step(system, t, b)
+                state = ratio_state(system, bits)
+                assert type(state) is Fraction and state == t
+                assert interval_measure(system, bits) == mass_from_word(word_matrix(system, bits))
+                approx = force_approx(system)
+                t = 0.0
+                for b in bits:
+                    t = transposed_step(approx, t, b)
+                assert _float_bits(ratio_state(approx, bits)) == _float_bits(t)
+                mass = mass_from_word(word_matrix(approx, bits))
+                assert _float_bits(interval_measure(approx, bits)) == _float_bits(mass)
