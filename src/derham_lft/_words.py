@@ -61,10 +61,8 @@ class WordBasis:
             self.dets = tuple(m[0] * m[3] - m[1] * m[2] for m in (self.m0, self.m1))
             self.identity = (1, 0, 0, 1)
         else:
-            self.m0 = tuple(float(e) for e in a0.entries)
-            self.m1 = tuple(float(e) for e in a1.entries)
-            # As mobius_derivative computes it: exact when A's entries are.
-            self.dets = (float(a0.det()), float(a1.det()))
+            self.m0, self.m1 = a0.entries, a1.entries
+            self.dets = (a0.det(), a1.det())
             self.identity = (1.0, 0.0, 0.0, 1.0)
 
     # -- one path ------------------------------------------------------

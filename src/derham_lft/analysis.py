@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConditionHoldsError, DomainError
-from .numerics import Scalar, apply_mobius, as_float
+from .numerics import Scalar, apply_mobius
 from .solution import normal_form
 from .system import DeRhamSystem, ac_conditions, binary_entropy, prob_digit0
 
@@ -111,15 +111,10 @@ def repulsion_radius(sys: DeRhamSystem) -> Scalar:
         )
     balanced = sys.balanced_state
     a0, _, c0, d0 = sys.A0.entries
-    if sys.exact:
-        slope = Fraction(a0) / Fraction(d0)
-    else:
-        slope = as_float(a0) / as_float(d0)
+    slope = a0 / d0
     delta = abs(apply_mobius(sys.tA0, balanced) - balanced)
     cap = 2 * (sys.gamma - 1) * _RADIUS_MARGIN
     eps = _RADIUS_MARGIN * min(delta / (1 + slope), cap)
-    if not sys.exact:
-        eps = as_float(eps)
     # Post-verification at both window endpoints; sufficient because the
     # displacement of an affine map is affine, so with equal signs and
     # magnitude > eps at both ends it stays > eps on the whole window.
@@ -156,7 +151,7 @@ def singular_dimension_bound(sys: DeRhamSystem) -> float:
         binary_entropy(prob_digit0(sys, balanced + eps)),
         binary_entropy(prob_digit0(sys, low)),
     )
-    p_alpha = as_float(prob_digit0(sys, sys.alpha))
+    p_alpha = float(prob_digit0(sys, sys.alpha))
     return (LOG2 - (LOG2 - e0) * p_alpha / 2.0) / LOG2
 
 

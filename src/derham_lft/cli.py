@@ -265,6 +265,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_stationary(args) -> int:
+    if not math.isfinite(args.tol):  # the finiteness rule of parse_scalar
+        raise ConfigError(f"tol {args.tol!r} is not finite")
     system, meta = load_system(args)
     report = stationarity_check(system, args.depth, args.tol)
     doc = dict(meta, command="stationary")

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import _kernels
 from .errors import DomainError
-from .numerics import MoebiusMatrix, Scalar, as_float, is_exact
+from .numerics import MoebiusMatrix, Scalar
 from .solution import Bits, check_bits
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
@@ -43,6 +43,12 @@ if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
 STATE_ATOL = 1e-10
 
 DEFAULT_SEED = 99991
+
+#: Longest exact path sample_path draws when alpha < beta: the state
+#: denominators grow by about a bit per step there, so time and memory
+#: grow quadratically in n (exact walk:1 took 0.85 s and 88 MB at 20k
+#: steps, 2.9 s and 244 MB at 40k, on a 2-core Xeon).
+_MAX_EXACT_GROWING_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,7 @@ class MeasureNode:
 def mass_from_word(word: MoebiusMatrix) -> Scalar:
     """Interval mass (p*s - q*r)/(s*(r + s)) of a word ((p, q), (r, s))."""
     p, q, r, s = word.entries
-    num = p * s - q * r
-    den = s * (r + s)
-    if is_exact(num) and is_exact(den):
-        return Fraction(num) / Fraction(den)
-    return num / den
+    return (p * s - q * r) / (s * (r + s))
 
 
 def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
@@ -75,13 +77,8 @@ def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
 
 def transposed_step(sys: DeRhamSystem, t: Scalar, digit: int) -> Scalar:
     """One ratio-state update t -> (a*t + c)/(b*t + d) for the digit's matrix."""
-    m = sys.matrix(digit)
-    a, b, c, d = m.entries
-    if is_exact(t) and m.exact:
-        t = Fraction(t)
-        return (a * t + c) / (b * t + d)
-    t = as_float(t)
-    return (as_float(a) * t + as_float(c)) / (as_float(b) * t + as_float(d))
+    a, b, c, d = sys.matrix(digit).entries
+    return (a * t + c) / (b * t + d)
 
 
 def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
@@ -99,10 +96,9 @@ def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
 
 
 def in_state_interval(sys: DeRhamSystem, t: Scalar) -> bool:
-    if sys.exact and is_exact(t):
+    if sys.exact:
         return sys.alpha <= t <= sys.beta
-    t = as_float(t)
-    return as_float(sys.alpha) - STATE_ATOL <= t <= as_float(sys.beta) + STATE_ATOL
+    return sys.alpha - STATE_ATOL <= t <= sys.beta + STATE_ATOL
 
 
 def digit_probability(sys: DeRhamSystem, t: Scalar, digit: int) -> Scalar:
@@ -171,9 +167,7 @@ def _uniforms(seed: int, n: int) -> np.ndarray:
 
 
 def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
-    a0, b0, c0, d0 = (as_float(e) for e in sys.A0.entries)
-    a1, b1, c1, d1 = (as_float(e) for e in sys.A1.entries)
-    return a0, b0, c0, d0, a1, b1, c1, d1, as_float(sys.gamma)
+    return (*sys.A0.entries, *sys.A1.entries, sys.gamma)
 
 
 def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePath:
@@ -184,9 +178,18 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     probability; state denominators still grow with the path length on
     systems with a non-degenerate state interval (about one bit per step
     on walk:1, so the path is quadratic in n), and long paths over those
-    belong in approximate mode."""
+    belong in approximate mode: exact systems with alpha < beta are
+    refused above _MAX_EXACT_GROWING_STEPS steps."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    if sys.exact and sys.alpha < sys.beta and n > _MAX_EXACT_GROWING_STEPS:
+        raise DomainError(
+            f"n = {n} exceeds {_MAX_EXACT_GROWING_STEPS}, the cap for exact sampling "
+            "when alpha < beta (state denominators grow about a bit per step); "
+            "use --mode approx (force_approx) or a smaller n"
+        )
     import numpy as np
 
     u = _uniforms(seed, n)
@@ -245,7 +248,7 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
         return fsum(map(binary_entropy, map(prob0, path.states))) / len(path)
     import numpy as np
 
-    gamma = as_float(sys.gamma)
+    gamma = sys.gamma
 
     def block_terms(start: int) -> list[float]:
         t = path.states[start : start + _ENTROPY_BLOCK]

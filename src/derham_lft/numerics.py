@@ -9,6 +9,10 @@ Scalars live in one of two modes that travel through every computation:
   a float; exact values never degrade silently because Fraction/Fraction
   arithmetic cannot produce a float.
 
+``system.validate`` picks the mode of a matrix pair once: a pair with any
+float entry is stored, and so computed, in floats throughout, so the code
+downstream of it needs no per-value conversions.
+
 A matrix ((a, b), (c, d)) acts on the line by z -> (a*z + b)/(c*z + d),
 which is invariant under scaling the matrix by any positive constant.
 """
@@ -34,10 +38,6 @@ POLE_RTOL = 1e-15
 def is_exact(x: Scalar) -> bool:
     """True for int/Fraction scalars, False for floats."""
     return not isinstance(x, float)
-
-
-def as_float(x: Scalar) -> float:
-    return float(x)
 
 
 def _coerce(x: Scalar) -> Scalar:
@@ -101,7 +101,7 @@ def _check_pole(den: Scalar, c: Scalar, d: Scalar) -> None:
         if den == 0:
             raise PoleError("exact denominator c*z + d is zero")
     else:
-        scale = max(abs(as_float(c)), abs(as_float(d)), 1.0)
+        scale = max(abs(float(c)), abs(float(d)), 1.0)
         if abs(den) <= POLE_RTOL * scale:
             raise PoleError(
                 f"denominator {den!r} within pole tolerance {POLE_RTOL * scale!r}"
@@ -158,7 +158,7 @@ def renormalize(m: MoebiusMatrix) -> MoebiusMatrix:
         ints = [f.numerator * (lcm // f.denominator) for f in fracs]
         g = math.gcd(*ints)
         return MoebiusMatrix(*(Fraction(i // g) for i in ints))
-    return MoebiusMatrix(*_unit_scaled(tuple(as_float(e) for e in m.entries)))
+    return MoebiusMatrix(*_unit_scaled(tuple(float(e) for e in m.entries)))
 
 
 def _unit_scaled(entries: tuple[float, ...]) -> tuple[float, ...]:

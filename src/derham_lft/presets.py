@@ -9,6 +9,9 @@ A0 = ((x, 0), (-u**2 x**2, 1)), A1 = ((0, x), (-u**2 x**2, 1 - u**2 x**2)),
 admissible for 0 < u < sqrt(3).  x is rational only for special rational
 u (u = 1 gives x = 1/2); the constructor keeps exact arithmetic exactly
 when that happens and falls back to floats otherwise.
+
+Both constructors write the constant entries as the ints 0 and 1 and
+leave their scalar type to ``validate``.
 """
 
 from __future__ import annotations
@@ -18,57 +21,40 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .numerics import MoebiusMatrix, Scalar, is_exact
-from .system import DeRhamSystem, validate
+from .system import DeRhamSystem, _floated, validate
 
 
 def lebesgue_system(p: Scalar) -> DeRhamSystem:
-    if is_exact(p):
-        p = Fraction(p)
     if not 0 < p < 1:
         raise DomainError(f"p = {p} outside (0, 1)")
-    one = Fraction(1) if is_exact(p) else 1.0
-    zero = Fraction(0) if is_exact(p) else 0.0
-    a0 = MoebiusMatrix(p, zero, zero, one)
-    a1 = MoebiusMatrix(one - p, p, zero, one)
-    return validate(a0, a1)
+    return validate(MoebiusMatrix(p, 0, 0, 1), MoebiusMatrix(1 - p, p, 0, 1))
 
 
-def _walk_x(u: Scalar) -> Scalar:
-    """2/(1 + sqrt(1 + 8 u^2)), exact when the square root is rational."""
+def _walk_ux(u: Scalar) -> tuple[Scalar, Scalar]:
+    """u and x = 2/(1 + sqrt(1 + 8 u^2)), both exact when the square root
+    is rational and both floats otherwise."""
     if is_exact(u):
         u = Fraction(u)
         num, den = u.numerator, u.denominator
         radicand = den * den + 8 * num * num
         root = math.isqrt(radicand)
         if root * root == radicand:
-            return Fraction(2 * den, den + root)
-        u = float(u)
-    return 2.0 / (1.0 + math.sqrt(1.0 + 8.0 * u * u))
+            return u, Fraction(2 * den, den + root)
+    u = float(u)
+    return u, 2.0 / (1.0 + math.sqrt(1.0 + 8.0 * u * u))
 
 
 def walk_system(u: Scalar) -> DeRhamSystem:
     if not u > 0:
         raise DomainError(f"u = {u} must be positive")
-    x = _walk_x(u)
-    if is_exact(x):
-        u = Fraction(u)
-        uxx = u * u * x * x
-        one = Fraction(1)
-        zero = Fraction(0)
-    else:
-        u = float(u)
-        uxx = u * u * x * x
-        one = 1.0
-        zero = 0.0
-    a0 = MoebiusMatrix(x, zero, -uxx, one)
-    a1 = MoebiusMatrix(zero, x, -uxx, one - uxx)
-    return validate(a0, a1)
+    u, x = _walk_ux(u)
+    uxx = u * u * x * x
+    return validate(MoebiusMatrix(x, 0, -uxx, 1), MoebiusMatrix(0, x, -uxx, 1 - uxx))
 
 
 def force_approx(sys: DeRhamSystem) -> DeRhamSystem:
     """Revalidate the same pair with every entry converted to float."""
-    to_float = lambda m: MoebiusMatrix(*(float(e) for e in m.entries))
-    return validate(to_float(sys.A0), to_float(sys.A1))
+    return validate(_floated(sys.A0), _floated(sys.A1))
 
 
 PRESETS = {

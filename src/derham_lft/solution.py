@@ -22,7 +22,7 @@ from .errors import (
     NonConvergenceError,
     NotAbsolutelyContinuousError,
 )
-from .numerics import MoebiusMatrix, Scalar, apply_mobius, as_float, is_exact
+from .numerics import MoebiusMatrix, Scalar, apply_mobius
 from .system import DeRhamSystem, ac_conditions
 
 Bits = tuple[int, ...]
@@ -156,7 +156,7 @@ def evaluate(
     """
     if not 0 <= x <= 1:
         raise DomainError(f"x = {x} outside [0, 1]")
-    if tol < 0:
+    if not tol >= 0:
         raise DomainError("tol must be >= 0")
     if x == 0:
         return sys.zero()
@@ -170,7 +170,7 @@ def evaluate(
             return value_at_dyadic(sys, f)
         y = f
     else:
-        y = as_float(x)
+        y = float(x)
 
     basis = sys.word_basis
     word = basis.identity
@@ -235,7 +235,7 @@ def inverse_evaluate(
     """
     if not 0 <= y <= 1:
         raise DomainError(f"y = {y} outside [0, 1]")
-    if tol < 0:
+    if not tol >= 0:
         raise DomainError("tol must be >= 0")
     if y == 0:
         return sys.zero()
@@ -245,7 +245,7 @@ def inverse_evaluate(
     basis = sys.word_basis
     word = basis.identity
     x_lo: Scalar = sys.zero()
-    half: Scalar = Fraction(1, 2) if sys.exact else 0.5
+    half = sys.one() / 2
     depth = 0
     while depth < max_depth:
         mid_value = basis.value(word, sys.split_value)
@@ -282,19 +282,16 @@ def normal_form(sys: DeRhamSystem) -> tuple[MoebiusMatrix, MoebiusMatrix]:
             "closed form requires both absolute-continuity identities; "
             f"digit-0 identity holds: {cond0}, digit-1 identity holds: {cond1}"
         )
-    d0 = sys.A0.d
-    b1 = sys.A1.b
-    n0 = sys.A0.scaled(1 / Fraction(d0) if is_exact(d0) else 1.0 / d0)
-    n1 = sys.A1.scaled(1 / Fraction(b1) if is_exact(b1) else 1.0 / b1)
+    n0 = sys.A0.scaled(1 / sys.A0.d)
+    n1 = sys.A1.scaled(1 / sys.A1.b)
     c0 = n0.c
-    half: Scalar = Fraction(1, 2) if sys.exact else 0.5
-    expected0 = (half, sys.zero(), c0, sys.one())
+    expected0 = (sys.one() / 2, sys.zero(), c0, sys.one())
     expected1 = (4 * c0 + 1, sys.one(), 2 * c0, 2 * (1 + c0))
 
     def matches(got, want) -> bool:
         if sys.exact:
             return all(g == w for g, w in zip(got, want))
-        return all(abs(as_float(g) - as_float(w)) <= 1e-9 for g, w in zip(got, want))
+        return all(abs(g - w) <= 1e-9 for g, w in zip(got, want))
 
     if not (matches(n0.entries, expected0) and matches(n1.entries, expected1)):
         raise FormMismatchError(
@@ -314,8 +311,6 @@ def closed_form_solution(sys: DeRhamSystem) -> tuple[Scalar, Callable[[Scalar], 
     c0 = n0.c
 
     def f(x: Scalar) -> Scalar:
-        if is_exact(x) and is_exact(c0):
-            x = Fraction(x)
         return x / (-2 * c0 * x + 1 + 2 * c0)
 
     return c0, f
@@ -326,8 +321,6 @@ def ac_density(c0: Scalar) -> Callable[[Scalar], Scalar]:
     measure in the absolutely continuous case."""
 
     def density(x: Scalar) -> Scalar:
-        if is_exact(x) and is_exact(c0):
-            x = Fraction(x)
         den = -2 * c0 * x + 1 + 2 * c0
         return (1 + 2 * c0) / (den * den)
 

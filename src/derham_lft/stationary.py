@@ -60,6 +60,8 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     """
     if not 1 <= depth <= 20:
         raise DomainError("depth must be in [1, 20]")
+    if not tol >= 0:
+        raise DomainError("tol must be >= 0")
     values = dyadic_value_table(sys, depth)
     half_tol = tol / 2
     g_at = [inverse_evaluate(sys, v, half_tol) for v in values]
@@ -73,7 +75,7 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     max_mass = zero
     max_rec = zero
     for k in range(1, depth + 1):
-        cell = sys.one() / (2**k if sys.exact else float(2**k))
+        cell = sys.one() / 2**k
         for j in range(1 << k):
             m = mass(k, j)
             max_mass = max(max_mass, abs(m - cell))

@@ -34,14 +34,7 @@ from functools import cached_property
 
 from ._words import WordBasis
 from .errors import DomainError, ValidationError
-from .numerics import (
-    MoebiusMatrix,
-    Scalar,
-    apply_mobius,
-    as_float,
-    is_exact,
-    transpose,
-)
+from .numerics import MoebiusMatrix, Scalar, apply_mobius, is_exact, transpose
 
 EXACT = "exact"
 APPROX = "approx"
@@ -115,15 +108,22 @@ def _finite(x: Scalar) -> bool:
 def _eq(x: Scalar, y: Scalar, exact: bool) -> bool:
     if exact:
         return x == y
-    return abs(as_float(x) - as_float(y)) <= A1_ATOL
+    return abs(x - y) <= A1_ATOL
+
+
+def _floated(m: MoebiusMatrix) -> MoebiusMatrix:
+    return MoebiusMatrix(*(float(e) for e in m.entries))
 
 
 def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     """Check conditions A1/A2/A3 and build the validated system.
 
-    Matrices are stored exactly as given; no normalization is applied.
-    Raises ValidationError carrying every violated condition together
-    with the failing inequality.
+    This is where the scalar mode is decided.  A pair whose entries are
+    all exact (int or Fraction) gives an exact system; a pair with any
+    float entry is converted to all-float matrices and gives an approx
+    system, checked, stored and computed in floats throughout.  No other
+    normalization is applied.  Raises ValidationError carrying every
+    violated condition together with the failing inequality.
     """
     violations: list[tuple[str, str]] = []
     entries = a0_raw.entries + a1_raw.entries
@@ -131,6 +131,8 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
         raise ValidationError([("finite", "matrix entries must be finite numbers")])
 
     exact = a0_raw.exact and a1_raw.exact
+    if not exact:
+        a0_raw, a1_raw = _floated(a0_raw), _floated(a1_raw)
     a0, b0, c0, d0 = a0_raw.entries
     a1, b1, c1, d1 = a1_raw.entries
 
@@ -144,17 +146,17 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     if den_mid0 == 0:
         violations.append(("A1", "c0 + d0 = 0 makes A0(1) undefined"))
     else:
-        mid0 = (a0 + b0) / den_mid0 if not exact else Fraction(a0 + b0) / Fraction(den_mid0)
+        mid0 = (a0 + b0) / den_mid0
     if den_mid1 == 0:
         violations.append(("A1", "d1 = 0 makes A1(0) undefined"))
     else:
-        mid1 = b1 / den_mid1 if not exact else Fraction(b1) / Fraction(den_mid1)
+        mid1 = b1 / den_mid1
     if mid0 is not None and mid1 is not None and not _eq(mid0, mid1, exact):
         violations.append(("A1", f"A0(1) = {mid0} differs from A1(0) = {mid1}"))
     if den_right == 0:
         violations.append(("A1", "c1 + d1 = 0 makes A1(1) undefined"))
     else:
-        right = (a1 + b1) / den_right if not exact else Fraction(a1 + b1) / Fraction(den_right)
+        right = (a1 + b1) / den_right
         if not _eq(right, 1, exact):
             violations.append(("A1", f"A1(1) = {right} but A1(1) = 1 is required"))
     if mid0 is not None:
@@ -200,16 +202,10 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     if derived:
         raise ValidationError(derived)
 
-    if exact:
-        z0 = Fraction(c0) / Fraction(d0 - a0)
-        z1 = Fraction(c1) / Fraction(b1)
-        gamma = Fraction(c0 + d0) / Fraction(a0)
-        zero = Fraction(0)
-    else:
-        z0 = as_float(c0) / as_float(d0 - a0)
-        z1 = as_float(c1) / as_float(b1)
-        gamma = as_float(c0 + d0) / as_float(a0)
-        zero = 0.0
+    z0 = c0 / (d0 - a0)
+    z1 = c1 / b1
+    gamma = (c0 + d0) / a0
+    zero = Fraction(0) if exact else 0.0
     alpha = min(zero, z0, z1)
     beta = max(zero, z0, z1)
     if not alpha > -1:
@@ -235,10 +231,9 @@ def prob_digit0(sys: DeRhamSystem, x: Scalar) -> Scalar:
     """
     if not x > -sys.gamma:
         raise DomainError(f"x = {x} must exceed -gamma = {-sys.gamma}")
-    if is_exact(x) and sys.exact:
-        return (Fraction(x) + 1) / (Fraction(x) + sys.gamma)
-    x = as_float(x)
-    return (x + 1.0) / (x + as_float(sys.gamma))
+    if not sys.exact:
+        x = float(x)
+    return (x + 1) / (x + sys.gamma)
 
 
 def prob_digit1(sys: DeRhamSystem, x: Scalar) -> Scalar:
@@ -252,7 +247,7 @@ def binary_entropy(p: Scalar) -> float:
     """
     if not 0 <= p <= 1:
         raise DomainError(f"p = {p} outside [0, 1]")
-    p = as_float(p)
+    p = float(p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
@@ -267,14 +262,9 @@ def transpose_fixed_points(sys: DeRhamSystem) -> tuple[Scalar, tuple[Scalar, Sca
     """
     a0, _, c0, d0 = sys.A0.entries
     _, b1, c1, _ = sys.A1.entries
-    if sys.exact:
-        fp0 = Fraction(c0) / Fraction(d0 - a0)
-        fp1 = Fraction(c1) / Fraction(b1)
-        minus_one: Scalar = Fraction(-1)
-    else:
-        fp0 = as_float(c0) / as_float(d0 - a0)
-        fp1 = as_float(c1) / as_float(b1)
-        minus_one = -1.0
+    fp0 = c0 / (d0 - a0)
+    fp1 = c1 / b1
+    minus_one = -sys.one()
     for m, fp in ((sys.tA0, fp0), (sys.tA1, fp1), (sys.tA1, minus_one)):
         residual = abs(apply_mobius(m, fp) - fp)
         if sys.exact:
@@ -305,7 +295,7 @@ def ac_identity_residuals(sys: DeRhamSystem) -> tuple[Scalar, Scalar]:
 def _identity_holds(residual: Scalar, lhs_scale: Scalar, exact: bool) -> bool:
     if exact:
         return residual == 0
-    return abs(as_float(residual)) <= 1e-9 * max(1.0, abs(as_float(lhs_scale)))
+    return abs(residual) <= 1e-9 * max(1.0, lhs_scale)
 
 
 def ac_conditions(sys: DeRhamSystem) -> tuple[bool, bool]:
@@ -315,8 +305,8 @@ def ac_conditions(sys: DeRhamSystem) -> tuple[bool, bool]:
     res0, res1 = ac_identity_residuals(sys)
     a0, _, c0, d0 = sys.A0.entries
     a1, b1, c1, d1 = sys.A1.entries
-    scale0 = max(abs(as_float(e)) for e in (a0, c0, d0)) ** 2
-    scale1 = max(abs(as_float(e)) for e in (a1, b1, c1, d1)) ** 2
+    scale0 = max(abs(e) for e in (a0, c0, d0)) ** 2
+    scale1 = max(abs(e) for e in (a1, b1, c1, d1)) ** 2
     return (
         _identity_holds(res0, scale0, sys.exact),
         _identity_holds(res1, scale1, sys.exact),

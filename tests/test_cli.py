@@ -1,8 +1,10 @@
 import json
+import random
 import subprocess
 import sys
 
 from derham_lft.cli import main
+from helpers import random_valid_system
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +181,31 @@ class TestConfigFiles:
         doc = json.loads(out)
         assert doc["mode"] == "approx" and doc["exactness"] == "approx"
 
+    def test_mixed_config_matches_all_decimal(self, capsys, tmp_path):
+        # A0 written as rationals, A1 as decimals: the whole system runs in
+        # floats, so every report equals that of the all-decimal twin.
+        def decimals(m):
+            return [repr(float(e)) for e in m.entries]
+
+        commands = (
+            ["validate"],
+            ["classify"],
+            ["dimension"],
+            ["sample", "-n", "2000"],
+            ["stationary", "--depth", "5", "--quad-depth", "9"],
+        )
+        for seed in range(3):
+            system = random_valid_system(random.Random(seed), scaled=bool(seed % 2))
+            mixed = tmp_path / f"mixed{seed}.json"
+            twin = tmp_path / f"decimal{seed}.json"
+            mixed.write_text(json.dumps({"A0": [str(e) for e in system.A0.entries],
+                                         "A1": decimals(system.A1)}))
+            twin.write_text(json.dumps({"A0": decimals(system.A0), "A1": decimals(system.A1)}))
+            for command in commands:
+                got = run_cli(capsys, *command, "--config", str(mixed))
+                want = run_cli(capsys, *command, "--config", str(twin))
+                assert got[0] == 0 and got == want, (seed, command)
+
     def test_preset_object_config(self, capsys, tmp_path):
         cfg = tmp_path / "sys.json"
         cfg.write_text(json.dumps({"preset": {"walk": "1"}}))
@@ -238,6 +265,27 @@ class TestSample:
         _, out, _ = run_cli(capsys, "sample", "--preset", "lebesgue:1/2", "-n", "100")
         assert json.loads(out)["seed"] == 99991
 
+    def test_negative_seed_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--preset", "lebesgue:1/3", "-n", "10", "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: DomainError: seed must be >= 0\n"
+
+    def test_exact_growing_states_default_n_refused(self, capsys, monkeypatch):
+        from derham_lft import measure
+
+        def no_draw(seed, n):
+            raise AssertionError("drew uniforms for a refused path")
+
+        monkeypatch.setattr(measure, "_uniforms", no_draw)
+        code, out, err = run_cli(capsys, "sample", "--preset", "walk:1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError: n = 100000 exceeds 20000")
+        assert "--mode approx" in err and err.count("\n") == 1
+
     def test_path_drawn_once(self, capsys, monkeypatch):
         from derham_lft import measure
 
@@ -284,6 +332,16 @@ class TestStationaryCommand:
         doc = json.loads(out)
         assert code == 0
         assert doc["doubling_residual"] == 0.0
+
+    def test_non_finite_tol_exit_2(self, capsys):
+        for tol, mode in (("nan", "exact"), ("inf", "approx"), ("-inf", "approx")):
+            code, out, err = run_cli(
+                capsys, "stationary", "--preset", "walk:1", "--depth", "6",
+                f"--tol={tol}", "--mode", mode,
+            )
+            assert code == 2, tol
+            assert out == ""
+            assert err == f"error: tol {float(tol)!r} is not finite\n"
 
     def test_quad_depth_above_cap_exit_1(self, capsys):
         code, out, err = run_cli(

@@ -164,6 +164,29 @@ class TestSamplePath:
         assert all(walk1.alpha <= t <= walk1.beta for t in path.states)
         assert path.states[0] == 0
 
+    def test_negative_seed_refused(self, leb14):
+        for draw in (sample_path, entropy_rate_estimate):
+            with pytest.raises(DomainError, match="seed must be >= 0"):
+                draw(leb14, 10, seed=-1)
+
+    def test_long_exact_growing_path_refused_before_drawing(self, walk1, leb14, monkeypatch):
+        def no_draw(seed, n):
+            raise AssertionError("drew uniforms for a refused path")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "_uniforms", no_draw)
+            for n in (measure._MAX_EXACT_GROWING_STEPS + 1, 100_000):
+                with pytest.raises(DomainError, match="--mode approx"):
+                    sample_path(walk1, n)
+        # The cap itself is allowed; float walk:1 and exact lebesgue
+        # (alpha = beta, states stay at 0) are not capped.
+        monkeypatch.setattr(measure, "_MAX_EXACT_GROWING_STEPS", 100)
+        assert len(sample_path(walk1, 100)) == 100
+        with pytest.raises(DomainError):
+            sample_path(walk1, 101)
+        assert len(sample_path(force_approx(walk1), 101)) == 101
+        assert len(sample_path(leb14, 100_000, seed=7)) == 100_000
+
     def test_state_recursion(self, walk05):
         from derham_lft.measure import transposed_step
 

@@ -158,6 +158,11 @@ class TestEvaluate:
         assert info.value.depth == 20
         assert info.value.width == Fraction(1, 2**20)
 
+    def test_nan_tol_refused(self, walk05):
+        for solve in (evaluate, inverse_evaluate):
+            with pytest.raises(DomainError, match="tol must be >= 0"):
+                solve(walk05, 0.3, math.nan)
+
     def test_midpoint_within_tol(self, walk05):
         for x in (0.1, 0.37, 0.62, 0.93):
             tol = 1e-9

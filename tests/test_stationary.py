@@ -80,6 +80,10 @@ class TestStationarityCheck:
         report = stationarity_check(walk1, 1, 1e-11)
         assert report.max_residual_recursion == 0
 
+    def test_nan_tol_refused(self, walk1):
+        with pytest.raises(DomainError, match="tol must be >= 0"):
+            stationarity_check(walk1, 4, float("nan"))
+
     def test_depth_bounds(self, walk1):
         for depth in (0, 21):
             with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from derham_lft import (
     ValidationError,
     apply_mobius,
     binary_entropy,
+    force_approx,
     prob_digit0,
     prob_digit1,
     transpose,
@@ -76,6 +78,21 @@ class TestValidate:
             MoebiusMatrix(2 / 3, 1 / 3, 0.0, 1.0),
         )
         assert system.mode == "approx" and not system.exact
+
+    def test_mixed_pair_stored_in_floats(self):
+        # One float entry puts the whole pair in floats: the system equals,
+        # field by field and bit for bit, the one built from all-float input.
+        rng = random.Random(41)
+        for i in range(6):
+            exact = random_valid_system(rng, scaled=bool(i % 2))
+            twin = force_approx(exact)
+            for mixed in (validate(exact.A0, twin.A1), validate(twin.A0, exact.A1)):
+                assert mixed.mode == "approx"
+                entries = mixed.A0.entries + mixed.A1.entries
+                assert all(type(e) is float for e in entries)
+                for field in dataclasses.fields(mixed):
+                    got, want = getattr(mixed, field.name), getattr(twin, field.name)
+                    assert repr(got) == repr(want), field.name
 
 
 class TestProbabilities:
