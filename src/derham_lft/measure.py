@@ -11,21 +11,24 @@ stays inside [alpha, beta], and drives the digit law: the next digit is
 0 with probability (t + 1)/(t + gamma).  Sampling therefore only needs
 the scalar recursion t -> tAi(t), one float (or Fraction) per step.
 
-Exact sampling reads the state off the integer bottom row (r, s) of
-the word, the coprime integer matrices of ``_words``: each step forms
-the next pair with Python ints and one gcd (the Fraction constructor),
-and the digit probability is the correctly rounded int/int quotient.
-States that stay at 0 (the lebesgue presets) therefore cost the same at
-every step, while systems with a non-degenerate state interval (exact
-walk:1) gain about one bit of denominator per step and stay quadratic
-in the path length.
+When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
+alpha = beta = 0, as for the lebesgue presets): every state is 0, the
+digits are i.i.d. with P(0) = 1/gamma, and sampling draws them in one
+vectorised comparison in either mode.  Otherwise exact sampling reads
+the state off the integer bottom row (r, s) of the word, the coprime
+integer matrices of ``_words``: each step forms the next pair with
+Python ints and one gcd (the Fraction constructor), and the digit
+probability is the correctly rounded int/int quotient.  On a state
+interval with alpha < beta exact states gain about one bit of
+denominator per step (exact walk:1), so those paths stay quadratic in
+their length.  Float paths run the loop of ``_kernels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import fsum
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -49,6 +52,11 @@ DEFAULT_SEED = 99991
 #: grow quadratically in n (exact walk:1 took 0.85 s and 88 MB at 20k
 #: steps, 2.9 s and 244 MB at 40k, on a 2-core Xeon).
 _MAX_EXACT_GROWING_STEPS = 20_000
+
+#: Longest path sample_path draws in any mode: the uniforms, digits and
+#: states take about 17 bytes per step (570 MB at the cap), and the
+#: pure-Python float loop takes about 12 s at the cap on a 2-core Xeon.
+_MAX_STEPS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -170,20 +178,39 @@ def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
     return (*sys.A0.entries, *sys.A1.entries, sys.gamma)
 
 
+def _affine(sys: DeRhamSystem) -> bool:
+    """Whether c0 = c1 = 0, so both transposed maps fix the state 0.
+
+    Tested on the entries, not as alpha == beta: a float c1 of -5e-324
+    over b1 > 2 underflows to alpha = beta = 0.0, yet its digit-1 step
+    takes the state 0.0 to -0.0.  Admissibility makes a_i and d_i
+    positive here, so a float state stays +0.0 even for c_i = -0.0.
+    """
+    return sys.A0.entries[2] == 0 and sys.A1.entries[2] == 0
+
+
 def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePath:
     """Draw n digits with the exact conditional law, deterministically in
-    the seed.  Exact systems step the integer bottom row (r, s) of the
-    word, reduced by one gcd per step into a Fraction state, and compare
-    the uniform with the correctly rounded float of the digit
-    probability; state denominators still grow with the path length on
-    systems with a non-degenerate state interval (about one bit per step
+    the seed.  Affine pairs (c0 = c1 = 0) keep every state at 0, so their
+    digits are one vectorised comparison of the uniforms with P(0) =
+    1/gamma, the same float the step loops compare with.  Other exact
+    systems step the integer bottom row (r, s) of the word, reduced by
+    one gcd per step into a Fraction state, and compare the uniform with
+    the correctly rounded float of the digit probability; state
+    denominators grow with the path length there (about one bit per step
     on walk:1, so the path is quadratic in n), and long paths over those
     belong in approximate mode: exact systems with alpha < beta are
-    refused above _MAX_EXACT_GROWING_STEPS steps."""
+    refused above _MAX_EXACT_GROWING_STEPS steps.  Any path is refused
+    above _MAX_STEPS steps, before its arrays are allocated."""
     if n < 1:
         raise DomainError("n must be >= 1")
     if seed < 0:
         raise DomainError("seed must be >= 0")
+    if n > _MAX_STEPS:
+        raise DomainError(
+            f"n = {n} exceeds {_MAX_STEPS}, the most steps one path holds "
+            "(about 17 bytes per step); use a smaller n"
+        )
     if sys.exact and sys.alpha < sys.beta and n > _MAX_EXACT_GROWING_STEPS:
         raise DomainError(
             f"n = {n} exceeds {_MAX_EXACT_GROWING_STEPS}, the cap for exact sampling "
@@ -193,10 +220,17 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     import numpy as np
 
     u = _uniforms(seed, n)
+    if _affine(sys):
+        # P(0) = 1/gamma rounded to float, as the step loops below
+        # round (t + 1)/(t + gamma) at t = 0 (an int/int or float quotient).
+        g = sys.gamma
+        p0 = g.denominator / g.numerator if sys.exact else 1.0 / g
+        states = [sys.zero()] * n if sys.exact else np.zeros(n)
+        return SamplePath((u >= p0).astype(np.uint8), states, seed)
     if not sys.exact:
         digits = np.empty(n, dtype=np.uint8)
         states = np.empty(n, dtype=np.float64)
-        _kernels.path_arrays(*_float_params(sys), u, digits, states)
+        _kernels.fill_path(_float_params(sys), u, digits, states)
         return SamplePath(digits, states, seed)
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
@@ -245,7 +279,11 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
             r, s = t.numerator, t.denominator
             return gd * (r + s) / (gd * r + gn * s)
 
-        return fsum(map(binary_entropy, map(prob0, path.states))) / len(path)
+        if _affine(sys):  # every state is 0: one term, n times
+            terms = repeat(binary_entropy(prob0(sys.zero())), len(path))
+        else:
+            terms = map(binary_entropy, map(prob0, path.states))
+        return fsum(terms) / len(path)
     import numpy as np
 
     gamma = sys.gamma

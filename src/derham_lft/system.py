@@ -112,7 +112,13 @@ def _eq(x: Scalar, y: Scalar, exact: bool) -> bool:
 
 
 def _floated(m: MoebiusMatrix) -> MoebiusMatrix:
-    return MoebiusMatrix(*(float(e) for e in m.entries))
+    """The matrix with float entries; an exact entry beyond the float
+    range is a violation of the `finite` condition."""
+    try:
+        return MoebiusMatrix(*(float(e) for e in m.entries))
+    except OverflowError:
+        detail = "matrix entries must be finite numbers; an exact entry exceeds the float range"
+        raise ValidationError([("finite", detail)]) from None
 
 
 def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:

@@ -20,10 +20,10 @@ def test_jit_and_python_paths_agree_bitwise(params):
     u = _uniforms(314, 50_000)
     d_jit = np.empty(u.size, dtype=np.uint8)
     s_jit = np.empty(u.size, dtype=np.float64)
-    _kernels.path_arrays(*params, u, d_jit, s_jit)
+    _kernels.path_arrays(*params, 0.0, u, d_jit, s_jit)
     d_py = np.empty(u.size, dtype=np.uint8)
     s_py = np.empty(u.size, dtype=np.float64)
-    _kernels.path_arrays.py_func(*params, u, d_py, s_py)
+    _kernels.path_arrays.py_func(*params, 0.0, u, d_py, s_py)
     assert np.array_equal(d_jit, d_py)
     assert np.array_equal(s_jit, s_py)
 

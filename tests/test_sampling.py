@@ -1,0 +1,216 @@
+"""Sampling shortcuts against the plain step loops they replace.
+
+Affine pairs (c0 = c1 = 0) are drawn in closed form, and the float loop
+without numba runs on lists in blocks; both must reproduce, bit for bit,
+the digits and states of one sequential loop over the whole path.
+"""
+
+import random
+from fractions import Fraction
+from math import fsum
+
+import numpy as np
+import pytest
+
+from derham_lft import (
+    DomainError,
+    MoebiusMatrix,
+    binary_entropy,
+    force_approx,
+    lebesgue_system,
+    prob_digit0,
+    sample_path,
+    validate,
+    walk_system,
+)
+from derham_lft import _kernels, measure
+from derham_lft.cli import main
+from derham_lft.measure import _float_params, transposed_step
+from helpers import random_valid_system
+
+LENGTHS = (1, 4095, 4096, 4097, 3 * _kernels.BLOCK + 5)
+
+
+def _lebesgue_systems():
+    rng = random.Random(4242)
+    out = []
+    for _ in range(10):
+        den = rng.randint(2, 60)
+        out.append(lebesgue_system(Fraction(rng.randint(1, den - 1), den)))
+    return out
+
+
+def _loop(system, n, seed):
+    """One unblocked pure-Python loop over numpy arrays."""
+    u = measure._uniforms(seed, n)
+    digits = np.empty(n, dtype=np.uint8)
+    states = np.empty(n, dtype=np.float64)
+    _kernels._path_arrays(*_float_params(system), 0.0, u, digits, states)
+    return digits, states
+
+
+def _fold(system, n, seed):
+    """The exact path as a fold of the public single-step primitives."""
+    states, digits = [], []
+    t = Fraction(0)
+    for x in measure._uniforms(seed, n):
+        states.append(t)
+        digit = 0 if x < float(prob_digit0(system, t)) else 1
+        digits.append(digit)
+        t = transposed_step(system, t, digit)
+    return digits, states
+
+
+def _assert_float_path(system, n, seed):
+    digits, states = _loop(system, n, seed)
+    path = sample_path(system, n, seed)
+    assert path.digits.dtype == np.uint8 and np.array_equal(path.digits, digits)
+    assert path.states.dtype == np.float64
+    assert path.states.tobytes() == states.tobytes()  # also tells -0.0 from 0.0
+
+
+# A float affine pair with c1 = -0.0, and a pair whose c1 = -5e-324
+# over b1 = 3 underflows to alpha = beta = 0.0 while its digit-1 step
+# reaches -0.0.
+NEG_ZERO_C1 = (MoebiusMatrix(1.0, 0.0, 0.0, 4.0), MoebiusMatrix(3.0, 1.0, -0.0, 4.0))
+TINY_C1 = (MoebiusMatrix(1.0, 0.0, 0.0, 4.0), MoebiusMatrix(9.0, 3.0, -5e-324, 12.0))
+
+
+class TestAffineClosedForm:
+    @pytest.mark.parametrize("index", range(10))
+    def test_lebesgue_float_equals_loop(self, index):
+        system = force_approx(_lebesgue_systems()[index])
+        for n in (1, 5000, 3 * _kernels.BLOCK + 5):
+            _assert_float_path(system, n, seed=index + 1)
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_lebesgue_exact_equals_fold(self, index):
+        system = _lebesgue_systems()[index]
+        for n in (1, 5000):
+            digits, states = _fold(system, n, seed=index + 11)
+            path = sample_path(system, n, seed=index + 11)
+            assert path.digits.dtype == np.uint8 and path.digits.tolist() == digits
+            assert all(type(t) is Fraction for t in path.states)
+            assert path.states == states
+
+    def test_negative_zero_c1_equals_loop(self):
+        system = validate(*NEG_ZERO_C1)
+        assert system.A1.entries[2] == 0 and str(system.A1.entries[2]) == "-0.0"
+        for n in LENGTHS:
+            _assert_float_path(system, n, seed=3)
+
+    @pytest.mark.parametrize("exact", (True, False))
+    def test_uniforms_at_the_threshold(self, exact, monkeypatch):
+        # Uniforms on and next to P(0) itself: an off-by-one-ulp
+        # probability or a strict/non-strict mix-up changes a digit.
+        system = lebesgue_system(Fraction(3, 7))
+        if not exact:
+            system = force_approx(system)
+        p0 = float(prob_digit0(system, system.zero()))
+        near = [p0, np.nextafter(p0, 0.0), np.nextafter(p0, 1.0)]
+        u = np.array(near * 3 + [0.0, 0.5, 0.9])
+        monkeypatch.setattr(measure, "_uniforms", lambda seed, n: u[:n].copy())
+        n = len(u)
+        if exact:
+            digits, _ = _fold(system, n, 0)
+        else:
+            digits, _ = _loop(system, n, 0)
+            digits = digits.tolist()
+        assert digits[:3] == [1, 0, 1]
+        assert sample_path(system, n, 0).digits.tolist() == digits
+
+    def test_affine_float_path_skips_the_loop(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("ran the step loop on an affine pair")
+
+        monkeypatch.setattr(_kernels, "fill_path", no_loop)
+        path = sample_path(force_approx(lebesgue_system(Fraction(1, 3))), 1000, seed=2)
+        assert not path.states.any()
+
+    def test_underflowed_interval_is_not_affine(self):
+        system = validate(*TINY_C1)
+        assert system.alpha == system.beta == 0.0
+        digits, states = _loop(system, 2000, 5)
+        assert np.signbit(states).any()  # the loop reaches -0.0
+        _assert_float_path(system, 2000, seed=5)
+
+
+class TestBlockedLoop:
+    @pytest.fixture(autouse=True)
+    def python_loop(self, monkeypatch):
+        # Without numba, fill_path runs path_arrays in blocks on lists;
+        # pin that branch even where numba is installed.
+        monkeypatch.setattr(_kernels, "path_arrays", _kernels._path_arrays)
+
+    @pytest.mark.parametrize("draw", range(3))
+    def test_equals_one_unblocked_call(self, draw):
+        if draw == 0:
+            system = walk_system(0.5)
+        else:
+            system = force_approx(random_valid_system(random.Random(draw)))
+        for n in LENGTHS:
+            digits, states = _loop(system, n, seed=draw + 40)
+            u = measure._uniforms(draw + 40, n)
+            got_digits = np.empty(n, dtype=np.uint8)
+            got_states = np.empty(n, dtype=np.float64)
+            _kernels.fill_path(_float_params(system), u, got_digits, got_states)
+            assert np.array_equal(got_digits, digits)
+            assert got_states.tobytes() == states.tobytes()
+
+    def test_returns_the_next_state(self):
+        params = _float_params(walk_system(0.5))
+        u = measure._uniforms(8, 100).tolist()
+        d, s = bytearray(100), [0.0] * 100
+        t = _kernels._path_arrays(*params, 0.0, u[:60], d, s)
+        d2, s2 = bytearray(40), [0.0] * 40
+        _kernels._path_arrays(*params, t, u[60:], d2, s2)
+        whole_d, whole_s = bytearray(100), [0.0] * 100
+        _kernels._path_arrays(*params, 0.0, u, whole_d, whole_s)
+        assert s[:60] + s2 == whole_s and d[:60] + d2 == whole_d
+
+
+class TestAffineEntropy:
+    def test_exact_equals_fsum_over_states(self):
+        # fsum(n copies of h) / n is not h itself for these p and n.
+        fixed = [lebesgue_system(Fraction(*p)) for p in ((2, 5), (1, 6), (1, 8), (3, 7))]
+        differs = False
+        for system in fixed + _lebesgue_systems()[:3]:
+            for n in (1, 5, 13, 49, 97, 4097, 12293, 100_000):
+                path = sample_path(system, n, seed=n)
+                terms = [binary_entropy(prob_digit0(system, t)) for t in path.states]
+                expect = fsum(terms) / n
+                assert measure._entropy_rate(system, path).hex() == expect.hex()
+                differs |= expect != terms[0]
+        assert differs
+
+
+class TestStepCap:
+    def test_refused_before_drawing(self, monkeypatch):
+        def no_draw(seed, n):
+            raise AssertionError("drew uniforms for a refused path")
+
+        monkeypatch.setattr(measure, "_uniforms", no_draw)
+        for system in (walk_system(0.5), lebesgue_system(Fraction(1, 4))):
+            for n in (measure._MAX_STEPS + 1, 10**12):
+                with pytest.raises(DomainError, match="smaller n"):
+                    sample_path(system, n)
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_STEPS", 100)
+        system = walk_system(0.5)
+        assert len(sample_path(system, 100)) == 100
+        with pytest.raises(DomainError, match="n = 101 exceeds 100"):
+            sample_path(system, 101)
+        with pytest.raises(DomainError, match="n = 101 exceeds 100"):
+            measure.entropy_rate_estimate(system, 101)
+
+    def test_cli_exit_1(self, capsys, monkeypatch):
+        def no_draw(seed, n):
+            raise AssertionError("drew uniforms for a refused path")
+
+        monkeypatch.setattr(measure, "_uniforms", no_draw)
+        code = main(["sample", "--preset", "walk:0.5", "-n", "1000000000000"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: DomainError: n = 1000000000000 exceeds 33554432")
+        assert "smaller n" in err and err.count("\n") == 1
