@@ -3,14 +3,37 @@
 The digit recursion is sequential (each state feeds the next), so the
 loop is jitted with numba when it is installed and runs once over the
 whole path arrays; everything else derived from a path is a vectorised
-post-pass over the states it returns.  Without numba the same Python
-loop runs on lists in blocks of BLOCK steps (`fill_path`): list and
-bytearray indexing is several times cheaper than numpy element access,
-and blocks keep the lists small next to the path arrays.  numba's own
-switch NUMBA_DISABLE_JIT=1 runs the Python original, which a jitted
-function also keeps as `path_arrays.py_func`.  No fastmath: the jitted
-and Python loops must agree bit for bit, and blocking does not change
-the order of any float operation.
+post-pass over the states it returns.  numba's own switch
+NUMBA_DISABLE_JIT=1 runs the Python original, which a jitted function
+also keeps as `path_arrays.py_func`.  No fastmath: every way of running
+the loop below must agree bit for bit.
+
+Without numba, `fill_path` runs the path speculatively in LANES lanes.
+The path is cut into LANES chunks of equal length.  Lane j >= 1 starts
+at 0.0, runs BURN_IN steps on the uniforms just before its chunk, and
+then all lanes step through their chunks together, one numpy operation
+per arithmetic operation of `_path_arrays`, in the same order: IEEE
++, * and / round the same in a numpy array as in a Python float, so a
+lane that starts on the true state of its chunk reproduces the Python
+loop bit for bit.  The chain contracts on [alpha, beta] (Barnsley,
+Demko, Elton and Geronimo, Ann. IHP 1988), so two copies fed the same
+uniforms meet on the same float within a few hundred steps, and the
+burn-in puts most lanes on the true state.  Each chunk's first state is
+then checked against the true end state of the chunk before it; a chunk
+that differs is re-run by the Python loop from the true state until that
+loop lands bit for bit on a speculative state again, after which the
+lane's remaining states are exact.  Measured at 10^6 + 3 steps (1024
+chunks of 976 steps) on 16 float systems (walk:0.5, forced-float walk:1
+and walk:3/2, 13 random admissible pairs) and 2 seeds: after 192
+burn-in steps the three walks needed no repair, and all 32 paths
+together 2646 of 32736 chunks (8 %), re-running 154 272 steps, 0.5 %
+of the path; after 64 steps 67 % of the chunks, after 16 every chunk.
+On walk:0.5 the lanes fill a 10^6-step path in about 0.06 s against
+0.24 s for the Python loop (2-core Xeon, Python 3.11, numpy 2.4).  A
+path too short for chunks of BURN_IN steps, and the tail past LANES
+whole chunks, run the Python loop on lists in blocks of BLOCK steps:
+list and bytearray indexing is several times cheaper than numpy element
+access, and blocks keep the lists small next to the path arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +42,19 @@ from __future__ import annotations
 #: one list for a 1e6-step path took `sample` to 120 MB peak RSS, 2^16
 #: steps to 59 MB, 2^12 steps to 51.7 MB against 51 MB for no lists.
 BLOCK = 1 << 12
+
+#: Lanes of the speculative numpy sweep: enough to share each numpy
+#: call's fixed cost among many steps, few enough that a 10^6-step
+#: path gives chunks (976 steps) long next to their burn-in.
+LANES = 1 << 10
+
+#: Steps each lane j >= 1 runs before its chunk; also the shortest
+#: chunk, so a path needs LANES * BURN_IN steps for the lane sweep.
+BURN_IN = 192
+
+#: Steps per Python re-run while a repaired chunk has not yet met its
+#: speculative states.
+REPAIR = 16
 
 
 def _path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, t, uniforms, digits, states):
@@ -50,12 +86,88 @@ def using_numba() -> bool:
 def fill_path(params, uniforms, digits, states) -> None:
     """Fill the uint8 digits and float64 states arrays of a path from
     t = 0, one step per uniform.  The jitted path_arrays runs once over
-    the arrays; the Python one runs on list copies of BLOCK steps each,
-    carrying the state from block to block."""
+    the arrays; without numba a path of at least LANES * BURN_IN steps
+    runs in lanes (see the module docstring), a shorter one in the
+    Python loop.  If a lane state or lane end comes out non-finite, or
+    at the pole -gamma of the digit law, where the Python loop could
+    raise, the whole path runs in the Python loop instead."""
     if using_numba():
         path_arrays(*params, 0.0, uniforms, digits, states)
         return
-    t = 0.0
+    length = len(uniforms) // LANES
+    if length < BURN_IN:
+        _python_path(params, 0.0, uniforms, digits, states)
+        return
+    import numpy as np
+
+    # (lane, step) views of the path's own arrays: no copies.
+    cut = LANES * length
+    u, d, s = (a[:cut].reshape(LANES, length) for a in (uniforms, digits, states))
+    with np.errstate(all="ignore"):
+        ends = _sweep(params, u, d, s)
+        lo = min(s.min(), ends.min())
+        hi = max(s.max(), ends.max())
+    gamma = params[-1]
+    if not -gamma < lo <= hi < np.inf:  # also false on NaN
+        _python_path(params, 0.0, uniforms, digits, states)
+        return
+    bits = s.view(np.int64)
+    t = ends[0]  # lane 0 started on the true state 0.0
+    for j in range(1, LANES):
+        if bits[j, 0] != np.float64(t).view(np.int64):
+            t = _repair(params, t, u[j], d[j], s[j], ends[j])
+        else:
+            t = ends[j]
+    _python_path(params, float(t), uniforms[cut:], digits[cut:], states[cut:])
+
+
+def _sweep(params, u, d, s):
+    """Step every lane through its row of u, writing d and s; return the
+    state after each lane's last step."""
+    import numpy as np
+
+    a0, b0, c0, d0, a1, b1, c1, d1, gamma = params
+    lanes, length = u.shape
+
+    def step(t, x):
+        # _path_arrays' operations in its order; ~(x < p0), not
+        # x >= p0, so that a NaN p0 draws digit 1 as the loop does.
+        one = ~(x < (t + 1.0) / (t + gamma))
+        t0 = (a0 * t + c0) / (b0 * t + d0)
+        t1 = (a1 * t + c1) / (b1 * t + d1)
+        return one, np.where(one, t1, t0)
+
+    t = np.zeros(lanes)
+    # Lane j >= 1 burns in on the last BURN_IN uniforms of row j - 1.
+    for k in range(length - BURN_IN, length):
+        t[1:] = step(t[1:], u[:-1, k])[1]
+    for k in range(length):
+        s[:, k] = t
+        one, t = step(t, u[:, k])
+        d[:, k] = one
+    return t
+
+
+def _repair(params, t, u, d, s, end):
+    """Re-run one chunk from its true start state t, REPAIR steps at a
+    time, until the state after a run equals the speculative state there
+    bit for bit; return the chunk's true end state (its speculative
+    `end` once the runs have met the lane)."""
+    import numpy as np
+
+    bits = s.view(np.int64)
+    t = float(t)
+    for start in range(0, len(u), REPAIR):
+        stop = start + REPAIR
+        t = _python_path(params, t, u[start:stop], d[start:stop], s[start:stop])
+        if stop < len(u) and bits[stop] == np.float64(t).view(np.int64):
+            return end
+    return t
+
+
+def _python_path(params, t, uniforms, digits, states):
+    """The Python loop from state t on list copies of BLOCK steps each,
+    carrying the state from block to block; return the next state."""
     for start in range(0, len(uniforms), BLOCK):
         block = slice(start, start + BLOCK)
         u = uniforms[block].tolist()
@@ -64,3 +176,4 @@ def fill_path(params, uniforms, digits, states) -> None:
         t = path_arrays(*params, t, u, d, s)
         digits[block] = d
         states[block] = s
+    return t

@@ -244,7 +244,8 @@ def cmd_sample(args) -> int:
     path = sample_path(system, n, args.seed)
     estimate = _entropy_rate(system, path)
     if system.exact:
-        states = [float(t) for t in path.states]
+        # Float each state object once: an affine path repeats one object.
+        states = [float(t) for t in {id(t): t for t in path.states}.values()]
         state_min, state_max = min(states), max(states)
     else:
         state_min, state_max = float(path.states.min()), float(path.states.max())

@@ -1,0 +1,243 @@
+"""The speculative lane sweep of fill_path against one sequential loop,
+and the exact float sum of the entropy post-pass against math.fsum.
+
+Without numba, a long float path runs in _kernels.LANES lanes that are
+checked and repaired against the Python loop; the digits and state bits
+must equal those of one unblocked _path_arrays call over the whole path.
+"""
+
+import random
+import tracemalloc
+import warnings
+from fractions import Fraction
+from math import fsum
+
+import numpy as np
+import pytest
+
+from derham_lft import _kernels, force_approx, walk_system
+from derham_lft.measure import _ENTROPY_BLOCK, _exact_sum, _float_params, _uniforms
+from helpers import random_valid_system
+
+THRESHOLD = _kernels.LANES * _kernels.BURN_IN
+WHOLE = _kernels.LANES * 300
+LONGEST = 10**6 + 3
+LENGTHS = (1, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1, WHOLE, WHOLE + 1, LONGEST)
+
+
+def _systems():
+    rng = random.Random(808)
+    out = [
+        walk_system(0.5),
+        force_approx(walk_system(1)),
+        force_approx(walk_system(Fraction(3, 2))),
+    ]
+    out += [force_approx(random_valid_system(rng, scaled=bool(i % 2))) for i in range(9)]
+    return out
+
+
+SYSTEMS = _systems()
+
+
+@pytest.fixture(autouse=True)
+def python_loop(monkeypatch):
+    # The lanes run only without numba; pin that branch where it is installed.
+    monkeypatch.setattr(_kernels, "path_arrays", _kernels._path_arrays)
+
+
+@pytest.fixture(scope="module")
+def uniforms():
+    return _uniforms(2718, LONGEST)
+
+
+def _oracle(params, u):
+    """One unblocked pure-Python loop over the whole path."""
+    digits, states = bytearray(len(u)), [0.0] * len(u)
+    _kernels._path_arrays(*params, 0.0, u.tolist(), digits, states)
+    return np.frombuffer(digits, dtype=np.uint8), np.array(states)
+
+
+def _fill(params, u):
+    digits = np.empty(len(u), dtype=np.uint8)
+    states = np.empty(len(u), dtype=np.float64)
+    _kernels.fill_path(params, u, digits, states)
+    return digits, states
+
+
+def _assert_prefix(params, u, want_digits, want_states, lengths=LENGTHS):
+    # The path of u[:n] is the first n steps of the path of u.
+    for n in lengths:
+        digits, states = _fill(params, u[:n])
+        assert np.array_equal(digits, want_digits[:n]), n
+        assert states.tobytes() == want_states[:n].tobytes(), n  # tells -0.0 from 0.0
+
+
+@pytest.fixture
+def repairs(monkeypatch):
+    """Counts the chunks the lane check sends to _repair."""
+    calls = []
+    repair = _kernels._repair
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return repair(*args)
+
+    monkeypatch.setattr(_kernels, "_repair", counted)
+    return calls
+
+
+@pytest.mark.parametrize("index", range(len(SYSTEMS)))
+def test_lanes_equal_one_unblocked_loop(index, uniforms):
+    params = _float_params(SYSTEMS[index])
+    _assert_prefix(params, uniforms, *_oracle(params, uniforms))
+
+
+@pytest.mark.parametrize("burn_in, repair", [(0, 16), (1, 16), (0, 10**9)])
+def test_forced_repairs_keep_the_bits(burn_in, repair, uniforms, repairs, monkeypatch):
+    # Lanes started on 0.0 with (almost) no burn-in miss the true state of
+    # their chunk; a run longer than a chunk re-runs chunks whole.
+    monkeypatch.setattr(_kernels, "BURN_IN", burn_in)
+    monkeypatch.setattr(_kernels, "REPAIR", repair)
+    u = uniforms[:WHOLE + 7]
+    for system in SYSTEMS[:4]:
+        params = _float_params(system)
+        repairs.clear()
+        _assert_prefix(params, u, *_oracle(params, u), lengths=(WHOLE + 7,))
+        assert len(repairs) > _kernels.LANES // 2
+
+
+def test_default_burn_in_needs_no_repair_on_walk(uniforms, repairs):
+    for system in SYSTEMS[:3]:
+        _fill(_float_params(system), uniforms)
+    assert repairs == []
+
+
+def test_lanes_run_only_without_numba(uniforms, monkeypatch):
+    jitted = []
+
+    def fake_jit(*args):
+        jitted.append(len(args[-3]))
+        return _kernels._path_arrays(*args)
+
+    monkeypatch.setattr(_kernels, "path_arrays", fake_jit)
+    monkeypatch.setattr(_kernels, "_sweep", None)  # would fail if called
+    params = _float_params(SYSTEMS[0])
+    _fill(params, uniforms[:THRESHOLD])
+    assert jitted == [THRESHOLD]
+
+
+@pytest.fixture
+def whole_path_runs(monkeypatch):
+    """Lengths of the Python-loop runs that start a path from 0.0."""
+    runs = []
+    python_path = _kernels._python_path
+
+    def recorded(params, t, u, *arrays):
+        if t == 0.0:
+            runs.append(len(u))
+        return python_path(params, t, u, *arrays)
+
+    monkeypatch.setattr(_kernels, "_python_path", recorded)
+    return runs
+
+
+def test_non_finite_states_fall_back(uniforms, whole_path_runs):
+    # Digit 0 overflows the state to inf, after which p0 and every
+    # state are NaN: the Python loop returns these without raising.
+    params = (1e300, 0.0, 1e300, 1e-300, 1.0, 1.0, 0.0, 2.0, 2.0)
+    u = uniforms[:THRESHOLD + 3]
+    digits, states = _oracle(params, u)
+    assert np.isnan(states).any() and np.isinf(states).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the lane sweep must not warn either
+        got_digits, got_states = _fill(params, u)
+    assert whole_path_runs == [len(u)]
+    assert np.array_equal(got_digits, digits)
+    assert got_states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # Digit 0 maps 0 to -2 = -gamma, the pole of the digit law: numpy
+        # would draw on from p0 = -inf, the Python loop divides by zero.
+        (1.0, 0.0, -2.0, 1.0, 1.0, 0.0, 0.0, 1.0, 2.0),
+        # Digit 1 has the pole b1*t + d1 = 0 at t = 0.
+        (1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0),
+    ],
+)
+def test_poles_raise_as_the_loop_does(params, uniforms, whole_path_runs):
+    u = uniforms[:THRESHOLD]
+    with pytest.raises(ZeroDivisionError):
+        _oracle(params, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError):
+            _fill(params, u)
+    assert whole_path_runs == [len(u)]
+
+
+def test_no_path_sized_temporary(uniforms):
+    params = _float_params(SYSTEMS[0])
+    digits = np.empty(LONGEST, dtype=np.uint8)
+    states = np.empty(LONGEST, dtype=np.float64)
+    _kernels.fill_path(params, uniforms, digits, states)  # warm up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _kernels.fill_path(params, uniforms, digits, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A uint8 or bool copy of the path alone would take LONGEST bytes.
+    assert peak < LONGEST // 8
+
+
+class TestExactSum:
+    @staticmethod
+    def _blocks(x):
+        return [x[i : i + _ENTROPY_BLOCK] for i in range(0, len(x), _ENTROPY_BLOCK)]
+
+    def _check(self, x):
+        got = _exact_sum(self._blocks(x))
+        assert got is not None
+        assert got.hex() == fsum(x.tolist()).hex()
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 1000, _ENTROPY_BLOCK, _ENTROPY_BLOCK + 1))
+    def test_mixed_signs_over_40_decades(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            self._check(rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n))
+
+    @pytest.mark.parametrize("n", (2, 1000, _ENTROPY_BLOCK + 1))
+    def test_subnormals_and_zeros(self, n):
+        rng = np.random.default_rng(n + 7)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
+        x[rng.random(n) < 0.3] = 0.0
+        x[rng.random(n) < 0.3] = -0.0
+        x[rng.random(n) < 0.3] = rng.integers(-(1 << 52), 1 << 52, n)[0] * 5e-324
+        x[0] = 5e-324
+        self._check(x)
+        self._check(x[x < 2.2250738585072014e-308])  # subnormals and zeros only
+
+    def test_cancellation_and_ties(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(5000) * 10.0 ** rng.uniform(-20, 20, 5000)
+        self._check(np.concatenate([x, -x[::-1], [1e-30]]))
+        # 1 + 2^-53 lies halfway between two floats: ties go to even.
+        self._check(np.array([1.0, 2.0**-53]))
+        self._check(np.array([1.0 + 2.0**-52, 2.0**-53]))
+
+    def test_full_block_of_largest_mantissas(self):
+        # 2^16 mantissas of 53 ones: the per-exponent half sums stay exact.
+        self._check(np.full(_ENTROPY_BLOCK, np.nextafter(1.0, 0.0)))
+        self._check(np.full(_ENTROPY_BLOCK, -np.nextafter(2.0**900, 0.0)))
+
+    @pytest.mark.parametrize(
+        "x",
+        [[0.0, 1.0, np.inf], [np.nan, 1.0], [-np.inf], [2.0**970], [0.0, -0.0], [1.0, -1.0]],
+    )
+    def test_left_to_fsum(self, x):
+        # Non-finite or huge terms, and exact zero sums (fsum picks the
+        # sign of zero), return None.
+        assert _exact_sum(self._blocks(np.array(x))) is None
