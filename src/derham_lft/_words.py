@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import PoleError, ZeroMatrixError
+from .errors import DomainError, PoleError, ZeroMatrixError
 from .numerics import POLE_RTOL, MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
 
 #: Float word products are rescaled after this many multiplications;
@@ -46,6 +46,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 Word = tuple  # (a, b, c, d) of ints (exact mode) or floats
+
+Bits = tuple[int, ...]  # a dyadic address, most significant digit first
+
+
+def check_bits(bits: Bits) -> None:
+    if any(b not in (0, 1) for b in bits):
+        raise DomainError(f"address digits must be 0 or 1, got {bits!r}")
 
 
 class WordBasis:

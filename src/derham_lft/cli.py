@@ -18,24 +18,28 @@ Exit codes: 0 ok, 1 validation or analysis precondition failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys as _sys
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from operator import truediv
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .analysis import ABSOLUTELY_CONTINUOUS, classify, dimension_bounds
 from .errors import DeRhamError, ValidationError
-from .measure import DEFAULT_SEED, _entropy_rate, sample_path
-from .numerics import MoebiusMatrix, Scalar, is_exact
-from .presets import PRESETS, force_approx
-from .solution import dyadic_value_table
-from .stationary import doubling_map_change_of_measure, stationarity_check
-from .system import DeRhamSystem, binary_entropy, transpose_fixed_points, validate
+
+if TYPE_CHECKING:  # each command imports the modules it runs, on use
+    from .numerics import MoebiusMatrix, Scalar
+    from .system import DeRhamSystem
 
 SCHEMA_VERSION = 1
+
+#: Rows per block of the plot CSV: a block is rendered with one repr per
+#: column and written before the next block is formed.
+_CSV_BLOCK = 4096
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -59,12 +63,16 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _parse_matrix(name: str, raw) -> MoebiusMatrix:
+    from .numerics import MoebiusMatrix
+
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise ConfigError(f"{name} must be a list of four entry strings")
     return MoebiusMatrix(*(parse_scalar(str(e)) for e in raw))
 
 
 def _system_from_preset(name: str, param: str) -> DeRhamSystem:
+    from .presets import PRESETS
+
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
     return PRESETS[name](parse_scalar(param))
@@ -72,6 +80,9 @@ def _system_from_preset(name: str, param: str) -> DeRhamSystem:
 
 def load_system(args: argparse.Namespace) -> tuple[DeRhamSystem, dict]:
     """Build the system from --preset or --config, honoring --mode."""
+    from .presets import force_approx
+    from .system import validate
+
     meta: dict = {"schema": SCHEMA_VERSION}
     if args.preset and args.config:
         raise ConfigError("give exactly one of --preset and --config")
@@ -133,27 +144,35 @@ class _IOFailure(OSError):
 
 def _scalar_repr(x: Scalar):
     """Exact scalars as strings, floats as JSON numbers."""
+    from .numerics import is_exact
+
     if is_exact(x):
         return str(Fraction(x))
     return float(x)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextlib.contextmanager
+def _writer(out: Optional[str]) -> Iterator[Callable[[str], object]]:
+    """The write function of stdout, or of the file `out`; an OSError
+    opening or writing the file becomes _IOFailure (exit 3)."""
     if out is None:
-        _sys.stdout.write(text)
+        yield _sys.stdout.write
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
     except OSError as exc:
         raise _IOFailure(f"cannot write {out!r}: {exc}") from exc
 
 
 def _emit_json(doc: dict, out: Optional[str]) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    with _writer(out) as write:
+        write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_validate(args) -> int:
+    from .system import transpose_fixed_points
+
     meta: dict = {"schema": SCHEMA_VERSION, "command": "validate"}
     try:
         system, meta_sys = load_system(args)
@@ -181,21 +200,30 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _reprs(floats: Iterable[float]) -> list[str]:
+    """repr of each float, cut out of one repr of their list."""
+    return repr(list(floats))[1:-1].split(", ")
+
+
 def cmd_grid(args) -> int:
+    from .solution import dyadic_value_table
+
     system, _ = load_system(args)
-    depth = args.depth
-    values = dyadic_value_table(system, depth)
-    n = 1 << depth
-    lines = ["x,f_lower,f_upper"]
-    for j, v in enumerate(values):
-        x = j / n
-        fv = float(v)
-        lines.append(f"{x!r},{fv!r},{fv!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    values = dyadic_value_table(system, args.depth)
+    n = 1 << args.depth
+    with _writer(args.out) as write:
+        write("x,f_lower,f_upper\n")
+        for start in range(0, len(values), _CSV_BLOCK):
+            block = values[start : start + _CSV_BLOCK]
+            xs = _reprs(map(truediv, range(start, start + len(block)), repeat(n)))
+            fs = _reprs(map(float, block))
+            write("\n".join(map(",".join, zip(xs, fs, fs))) + "\n")
     return 0
 
 
 def _bounds_fields(system: DeRhamSystem) -> dict:
+    from .analysis import dimension_bounds
+
     bounds = dimension_bounds(system)
     return {
         "entropy_max_nats": bounds.entropy_max,
@@ -207,6 +235,8 @@ def _bounds_fields(system: DeRhamSystem) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .analysis import ABSOLUTELY_CONTINUOUS, classify
+
     system, meta = load_system(args)
     report = classify(system)
     doc = dict(meta, command="classify")
@@ -239,9 +269,13 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .measure import DEFAULT_SEED, _entropy_rate, sample_path
+    from .system import binary_entropy
+
     system, meta = load_system(args)
     n = args.steps
-    path = sample_path(system, n, args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    path = sample_path(system, n, seed)
     estimate = _entropy_rate(system, path)
     if system.exact:
         # Float each state object once: an affine path repeats one object.
@@ -251,7 +285,7 @@ def cmd_sample(args) -> int:
         state_min, state_max = float(path.states.min()), float(path.states.max())
     doc = dict(meta, command="sample")
     doc.update(
-        seed=args.seed,
+        seed=seed,
         steps=n,
         digit0_frequency=float((path.digits == 0).mean()),
         entropy_rate_estimate=estimate,
@@ -266,6 +300,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_stationary(args) -> int:
+    from .stationary import doubling_map_change_of_measure, stationarity_check
+
     if not math.isfinite(args.tol):  # the finiteness rule of parse_scalar
         raise ConfigError(f"tol {args.tol!r} is not finite")
     system, meta = load_system(args)
@@ -322,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("dimension", help="dimension bounds"))
     p_sample = common(sub.add_parser("sample", help="Monte Carlo digit sampling"))
     p_sample.add_argument("-n", "--steps", type=int, default=100_000)
-    p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # None stands for measure.DEFAULT_SEED, so parsing does not import measure.
+    p_sample.add_argument("--seed", type=int, default=None)
     p_stat = common(
         sub.add_parser("stationary", help="stationarity residual report"),
         depth_default=8,

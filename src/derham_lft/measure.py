@@ -14,19 +14,22 @@ the scalar recursion t -> tAi(t), one float (or Fraction) per step.
 When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
 alpha = beta = 0, as for the lebesgue presets): every state is 0, the
 digits are i.i.d. with P(0) = 1/gamma, and sampling draws them in one
-vectorised comparison in either mode.  Otherwise exact sampling reads
-the state off the integer bottom row (r, s) of the word, the coprime
-integer matrices of ``_words``: each step forms the next pair with
-Python ints and one gcd (the Fraction constructor), and the digit
-probability is the correctly rounded int/int quotient.  On a state
-interval with alpha < beta exact states gain about one bit of
-denominator per step (exact walk:1), so those paths stay quadratic in
-their length.  Float paths run the loop of ``_kernels``: jitted, or
-without numba in numpy lanes that are checked and repaired against the
-Python loop bit for bit.  The entropy rate of a float path is the exact
-sum of its terms, formed in numpy blocks (``_exact_sum``) and rounded
-once, so it equals ``math.fsum`` over the terms bit for bit at about
-0.4 of the cost (0.025 s against 0.065 s per 10^6 steps, 2-core Xeon).
+vectorised comparison in either mode.  The entropy post-pass of such a
+path forms its terms once (exact mode) or once per block shape (float
+mode: one full block and the tail, the full block counted once per full
+block).  Otherwise exact sampling reads the state off the integer
+bottom row (r, s) of the word, the coprime integer matrices of
+``_words``: each step forms the next pair with Python ints and one gcd
+(the Fraction constructor), and the digit probability is the correctly
+rounded int/int quotient.  On a state interval with alpha < beta exact
+states gain about one bit of denominator per step (exact walk:1), so
+those paths stay quadratic in their length.  Float paths run the loop
+of ``_kernels``: jitted, or without numba in numpy lanes that are
+checked and repaired against the Python loop bit for bit.  The entropy
+rate of a float path is the exact sum of its terms, formed in numpy
+blocks (``_exact_sum``) and rounded once, so it equals ``math.fsum``
+over the terms bit for bit at about 0.4 of the cost (0.025 s against
+0.065 s per 10^6 steps, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from math import fsum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import _kernels
+from ._words import Bits, check_bits
 from .errors import DomainError
 from .numerics import MoebiusMatrix, Scalar
-from .solution import Bits, check_bits
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
 if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
@@ -304,18 +307,33 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
         p0 = (t + 1.0) / (t + gamma)
         return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
 
-    blocks = range(0, len(path), _ENTROPY_BLOCK)
-    total = _exact_sum(map(block_terms, blocks))
+    n = len(path)
+    blocks = range(0, n, _ENTROPY_BLOCK)
+    if _affine(sys):
+        # Every state is 0.0, so every full block has the same terms: form
+        # the first block and the tail once each, and count the first block
+        # once per full block.
+        full, tail = divmod(n, _ENTROPY_BLOCK)
+        counted = []  # (times, block start)
+        if full:
+            counted.append((full, 0))
+        if tail:
+            counted.append((1, n - tail))
+        counts, starts = zip(*counted)
+        total = _exact_sum(map(block_terms, starts), counts)
+    else:
+        total = _exact_sum(map(block_terms, blocks))
     if total is None:
         total = fsum(chain.from_iterable(t.tolist() for t in map(block_terms, blocks)))
-    return total / len(path)
+    return total / n
 
 
-def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
-    """math.fsum of the float64 blocks, bit for bit, without a Python
-    float per term; None if a term is non-finite or not below
-    _EXACT_SUM_LIMIT, or if the sum is exactly zero (fsum's sign of zero
-    and its errors are left to fsum).
+def _exact_sum(blocks: Iterable[np.ndarray], counts: Iterable[int] | None = None) -> float | None:
+    """math.fsum of the float64 blocks, block i counted counts[i] times
+    (once by default), bit for bit, without a Python float per term;
+    None if a term is non-finite or not below _EXACT_SUM_LIMIT, or if the
+    sum is exactly zero (fsum's sign of zero and its errors are left to
+    fsum).
 
     Each term is m * 2^e with a 53-bit integer m (np.frexp), cut into a
     high and a low half of 27 and 26 bits.  np.bincount sums the halves
@@ -328,7 +346,7 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
     import numpy as np
 
     total = 0
-    for x in blocks:
+    for count, x in zip(repeat(1) if counts is None else counts, blocks):
         if not -_EXACT_SUM_LIMIT < x.min() <= x.max() < _EXACT_SUM_LIMIT:  # also NaN
             return None
         frac, exp = np.frexp(x)
@@ -337,8 +355,10 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
         high = np.bincount(exp, weights=mant >> 26)
         low = np.bincount(exp, weights=mant & ((1 << 26) - 1))
         nonzero = np.flatnonzero((high != 0) | (low != 0))
+        block = 0
         for k, h, lo in zip(nonzero.tolist(), high[nonzero].tolist(), low[nonzero].tolist()):
-            total += ((int(h) << 26) + int(lo)) << k
+            block += ((int(h) << 26) + int(lo)) << k
+        total += count * block
     if total == 0:
         return None
     return total / (1 << 1126)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from ._words import MAX_SWEEP_DEPTH
+from ._words import MAX_SWEEP_DEPTH, Bits, check_bits
 from .errors import (
     DomainError,
     FormMismatchError,
@@ -25,13 +25,16 @@ from .errors import (
 from .numerics import MoebiusMatrix, Scalar, apply_mobius
 from .system import DeRhamSystem, ac_conditions
 
-Bits = tuple[int, ...]
-
 #: Adaptive evaluation refuses to descend further than this.  The
 #: contraction margin guarantees geometric enclosure shrinkage, so
 #: hitting the cap signals an unusable float-mode system (or tol = 0 at
 #: a point with a non-terminating expansion).
 MAX_DEPTH = 4096
+
+#: Deepest exact value table: the integer words, and so the time and
+#: memory per cell, grow with the depth (exact `plot walk:1` took 2.2 s
+#: at depth 18 and 8 to 10 s at depth 20, on a 2-core Xeon).
+_MAX_EXACT_TABLE_DEPTH = 20
 
 
 class ValueEnclosure(NamedTuple):
@@ -46,11 +49,6 @@ class ValueEnclosure(NamedTuple):
 
     def midpoint(self) -> Scalar:
         return (self.lower + self.upper) / 2
-
-
-def check_bits(bits: Bits) -> None:
-    if any(b not in (0, 1) for b in bits):
-        raise DomainError(f"address digits must be 0 or 1, got {bits!r}")
 
 
 def address_interval(bits: Bits) -> tuple[Fraction, Fraction]:
@@ -127,11 +125,20 @@ def value_at_dyadic(sys: DeRhamSystem, x: Scalar) -> Scalar:
 
 
 def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
-    """f(j / 2**depth) for j = 0 .. 2**depth, sharing word prefixes."""
+    """f(j / 2**depth) for j = 0 .. 2**depth, sharing word prefixes.
+
+    Exact tables are refused above depth _MAX_EXACT_TABLE_DEPTH, float
+    tables above MAX_SWEEP_DEPTH, before anything is swept."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
     if depth > MAX_SWEEP_DEPTH:
         raise DomainError(f"depth = {depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
+    if sys.exact and depth > _MAX_EXACT_TABLE_DEPTH:
+        raise DomainError(
+            f"depth = {depth} exceeds {_MAX_EXACT_TABLE_DEPTH}, the cap for exact "
+            "tables (their integer words grow with the depth); "
+            "use --mode approx (force_approx) or a smaller depth"
+        )
     basis = sys.word_basis
     out: list[Scalar] = []
     for block in basis.blocks(depth):

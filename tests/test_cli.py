@@ -2,7 +2,12 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
+import pytest
+
+from derham_lft import dyadic_value_table, force_approx, lebesgue_system, walk_system
+from derham_lft import cli
 from derham_lft.cli import main
 from helpers import random_valid_system
 
@@ -112,6 +117,52 @@ class TestGrid:
         assert code == 1
         assert out == ""
         assert err == "error: DomainError: depth = 23 exceeds the cap of 22\n"
+
+    def test_exact_depth_above_exact_cap_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "grid.csv"
+        code, out, err = run_cli(
+            capsys, "plot", "--preset", "walk:1", "--depth", "21", "--out", str(target)
+        )
+        assert code == 1 and out == "" and not target.exists()
+        assert err.startswith("error: DomainError: depth = 21 exceeds 20, the cap for exact")
+        assert "--mode approx" in err and err.count("\n") == 1
+
+
+def _per_row_csv(values, depth):
+    """The plot CSV as one f-string per row, three reprs per row."""
+    n = 1 << depth
+    lines = ["x,f_lower,f_upper"]
+    for j, v in enumerate(values):
+        x = j / n
+        fv = float(v)
+        lines.append(f"{x!r},{fv!r},{fv!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestGridBytes:
+    SYSTEMS = {
+        ("walk:1", "exact"): lambda: walk_system(1),
+        ("lebesgue:1/3", "exact"): lambda: lebesgue_system(Fraction(1, 3)),
+        ("walk:1", "approx"): lambda: force_approx(walk_system(1)),
+        ("walk:0.5", "approx"): lambda: walk_system(0.5),
+    }
+
+    def test_depths_straddle_the_block(self):
+        # 2^11 + 1 rows fit one block, 2^12 + 1 and 2^13 + 1 spill over.
+        assert 2**11 + 1 < cli._CSV_BLOCK < 2**12 + 1
+
+    @pytest.mark.parametrize("preset, mode", list(SYSTEMS))
+    def test_streamed_csv_equals_per_row_render(self, capsys, tmp_path, preset, mode):
+        system = self.SYSTEMS[preset, mode]()
+        for depth in (0, 1, 11, 12, 13, 16):
+            expect = _per_row_csv(dyadic_value_table(system, depth), depth)
+            argv = ("plot", "--preset", preset, "--mode", mode, "--depth", str(depth))
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "") and out == expect, depth
+            target = tmp_path / f"grid{depth}.csv"
+            code, out, err = run_cli(capsys, *argv, "--out", str(target))
+            assert (code, out, err) == (0, "", "")
+            assert target.read_bytes() == expect.encode(), depth
 
 
 class TestClassify:
@@ -265,6 +316,10 @@ class TestSample:
         _, out, _ = run_cli(capsys, "sample", "--preset", "lebesgue:1/2", "-n", "100")
         assert json.loads(out)["seed"] == 99991
 
+    def test_seed_zero_is_not_the_default(self, capsys):
+        _, out, _ = run_cli(capsys, "sample", "--preset", "lebesgue:1/2", "-n", "100", "--seed", "0")
+        assert json.loads(out)["seed"] == 0
+
     def test_negative_seed_exit_1(self, capsys):
         code, out, err = run_cli(
             capsys, "sample", "--preset", "lebesgue:1/3", "-n", "10", "--seed", "-1"
@@ -379,6 +434,38 @@ class TestImports:
             "stationary False",
             "",
         ]
+
+
+    # The derham_lft submodules each command leaves in sys.modules.
+    COMMON = {"cli", "errors", "numerics", "_words", "system", "presets"}
+    GRAPH = (
+        (["--version"], {"cli", "errors"}),
+        (["validate", "--preset", "walk:1"], COMMON),
+        (["classify", "--preset", "lebesgue:1/3"], COMMON | {"analysis", "solution"}),
+        (["dimension", "--preset", "walk:1"], COMMON | {"analysis", "solution"}),
+        (["plot", "--preset", "walk:1", "--depth", "6"], COMMON | {"solution"}),
+        (["plot", "--preset", "walk:1", "--depth", "6", "--mode", "approx"], COMMON | {"solution"}),
+        (
+            ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],
+            COMMON | {"analysis", "solution", "stationary"},
+        ),
+        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], COMMON | {"measure", "_kernels"}),
+    )
+
+    @pytest.mark.parametrize("argv, modules", GRAPH, ids=[" ".join(a) for a, _ in GRAPH])
+    def test_each_command_imports_only_what_it_runs(self, argv, modules):
+        code = (
+            "import contextlib, io, sys\n"
+            "from derham_lft.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        assert main({argv!r}) == 0\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('derham_lft.'))))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert set(run.stdout.split()) == {f"derham_lft.{m}" for m in modules}
 
 
 class TestRoundTrip:

@@ -183,6 +183,28 @@ class TestAffineEntropy:
                 differs |= expect != terms[0]
         assert differs
 
+    def test_float_counted_blocks_equal_the_full_pass(self):
+        # The full pass: the terms of every 2^16 block of the path's own
+        # states, all summed with fsum (which _exact_sum equals bit for bit).
+        block = measure._ENTROPY_BLOCK
+
+        def full_pass(system, path):
+            gamma, n = system.gamma, len(path)
+            terms = []
+            for start in range(0, n, block):
+                t = path.states[start : start + block]
+                p0 = (t + 1.0) / (t + gamma)
+                terms += (-(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))).tolist()
+            return fsum(terms) / n
+
+        lengths = (1, block - 1, block, block + 1, 10**6 + 3)
+        for system in map(force_approx, _lebesgue_systems()):
+            whole = sample_path(system, lengths[-1], seed=5)
+            for n in lengths:
+                path = measure.SamplePath(whole.digits[:n], whole.states[:n], whole.seed)
+                got = measure._entropy_rate(system, path)
+                assert got.hex() == full_pass(system, path).hex(), (system.gamma, n)
+
 
 class TestStepCap:
     def test_refused_before_drawing(self, monkeypatch):

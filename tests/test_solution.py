@@ -98,6 +98,30 @@ class TestEnclosures:
         with pytest.raises(DomainError, match="depth = 23 exceeds the cap of 22"):
             dyadic_value_table(walk1, 23)
 
+    def test_exact_table_above_exact_cap_refused_before_sweeping(self, walk1, monkeypatch):
+        from derham_lft import solution
+        from derham_lft._words import WordBasis
+
+        class Swept(Exception):
+            pass
+
+        def no_sweep(self, depth):
+            raise Swept(depth)
+
+        assert solution._MAX_EXACT_TABLE_DEPTH == 20
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        for cap in (20, 5):
+            monkeypatch.setattr(solution, "_MAX_EXACT_TABLE_DEPTH", cap)
+            with pytest.raises(DomainError, match=f"depth = {cap + 1} exceeds {cap}, .*--mode approx"):
+                dyadic_value_table(walk1, cap + 1)
+            with pytest.raises(Swept):  # at the cap: checked, then swept
+                dyadic_value_table(walk1, cap)
+        # Float tables keep the sweep cap alone: depth 22 reaches the sweep.
+        with pytest.raises(Swept):
+            dyadic_value_table(force_approx(walk1), 22)
+        with pytest.raises(Swept):
+            dyadic_value_table(walk_system(0.5), 22)
+
     def test_width_contracts_to_depth_64(self):
         rng = random.Random(11)
         for system in (
