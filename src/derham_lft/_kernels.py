@@ -1,21 +1,18 @@
 """The one hot float64 loop: the sampled digit path.
 
-The digit recursion is sequential (each state feeds the next), so the
-loop is jitted with numba when it is installed and runs once over the
-whole path arrays; everything else derived from a path is a vectorised
-post-pass over the states it returns.  numba's own switch
-NUMBA_DISABLE_JIT=1 runs the Python original, which a jitted function
-also keeps as `path_arrays.py_func`.  No fastmath: every way of running
-the loop below must agree bit for bit.
+The digit recursion is sequential (each state feeds the next), so
+`path_arrays` is the one loop that defines the path; everything else
+derived from a path is a vectorised post-pass over the states it
+returns.  Every way of running it below must agree with it bit for bit.
 
-Without numba, `fill_path` runs the path speculatively in LANES lanes.
-The path is cut into LANES chunks of equal length.  Lane j >= 1 starts
-at 0.0, runs BURN_IN steps on the uniforms just before its chunk, and
-then all lanes step through their chunks together, one numpy operation
-per arithmetic operation of `_path_arrays`, in the same order: IEEE
-+, * and / round the same in a numpy array as in a Python float, so a
-lane that starts on the true state of its chunk reproduces the Python
-loop bit for bit.  The chain contracts on [alpha, beta] (Barnsley,
+`fill_path` runs a long path speculatively in LANES lanes.  The path
+is cut into LANES chunks of equal length.  Lane j >= 1 starts at 0.0,
+runs BURN_IN steps on the uniforms just before its chunk, and then all
+lanes step through their chunks together, one numpy operation per
+arithmetic operation of `path_arrays`, in the same order: IEEE +, *
+and / round the same in a numpy array as in a Python float, so a lane
+that starts on the true state of its chunk reproduces the Python loop
+bit for bit.  The chain contracts on [alpha, beta] (Barnsley,
 Demko, Elton and Geronimo, Ann. IHP 1988), so two copies fed the same
 uniforms meet on the same float within a few hundred steps, and the
 burn-in puts most lanes on the true state.  Each chunk's first state is
@@ -57,7 +54,7 @@ BURN_IN = 192
 REPAIR = 16
 
 
-def _path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, t, uniforms, digits, states):
+def path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, t, uniforms, digits, states):
     """Fill digits and states from start state t; return the next state."""
     for i in range(len(uniforms)):
         states[i] = t
@@ -71,29 +68,13 @@ def _path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, t, uniforms, digits, sta
     return t
 
 
-try:
-    import numba
-except ImportError:
-    path_arrays = _path_arrays
-else:
-    path_arrays = numba.njit(cache=True)(_path_arrays)
-
-
-def using_numba() -> bool:
-    return path_arrays is not _path_arrays
-
-
 def fill_path(params, uniforms, digits, states) -> None:
     """Fill the uint8 digits and float64 states arrays of a path from
-    t = 0, one step per uniform.  The jitted path_arrays runs once over
-    the arrays; without numba a path of at least LANES * BURN_IN steps
-    runs in lanes (see the module docstring), a shorter one in the
-    Python loop.  If a lane state or lane end comes out non-finite, or
-    at the pole -gamma of the digit law, where the Python loop could
+    t = 0, one step per uniform.  A path of at least LANES * BURN_IN
+    steps runs in lanes (see the module docstring), a shorter one in
+    the Python loop.  If a lane state or lane end comes out non-finite,
+    or at the pole -gamma of the digit law, where the Python loop could
     raise, the whole path runs in the Python loop instead."""
-    if using_numba():
-        path_arrays(*params, 0.0, uniforms, digits, states)
-        return
     length = len(uniforms) // LANES
     if length < BURN_IN:
         _python_path(params, 0.0, uniforms, digits, states)
@@ -130,7 +111,7 @@ def _sweep(params, u, d, s):
     lanes, length = u.shape
 
     def step(t, x):
-        # _path_arrays' operations in its order; ~(x < p0), not
+        # path_arrays' operations in its order; ~(x < p0), not
         # x >= p0, so that a NaN p0 draws digit 1 as the loop does.
         one = ~(x < (t + 1.0) / (t + gamma))
         t0 = (a0 * t + c0) / (b0 * t + d0)

@@ -52,14 +52,26 @@ def parse_scalar(text: str) -> Scalar:
     """Rational strings stay exact; decimal notation becomes a float."""
     text = text.strip()
     if _RATIONAL_RE.match(text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ConfigError(f"scalar {_shown(text)} has a zero denominator") from None
+        except ValueError:  # past the int string conversion limit
+            raise ConfigError(f"scalar {_shown(text)} has too many digits") from None
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse scalar {text!r}") from None
+        raise ConfigError(f"cannot parse scalar {_shown(text)}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"scalar {text!r} is not finite")
+        raise ConfigError(f"scalar {_shown(text)} is not finite")
     return value
+
+
+def _shown(text: str) -> str:
+    """repr of text for an error line, cut after 40 characters."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _parse_matrix(name: str, raw) -> MoebiusMatrix:
@@ -104,6 +116,8 @@ def load_system(args: argparse.Namespace) -> tuple[DeRhamSystem, dict]:
             raise ConfigError(
                 f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError:  # a JSON integer past the int string conversion limit
+            raise ConfigError("config parse error: a number has too many digits") from None
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         has_matrices = "A0" in doc or "A1" in doc

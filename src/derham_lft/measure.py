@@ -24,12 +24,12 @@ bottom row (r, s) of the word, the coprime integer matrices of
 rounded int/int quotient.  On a state interval with alpha < beta exact
 states gain about one bit of denominator per step (exact walk:1), so
 those paths stay quadratic in their length.  Float paths run the loop
-of ``_kernels``: jitted, or without numba in numpy lanes that are
-checked and repaired against the Python loop bit for bit.  The entropy
-rate of a float path is the exact sum of its terms, formed in numpy
-blocks (``_exact_sum``) and rounded once, so it equals ``math.fsum``
-over the terms bit for bit at about 0.4 of the cost (0.025 s against
-0.065 s per 10^6 steps, 2-core Xeon).
+of ``_kernels``: a long path in numpy lanes that are checked and
+repaired against the Python loop bit for bit, a short one in that
+loop.  The entropy rate of a float path is the exact sum of its terms,
+formed in numpy blocks (``_exact_sum``) and rounded once, so it equals
+``math.fsum`` over the terms bit for bit at about 0.4 of the cost
+(0.025 s against 0.065 s per 10^6 steps, 2-core Xeon).
 """
 
 from __future__ import annotations

@@ -29,6 +29,15 @@ from .solution import dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
 
+#: Deepest stationarity checks, refused above before any table is swept:
+#: every address down to the depth is visited and every grid value
+#: inverted, about four times the work per two levels.  As CLI runs on a
+#: 2-core Xeon, exact walk:1 took 17.7 s at depth 16 and 74 s at 18;
+#: approx walk:0.5 took 21.6 s at depth 18 and 93 s (112 MB) at 20.
+_MAX_EXACT_CHECK_DEPTH = 16
+_MAX_FLOAT_CHECK_DEPTH = 18
+
+
 @dataclass(frozen=True)
 class StationarityReport:
     """Maximum residuals of the halving recursion and the mass identity,
@@ -56,10 +65,21 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     For each address, compares mu_g of its value interval with 2**-k and
     with half the mu_g-mass of the digit-shifted parent interval.  In
     exact mode the inverse terminates on the dyadic value grid and both
-    residuals are exactly zero.
+    residuals are exactly zero.  Exact checks are refused above depth
+    _MAX_EXACT_CHECK_DEPTH, float checks above _MAX_FLOAT_CHECK_DEPTH.
     """
-    if not 1 <= depth <= 20:
-        raise DomainError("depth must be in [1, 20]")
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    if sys.exact and depth > _MAX_EXACT_CHECK_DEPTH:
+        raise DomainError(
+            f"depth = {depth} exceeds {_MAX_EXACT_CHECK_DEPTH}, the cap for exact "
+            "stationarity checks; use --mode approx (force_approx) or a smaller depth"
+        )
+    if not sys.exact and depth > _MAX_FLOAT_CHECK_DEPTH:
+        raise DomainError(
+            f"depth = {depth} exceeds {_MAX_FLOAT_CHECK_DEPTH}, the cap for float "
+            "stationarity checks; use a smaller depth"
+        )
     if not tol >= 0:
         raise DomainError("tol must be >= 0")
     values = dyadic_value_table(sys, depth)

@@ -64,6 +64,31 @@ class TestValidate:
         assert any(v["condition"] == "A3" for v in doc["violations"])
 
 
+class TestBadRationals:
+    LONG = "1" * 5000  # past the int string conversion limit of 4300 digits
+
+    @pytest.mark.parametrize(
+        "entry", ["1/0", "0/0", LONG, f"1/{LONG}"], ids=["1/0", "0/0", "long", "long-den"]
+    )
+    def test_preset_and_config_exit_2(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "sys.json"
+        matrices = {"A0": ["1", "0", "0", "1"], "A1": ["1", entry, "0", "1"]}
+        cfg.write_text(json.dumps(dict(matrices, schema=1)))
+        for source in (["--preset", f"walk:{entry}"], ["--config", str(cfg)]):
+            code, out, err = run_cli(capsys, "validate", *source)
+            assert code == 2, source
+            assert out == ""
+            assert err.startswith("error: scalar ") and err.count("\n") == 1, err
+            assert len(err) < 120 and "Traceback" not in err
+
+    def test_long_json_number_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "sys.json"
+        cfg.write_text(f'{{"A0": ["1", "0", "0", "1"], "A1": [1, {self.LONG}, 0, 1]}}')
+        code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: config parse error: a number has too many digits\n"
+
+
 class TestGrid:
     def test_identity_rows(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--preset", "lebesgue:1/2", "--depth", "3")
@@ -405,6 +430,13 @@ class TestStationaryCommand:
         assert code == 1
         assert out == ""
         assert err == "error: DomainError: quad_depth = 30 exceeds the cap of 22\n"
+
+    def test_exact_depth_above_cap_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "17")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: DomainError: depth = 17 exceeds 16, ")
+        assert "--mode approx" in err
 
 
 class TestImports:

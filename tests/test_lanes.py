@@ -1,9 +1,9 @@
 """The speculative lane sweep of fill_path against one sequential loop,
 and the exact float sum of the entropy post-pass against math.fsum.
 
-Without numba, a long float path runs in _kernels.LANES lanes that are
-checked and repaired against the Python loop; the digits and state bits
-must equal those of one unblocked _path_arrays call over the whole path.
+A long float path runs in _kernels.LANES lanes that are checked and
+repaired against the Python loop; the digits and state bits must equal
+those of one unblocked path_arrays call over the whole path.
 """
 
 import random
@@ -39,12 +39,6 @@ def _systems():
 SYSTEMS = _systems()
 
 
-@pytest.fixture(autouse=True)
-def python_loop(monkeypatch):
-    # The lanes run only without numba; pin that branch where it is installed.
-    monkeypatch.setattr(_kernels, "path_arrays", _kernels._path_arrays)
-
-
 @pytest.fixture(scope="module")
 def uniforms():
     return _uniforms(2718, LONGEST)
@@ -53,7 +47,7 @@ def uniforms():
 def _oracle(params, u):
     """One unblocked pure-Python loop over the whole path."""
     digits, states = bytearray(len(u)), [0.0] * len(u)
-    _kernels._path_arrays(*params, 0.0, u.tolist(), digits, states)
+    _kernels.path_arrays(*params, 0.0, u.tolist(), digits, states)
     return np.frombuffer(digits, dtype=np.uint8), np.array(states)
 
 
@@ -110,20 +104,6 @@ def test_default_burn_in_needs_no_repair_on_walk(uniforms, repairs):
     for system in SYSTEMS[:3]:
         _fill(_float_params(system), uniforms)
     assert repairs == []
-
-
-def test_lanes_run_only_without_numba(uniforms, monkeypatch):
-    jitted = []
-
-    def fake_jit(*args):
-        jitted.append(len(args[-3]))
-        return _kernels._path_arrays(*args)
-
-    monkeypatch.setattr(_kernels, "path_arrays", fake_jit)
-    monkeypatch.setattr(_kernels, "_sweep", None)  # would fail if called
-    params = _float_params(SYSTEMS[0])
-    _fill(params, uniforms[:THRESHOLD])
-    assert jitted == [THRESHOLD]
 
 
 @pytest.fixture

@@ -96,7 +96,7 @@ def test_private_submodules_resolve():
     out = _fresh(
         "import derham_lft as dl\n"
         "print(dl._kernels.__name__, dl._words.__name__, dl.cli.__name__, "
-        "callable(dl._kernels.using_numba))"
+        "callable(dl._kernels.fill_path))"
     )
     assert out == "derham_lft._kernels derham_lft._words derham_lft.cli True\n"
 

@@ -1,8 +1,8 @@
 """Sampling shortcuts against the plain step loops they replace.
 
 Affine pairs (c0 = c1 = 0) are drawn in closed form, and the float loop
-without numba runs on lists in blocks; both must reproduce, bit for bit,
-the digits and states of one sequential loop over the whole path.
+of a short path runs on lists in blocks; both must reproduce, bit for
+bit, the digits and states of one sequential loop over the whole path.
 """
 
 import random
@@ -45,7 +45,7 @@ def _loop(system, n, seed):
     u = measure._uniforms(seed, n)
     digits = np.empty(n, dtype=np.uint8)
     states = np.empty(n, dtype=np.float64)
-    _kernels._path_arrays(*_float_params(system), 0.0, u, digits, states)
+    _kernels.path_arrays(*_float_params(system), 0.0, u, digits, states)
     return digits, states
 
 
@@ -136,12 +136,6 @@ class TestAffineClosedForm:
 
 
 class TestBlockedLoop:
-    @pytest.fixture(autouse=True)
-    def python_loop(self, monkeypatch):
-        # Without numba, fill_path runs path_arrays in blocks on lists;
-        # pin that branch even where numba is installed.
-        monkeypatch.setattr(_kernels, "path_arrays", _kernels._path_arrays)
-
     @pytest.mark.parametrize("draw", range(3))
     def test_equals_one_unblocked_call(self, draw):
         if draw == 0:
@@ -161,11 +155,11 @@ class TestBlockedLoop:
         params = _float_params(walk_system(0.5))
         u = measure._uniforms(8, 100).tolist()
         d, s = bytearray(100), [0.0] * 100
-        t = _kernels._path_arrays(*params, 0.0, u[:60], d, s)
+        t = _kernels.path_arrays(*params, 0.0, u[:60], d, s)
         d2, s2 = bytearray(40), [0.0] * 40
-        _kernels._path_arrays(*params, t, u[60:], d2, s2)
+        _kernels.path_arrays(*params, t, u[60:], d2, s2)
         whole_d, whole_s = bytearray(100), [0.0] * 100
-        _kernels._path_arrays(*params, 0.0, u, whole_d, whole_s)
+        _kernels.path_arrays(*params, 0.0, u, whole_d, whole_s)
         assert s[:60] + s2 == whole_s and d[:60] + d2 == whole_d
 
 

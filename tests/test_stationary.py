@@ -89,6 +89,34 @@ class TestStationarityCheck:
             with pytest.raises(DomainError):
                 stationarity_check(walk1, depth, 1e-11)
 
+    def test_depth_caps_refused_before_sweeping(self, walk1, monkeypatch):
+        from derham_lft import stationary
+
+        class Swept(Exception):
+            pass
+
+        def no_sweep(sys, depth):
+            raise Swept(depth)
+
+        assert (stationary._MAX_EXACT_CHECK_DEPTH, stationary._MAX_FLOAT_CHECK_DEPTH) == (16, 18)
+        monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        floats = (force_approx(walk1), walk_system(0.5))
+        for exact_cap, float_cap in ((16, 18), (3, 5)):
+            monkeypatch.setattr(stationary, "_MAX_EXACT_CHECK_DEPTH", exact_cap)
+            monkeypatch.setattr(stationary, "_MAX_FLOAT_CHECK_DEPTH", float_cap)
+            with pytest.raises(
+                DomainError, match=f"depth = {exact_cap + 1} exceeds {exact_cap}, .*--mode approx"
+            ):
+                stationarity_check(walk1, exact_cap + 1, 1e-11)
+            with pytest.raises(Swept):  # at the cap: checked, then swept
+                stationarity_check(walk1, exact_cap, 1e-11)
+            for system in floats:
+                refused = f"depth = {float_cap + 1} exceeds {float_cap}, .*smaller depth"
+                with pytest.raises(DomainError, match=refused):
+                    stationarity_check(system, float_cap + 1, 1e-11)
+                with pytest.raises(Swept):
+                    stationarity_check(system, float_cap, 1e-11)
+
 
 class TestDoublingChangeOfMeasure:
     def test_lebesgue_half_exact_zero(self, leb12):
