@@ -110,6 +110,13 @@ class WordBasis:
             return Fraction(a * d - b * c, d * (c + d))
         return (a * d - b * c) / (d * (c + d))
 
+    def state(self, word: Word) -> Scalar:
+        """Ratio state c/d, the bottom row of the word, as ``measure.ratio_state``."""
+        _, _, c, d = word
+        if self.exact:
+            return Fraction(c, d)
+        return c / d
+
     def literal(self, word: Word, n0: int, n1: int) -> MoebiusMatrix:
         """The word as the literal product of n0 factors A0 and n1 factors A1."""
         if not self.exact:

@@ -1,6 +1,6 @@
 """Command line interface.
 
-    derham-lft <validate|eval|plot|classify|dimension|sample|stationary>
+    derham-lft <validate|plot|classify|dimension|sample|stationary>
                [--config FILE | --preset NAME:PARAM] [--depth K] [--tol T]
                [--seed S] [--out PATH] [--mode exact|approx] ...
 
@@ -314,11 +314,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    from .stationary import doubling_map_change_of_measure, stationarity_check
+    from .stationary import _check_quadrature, doubling_map_change_of_measure, stationarity_check
 
     if not math.isfinite(args.tol):  # the finiteness rule of parse_scalar
         raise ConfigError(f"tol {args.tol!r} is not finite")
     system, meta = load_system(args)
+    if args.quad_depth is not None:  # refused before the stationarity sweep
+        _check_quadrature(system, args.shift_depth, args.quad_depth)
     report = stationarity_check(system, args.depth, args.tol)
     doc = dict(meta, command="stationary")
     doc.update(
@@ -362,12 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     common(sub.add_parser("validate", help="check admissibility, print constants"))
-    # "eval" is an alias; the dispatch key stays "plot" whichever name was typed.
-    p_grid = common(
-        sub.add_parser("plot", aliases=["eval"], help="CSV of f on the dyadic grid j/2^depth"),
+    common(
+        sub.add_parser("plot", help="CSV of f on the dyadic grid j/2^depth"),
         depth_default=8,
     )
-    p_grid.set_defaults(command="plot")
     common(sub.add_parser("classify", help="singular vs absolutely continuous"))
     common(sub.add_parser("dimension", help="dimension bounds"))
     p_sample = common(sub.add_parser("sample", help="Monte Carlo digit sampling"))

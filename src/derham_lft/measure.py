@@ -8,8 +8,9 @@ to the dyadic interval of an address the mass
 computed from the word product ((p, q), (r, s)) of that address.  The
 bottom-row ratio t = r/s is the orbit of 0 under the transposed maps,
 stays inside [alpha, beta], and drives the digit law: the next digit is
-0 with probability (t + 1)/(t + gamma).  Sampling therefore only needs
-the scalar recursion t -> tAi(t), one float (or Fraction) per step.
+0 with probability (t + 1)/(t + gamma).  Masses and states of given
+addresses are read off the word (``_words.WordBasis``); sampling only
+needs the scalar recursion t -> tAi(t), one float (or Fraction) per step.
 
 When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
 alpha = beta = 0, as for the lebesgue presets): every state is 0, the
@@ -34,7 +35,7 @@ formed in numpy blocks (``_exact_sum``) and rounded once, so it equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from math import fsum
@@ -69,12 +70,19 @@ _MAX_STEPS = 1 << 25
 
 @dataclass(frozen=True)
 class MeasureNode:
-    """Per-address state: word product, interval mass, ratio state."""
+    """Per-address interval mass and ratio state; `word` is formed on read."""
 
     bits: Bits
-    word: MoebiusMatrix
     mass: Scalar
     state: Scalar
+    system: DeRhamSystem = field(repr=False, compare=False)
+
+    @property
+    def word(self) -> MoebiusMatrix:
+        """``word_matrix`` of the address."""
+        from .solution import word_matrix
+
+        return word_matrix(self.system, self.bits)
 
 
 def mass_from_word(word: MoebiusMatrix) -> Scalar:
@@ -98,17 +106,12 @@ def transposed_step(sys: DeRhamSystem, t: Scalar, digit: int) -> Scalar:
 
 
 def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
-    """Bottom-row ratio r/s of the address word; guaranteed inside
-    [alpha, beta].  Exact states are read off the integer word, float
-    states are the orbit of t = 0 under transposed_step."""
+    """Bottom-row ratio r/s of the address word, in either mode; the orbit
+    of t = 0 under transposed_step, up to float rounding.  Inside
+    [alpha, beta], float states within STATE_ATOL of it."""
     check_bits(bits)
-    if sys.exact:
-        _, _, r, s = sys.word_basis.path(bits)
-        return Fraction(r, s)
-    t = sys.zero()
-    for b in bits:
-        t = transposed_step(sys, t, b)
-    return t
+    basis = sys.word_basis
+    return basis.state(basis.path(bits))
 
 
 def in_state_interval(sys: DeRhamSystem, t: Scalar) -> bool:
@@ -135,8 +138,8 @@ def walk_tree(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
     """Every node of the dyadic tree down to the given depth, pre-order.
 
     Word products share prefixes, so the full exhaustive sweep costs one
-    matrix multiplication per node.  Exact states are the bottom-row
-    ratio r/s of the integer word; float states follow transposed_step.
+    matrix multiplication per node.  Masses and states are read off each
+    node's word, as `interval_measure` and `ratio_state` read them.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -145,18 +148,14 @@ def walk_tree(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
 
 def _walk(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
     basis = sys.word_basis
-    stack = [((), basis.identity, sys.zero())]  # (bits, parent word, parent state)
+    stack = [((), basis.identity)]  # (bits, parent word)
     while stack:
-        bits, word, t = stack.pop()
+        bits, word = stack.pop()
         if bits:
-            digit = bits[-1]
-            word = basis.step(word, digit, len(bits))
-            t = Fraction(word[2], word[3]) if sys.exact else transposed_step(sys, t, digit)
-        ones = sum(bits)
-        literal = basis.literal(word, len(bits) - ones, ones)
-        yield MeasureNode(bits, literal, basis.mass(word), t)
+            word = basis.step(word, bits[-1], len(bits))
+        yield MeasureNode(bits, basis.mass(word), basis.state(word), sys)
         if len(bits) < depth:
-            stack += ((bits + (1,), word, t), (bits + (0,), word, t))
+            stack += ((bits + (1,), word), (bits + (0,), word))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,9 @@ _MAX_EXACT_TABLE_DEPTH = 20
 
 
 class ValueEnclosure(NamedTuple):
-    """Certified bracket [lower, upper] for f over a dyadic interval."""
+    """Bracket [lower, upper] for f over a dyadic interval: certified in
+    exact mode; in approx mode two rounded values that need not contain f
+    (see dyadic_enclosure)."""
 
     lower: Scalar
     upper: Scalar
@@ -106,7 +108,10 @@ def dyadic_enclosure(sys: DeRhamSystem, bits: Bits) -> ValueEnclosure:
 
     The empty address yields [0, 1].  Upper endpoints are consistent:
     the upper value of an address equals the lower value of its dyadic
-    successor, exactly so in exact mode.
+    successor, exactly so in exact mode.  Float endpoints are rounded, not
+    rounded outward, so they can miss f by a few units in the last place
+    on either side (walk_system(1) cast to float, depth 14: 8209 table
+    values above the exact ones and 8174 below, by up to 5.6e-17).
     """
     check_bits(bits)
     basis = sys.word_basis
@@ -160,6 +165,10 @@ def evaluate(
     2*tol and returns the midpoint.  Exact-mode dyadic rationals take the
     terminating address and return f(x) exactly (so tol = 0 is allowed
     there); x = 0 and x = 1 return exact endpoint values in both modes.
+    In approx mode tol is a target, not a guarantee: the enclosure is
+    rounded (see dyadic_enclosure), so a tol near the rounding error can
+    be missed (force_approx(walk_system(1)) at x = 1/3 with tol 1e-17
+    lands 2.1e-17 from f(x)).
     """
     if not 0 <= x <= 1:
         raise DomainError(f"x = {x} outside [0, 1]")
@@ -238,7 +247,12 @@ def inverse_evaluate(
     Descends the dyadic tree, at each node entering the child whose value
     enclosure contains y (f is strictly increasing, so the children split
     the parent's value range at f of the interval midpoint).  In exact
-    mode a y that hits a dyadic image exactly returns g(y) exactly.
+    mode a y that hits a dyadic image exactly returns g(y) exactly.  In
+    approx mode tol is not a guarantee: where f is flat, comparing y with
+    a rounded node value can send the descent into the wrong child, far
+    outside tol (force_approx(walk_system(3/7)) at its table value for
+    x = 192/256, with tol 5e-12, lands 1.9e-6 from the exact inverse of
+    that float).
     """
     if not 0 <= y <= 1:
         raise DomainError(f"y = {y} outside [0, 1]")

@@ -37,6 +37,13 @@ from .system import DeRhamSystem
 _MAX_EXACT_CHECK_DEPTH = 16
 _MAX_FLOAT_CHECK_DEPTH = 18
 
+#: Deepest exact doubling-map quadrature when alpha < beta: the cell terms
+#: then have distinct denominators, and their exact sums grow with the
+#: cells per interval.  As CLI runs of exact walk:1 at --shift-depth 1 on a
+#: 2-core Xeon, quad depth 14 took 6.9 s and 15 took 29 s.  Affine pairs
+#: (alpha = beta) have constant derivative terms and are not capped here.
+_MAX_EXACT_QUAD_DEPTH = 14
+
 
 @dataclass(frozen=True)
 class StationarityReport:
@@ -65,7 +72,10 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     For each address, compares mu_g of its value interval with 2**-k and
     with half the mu_g-mass of the digit-shifted parent interval.  In
     exact mode the inverse terminates on the dyadic value grid and both
-    residuals are exactly zero.  Exact checks are refused above depth
+    residuals are exactly zero.  In approx mode they are not certified
+    and can exceed tol by orders of magnitude, as inverse_evaluate can
+    miss tol at the table values (walk:0.5, depth 8, tol 1e-11: a mass
+    residual of 2.5e-7).  Exact checks are refused above depth
     _MAX_EXACT_CHECK_DEPTH, float checks above _MAX_FLOAT_CHECK_DEPTH.
     """
     if depth < 1:
@@ -120,6 +130,22 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     )
 
 
+def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
+    """Refuse a doubling_map_change_of_measure request before any sweep."""
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    if quad_depth <= depth:
+        raise DomainError("quad_depth must exceed depth")
+    if quad_depth > MAX_SWEEP_DEPTH:
+        raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
+    if sys.exact and sys.alpha < sys.beta and quad_depth > _MAX_EXACT_QUAD_DEPTH:
+        raise DomainError(
+            f"quad_depth = {quad_depth} exceeds {_MAX_EXACT_QUAD_DEPTH}, the cap for exact "
+            "quadrature when alpha < beta (its sums' denominators grow with the cells); "
+            "use --mode approx (force_approx) or a smaller quad_depth"
+        )
+
+
 def doubling_map_change_of_measure(
     sys: DeRhamSystem, depth: int, quad_depth: int
 ) -> Scalar:
@@ -130,15 +156,10 @@ def doubling_map_change_of_measure(
     intervals (prepend digit 0 or 1 to A's address).  The right side sums
     (A0' + A1') at f(cell midpoint) times the exact cell mass over the
     cells of A at `quad_depth`; the residual is pure quadrature error,
-    shrinking like 2**-quad_depth.  quad_depth is capped at 22 (4M cells).
+    shrinking like 2**-quad_depth.  quad_depth is capped at 22 (4M cells),
+    and at _MAX_EXACT_QUAD_DEPTH for exact systems with alpha < beta.
     """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if quad_depth <= depth:
-        raise DomainError("quad_depth must exceed depth")
-    if quad_depth > MAX_SWEEP_DEPTH:
-        raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
-
+    _check_quadrature(sys, depth, quad_depth)
     basis = sys.word_basis
     n_intervals = 1 << depth
     shift = quad_depth - depth

@@ -91,7 +91,7 @@ class TestBadRationals:
 
 class TestGrid:
     def test_identity_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "--preset", "lebesgue:1/2", "--depth", "3")
+        code, out, _ = run_cli(capsys, "plot", "--preset", "lebesgue:1/2", "--depth", "3")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "x,f_lower,f_upper"
@@ -99,6 +99,9 @@ class TestGrid:
         for line in lines[1:]:
             x, lo, hi = map(float, line.split(","))
             assert x == lo == hi
+        with pytest.raises(SystemExit) as exc:  # the deleted "eval" alias
+            main(["eval", "--preset", "lebesgue:1/2", "--depth", "3"])
+        assert exc.value.code == 2
 
     def test_depth_zero(self, capsys):
         code, out, _ = run_cli(capsys, "plot", "--preset", "lebesgue:1/3", "--depth", "0")
@@ -430,6 +433,26 @@ class TestStationaryCommand:
         assert code == 1
         assert out == ""
         assert err == "error: DomainError: quad_depth = 30 exceeds the cap of 22\n"
+
+    def test_caps_refused_before_sweeping(self, capsys, monkeypatch):
+        from derham_lft import stationary
+        from derham_lft._words import WordBasis
+
+        def no_sweep(*args):
+            raise AssertionError("swept a table")
+
+        monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--quad-depth", "15")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DomainError: quad_depth = 15 exceeds 14, ")
+        assert "--mode approx" in err
+        # An accepted quad depth is not swept before a refused depth.
+        code, out, err = run_cli(
+            capsys, "stationary", "--preset", "walk:1", "--depth", "17", "--quad-depth", "14"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DomainError: depth = 17 exceeds 16, ")
 
     def test_exact_depth_above_cap_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "17")

@@ -279,7 +279,8 @@ def _exact_systems():
 
 class TestExactBitIdentity:
     """Exact sampling, ratio states and masses against Fraction folds of
-    the public single-step primitives."""
+    the public single-step primitives; float states and masses against
+    the float word."""
 
     @pytest.mark.parametrize("index", range(22))
     def test_sample_path_equals_fraction_fold(self, index):
@@ -313,9 +314,64 @@ class TestExactBitIdentity:
                 assert type(state) is Fraction and state == t
                 assert interval_measure(system, bits) == mass_from_word(word_matrix(system, bits))
                 approx = force_approx(system)
-                t = 0.0
-                for b in bits:
-                    t = transposed_step(approx, t, b)
-                assert _float_bits(ratio_state(approx, bits)) == _float_bits(t)
+                _, _, c, d = word_matrix(approx, bits).entries
+                assert _float_bits(ratio_state(approx, bits)) == _float_bits(c / d)
                 mass = mass_from_word(word_matrix(approx, bits))
                 assert _float_bits(interval_measure(approx, bits)) == _float_bits(mass)
+
+
+def _float_systems():
+    rng = random.Random(577)
+    systems = [walk_system(0.5), walk_system(1.5)]
+    systems += [force_approx(walk_system(1)), force_approx(walk_system(Fraction(3, 7)))]
+    return systems + [force_approx(random_valid_system(rng, scaled=bool(i % 2))) for i in range(4)]
+
+
+class TestStateReader:
+    """ratio_state and walk_tree read every state off the address word."""
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_float_states_are_the_word_ratio(self, index):
+        # Addresses of up to 40 digits pass the rescaled 16th and 32nd products.
+        system = _float_systems()[index]
+        rng = random.Random(index)
+        for node in walk_tree(system, 9):
+            word = word_matrix(system, node.bits)
+            assert node.word == word  # formed on read
+            _, _, c, d = word.entries
+            assert _float_bits(node.state) == _float_bits(c / d)
+        for _ in range(30):
+            bits = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 40)))
+            _, _, c, d = word_matrix(system, bits).entries
+            assert _float_bits(ratio_state(system, bits)) == _float_bits(c / d)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_float_states_near_the_exact_fold(self, index):
+        # The exact-arithmetic orbit of 0 under the transposed maps with
+        # the float entries as rationals: the float word's r/s stays within
+        # 1e-13 of it (these trees reach 7.9e-15).
+        system = _float_systems()[index]
+        exact = [tuple(map(Fraction, system.matrix(i).entries)) for i in (0, 1)]
+        fold = {(): Fraction(0)}
+        for node in walk_tree(system, 10):
+            if node.bits:
+                a, b, c, d = exact[node.bits[-1]]
+                t = fold[node.bits[:-1]]
+                fold[node.bits] = (a * t + c) / (b * t + d)
+            assert abs(Fraction(node.state) - fold[node.bits]) <= 1e-13
+        for bits in ((0,) * 40, (1,) * 40, (0, 1) * 20):
+            t = Fraction(0)
+            for digit in bits:
+                a, b, c, d = exact[digit]
+                t = (a * t + c) / (b * t + d)
+            assert abs(Fraction(ratio_state(system, bits)) - t) <= 1e-13
+
+    def test_walk_forms_no_literal_word(self, walk1, monkeypatch):
+        from derham_lft._words import WordBasis
+
+        def no_literal(*args):
+            raise AssertionError("walk_tree formed a literal word")
+
+        monkeypatch.setattr(WordBasis, "literal", no_literal)
+        for system in (walk1, walk_system(0.5)):
+            assert sum(1 for _ in walk_tree(system, 8)) == 2**9 - 1

@@ -155,6 +155,33 @@ class TestDoublingChangeOfMeasure:
         with pytest.raises(DomainError, match="cap of 22"):
             doubling_map_change_of_measure(walk1, 4, 23)
 
+    def test_exact_quad_depth_cap_refused_before_sweeping(self, walk1, leb13, monkeypatch):
+        from derham_lft import stationary
+        from derham_lft._words import WordBasis
+
+        class Swept(Exception):
+            pass
+
+        def no_sweep(basis, depth):
+            raise Swept(depth)
+
+        assert stationary._MAX_EXACT_QUAD_DEPTH == 14
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        for cap in (14, 6):
+            monkeypatch.setattr(stationary, "_MAX_EXACT_QUAD_DEPTH", cap)
+            refused = f"quad_depth = {cap + 1} exceeds {cap}, .*--mode approx"
+            with pytest.raises(DomainError, match=refused):
+                doubling_map_change_of_measure(walk1, 3, cap + 1)
+            with pytest.raises(Swept):  # at the cap: checked, then swept
+                doubling_map_change_of_measure(walk1, 3, cap)
+            # Float systems and affine pairs (alpha = beta) are not capped.
+            for system in (force_approx(walk1), leb13):
+                with pytest.raises(Swept):
+                    doubling_map_change_of_measure(system, 3, cap + 1)
+        # The cap of every mode is checked first, with its message.
+        with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):
+            doubling_map_change_of_measure(walk1, 4, 23)
+
 
 class TestVerdictTransfer:
     def test_all_presets(self):
