@@ -32,6 +32,7 @@ from . import __version__
 from .errors import DeRhamError, ValidationError
 
 if TYPE_CHECKING:  # each command imports the modules it runs, on use
+    from .analysis import DimensionBounds
     from .numerics import MoebiusMatrix, Scalar
     from .system import DeRhamSystem
 
@@ -235,10 +236,7 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _bounds_fields(system: DeRhamSystem) -> dict:
-    from .analysis import dimension_bounds
-
-    bounds = dimension_bounds(system)
+def _bounds_fields(bounds: DimensionBounds) -> dict:
     return {
         "entropy_max_nats": bounds.entropy_max,
         "entropy_min_nats": bounds.entropy_min,
@@ -268,16 +266,18 @@ def cmd_classify(args) -> int:
                 "is not certifiable\n"
             )
     else:
-        doc.update(_bounds_fields(system))
+        doc.update(_bounds_fields(report.bounds))
         doc["defect_bound"] = report.defect_bound
     _emit_json(doc, args.out)
     return 0
 
 
 def cmd_dimension(args) -> int:
+    from .analysis import dimension_bounds
+
     system, meta = load_system(args)
     doc = dict(meta, command="dimension")
-    doc.update(_bounds_fields(system))
+    doc.update(_bounds_fields(dimension_bounds(system)))
     _emit_json(doc, args.out)
     return 0
 

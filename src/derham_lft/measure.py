@@ -15,10 +15,10 @@ needs the scalar recursion t -> tAi(t), one float (or Fraction) per step.
 When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
 alpha = beta = 0, as for the lebesgue presets): every state is 0, the
 digits are i.i.d. with P(0) = 1/gamma, and sampling draws them in one
-vectorised comparison in either mode.  The entropy post-pass of such a
-path forms its terms once (exact mode) or once per block shape (float
-mode: one full block and the tail, the full block counted once per full
-block).  Otherwise exact sampling reads the state off the integer
+vectorised comparison in either mode (``DeRhamSystem.affine``).  The
+entropy post-pass of such a path forms its one term once (exact mode)
+or once per block shape (float mode: one full block and the tail, the
+full block counted once per full block).  Otherwise exact sampling reads the state off the integer
 bottom row (r, s) of the word, the coprime integer matrices of
 ``_words``: each step forms the next pair with Python ints and one gcd
 (the Fraction constructor), and the digit probability is the correctly
@@ -56,7 +56,7 @@ STATE_ATOL = 1e-10
 
 DEFAULT_SEED = 99991
 
-#: Longest exact path sample_path draws when alpha < beta: the state
+#: Longest exact path sample_path draws for a non-affine pair: the state
 #: denominators grow by about a bit per step there, so time and memory
 #: grow quadratically in n (exact walk:1 took 0.85 s and 88 MB at 20k
 #: steps, 2.9 s and 244 MB at 40k, on a 2-core Xeon).
@@ -79,7 +79,8 @@ class MeasureNode:
 
     @property
     def word(self) -> MoebiusMatrix:
-        """``word_matrix`` of the address."""
+        """``word_matrix`` of the address: in float mode the product up to
+        a positive factor, as ``word_matrix`` says."""
         from .solution import word_matrix
 
         return word_matrix(self.system, self.bits)
@@ -185,17 +186,6 @@ def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
     return (*sys.A0.entries, *sys.A1.entries, sys.gamma)
 
 
-def _affine(sys: DeRhamSystem) -> bool:
-    """Whether c0 = c1 = 0, so both transposed maps fix the state 0.
-
-    Tested on the entries, not as alpha == beta: a float c1 of -5e-324
-    over b1 > 2 underflows to alpha = beta = 0.0, yet its digit-1 step
-    takes the state 0.0 to -0.0.  Admissibility makes a_i and d_i
-    positive here, so a float state stays +0.0 even for c_i = -0.0.
-    """
-    return sys.A0.entries[2] == 0 and sys.A1.entries[2] == 0
-
-
 def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePath:
     """Draw n digits with the exact conditional law, deterministically in
     the seed.  Affine pairs (c0 = c1 = 0) keep every state at 0, so their
@@ -206,7 +196,7 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     the correctly rounded float of the digit probability; state
     denominators grow with the path length there (about one bit per step
     on walk:1, so the path is quadratic in n), and long paths over those
-    belong in approximate mode: exact systems with alpha < beta are
+    belong in approximate mode: non-affine exact systems are
     refused above _MAX_EXACT_GROWING_STEPS steps.  Any path is refused
     above _MAX_STEPS steps, before its arrays are allocated."""
     if n < 1:
@@ -218,16 +208,16 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
             f"n = {n} exceeds {_MAX_STEPS}, the most steps one path holds "
             "(about 17 bytes per step); use a smaller n"
         )
-    if sys.exact and sys.alpha < sys.beta and n > _MAX_EXACT_GROWING_STEPS:
+    if sys.exact and not sys.affine and n > _MAX_EXACT_GROWING_STEPS:
         raise DomainError(
             f"n = {n} exceeds {_MAX_EXACT_GROWING_STEPS}, the cap for exact sampling "
-            "when alpha < beta (state denominators grow about a bit per step); "
+            "of non-affine pairs (state denominators grow about a bit per step); "
             "use --mode approx (force_approx) or a smaller n"
         )
     import numpy as np
 
     u = _uniforms(seed, n)
-    if _affine(sys):
+    if sys.affine:
         # P(0) = 1/gamma rounded to float, as the step loops below
         # round (t + 1)/(t + gamma) at t = 0 (an int/int or float quotient).
         g = sys.gamma
@@ -284,6 +274,7 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
     """Entropy-rate estimate of an already sampled path: the correctly
     rounded sum of the binary entropy of the digit law at every state
     (math.fsum, or _exact_sum for float paths), divided by n."""
+    n = len(path)
     if sys.exact:
         gn, gd = sys.gamma.numerator, sys.gamma.denominator
 
@@ -292,11 +283,9 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
             r, s = t.numerator, t.denominator
             return gd * (r + s) / (gd * r + gn * s)
 
-        if _affine(sys):  # every state is 0: one term, n times
-            terms = repeat(binary_entropy(prob0(sys.zero())), len(path))
-        else:
-            terms = map(binary_entropy, map(prob0, path.states))
-        return fsum(terms) / len(path)
+        if sys.affine:  # every state is 0; fsum of n copies of h is h * n
+            return binary_entropy(prob0(sys.zero())) * n / n
+        return fsum(map(binary_entropy, map(prob0, path.states))) / n
     import numpy as np
 
     gamma = sys.gamma
@@ -306,9 +295,8 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
         p0 = (t + 1.0) / (t + gamma)
         return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
 
-    n = len(path)
     blocks = range(0, n, _ENTROPY_BLOCK)
-    if _affine(sys):
+    if sys.affine:
         # Every state is 0.0, so every full block has the same terms: form
         # the first block and the tail once each, and count the first block
         # once per full block.

@@ -96,7 +96,10 @@ def dyadic_digits(x: Scalar) -> Bits:
 
 
 def word_matrix(sys: DeRhamSystem, bits: Bits) -> MoebiusMatrix:
-    """Left-to-right product of the matrices named by the address."""
+    """Left-to-right product of the matrices named by the address.  In
+    float mode it is rescaled by a positive factor every 16 factors, as
+    the sweeps form it: the same map, masses and states, other entries
+    (force_approx(walk:1) at (0, 1) * 10: 192 times the mat_mul fold)."""
     check_bits(bits)
     basis = sys.word_basis
     ones = sum(bits)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._words import MAX_SWEEP_DEPTH
-from .analysis import ABSOLUTELY_CONTINUOUS, classify
 from .errors import DomainError
 from .numerics import Scalar
 from .solution import dyadic_value_table, inverse_evaluate
@@ -37,18 +36,32 @@ from .system import DeRhamSystem
 _MAX_EXACT_CHECK_DEPTH = 16
 _MAX_FLOAT_CHECK_DEPTH = 18
 
-#: Deepest exact doubling-map quadrature when alpha < beta: the cell terms
-#: then have distinct denominators, and their exact sums grow with the
-#: cells per interval.  As CLI runs of exact walk:1 at --shift-depth 1 on a
-#: 2-core Xeon, quad depth 14 took 6.9 s and 15 took 29 s.  Affine pairs
-#: (alpha = beta) have constant derivative terms and are not capped here.
+#: Smallest tol of a float stationarity check: below it the float
+#: inversions halve their step down to underflow, about 1075 levels
+#: instead of about 37, for the same residual bits.  On walk:0.5 at
+#: depth 10 (2-core Xeon), tol 1e-11 took 0.09 s and tol 0 took 2.26 s.
+_MIN_FLOAT_CHECK_TOL = 2.0**-53
+
+#: Deepest exact doubling-map quadrature of a non-affine pair: the cell
+#: terms then have distinct denominators, and their exact sums grow with
+#: the cells per interval.  As CLI runs of exact walk:1 at --shift-depth 1
+#: on a 2-core Xeon, quad depth 14 took 6.9 s and 15 took 29 s.
 _MAX_EXACT_QUAD_DEPTH = 14
+
+#: Deepest exact doubling-map quadrature of an affine pair (c0 = c1 = 0):
+#: its derivative terms are constant, but each exact cell still costs
+#: about 20 us.  As CLI runs of exact lebesgue:1/3 at --shift-depth 1 on a
+#: 2-core Xeon, quad depth 16 took 1.3 s, 18 took 6.7 s and 20 took 24 s.
+_MAX_EXACT_AFFINE_QUAD_DEPTH = 18
 
 
 @dataclass(frozen=True)
 class StationarityReport:
     """Maximum residuals of the halving recursion and the mass identity,
-    plus the structural transfer of the classification verdict."""
+    plus the transfer of the classification verdict to g = f^-1, always
+    True: g is singular exactly when f is, as the absolutely continuous
+    f of this family have positive densities
+    (1 + 2*c0)/(-2*c0*x + 1 + 2*c0)**2."""
 
     depth: int
     max_residual_recursion: Scalar
@@ -70,13 +83,16 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     """Exhaustive residuals over every address down to `depth`.
 
     For each address, compares mu_g of its value interval with 2**-k and
-    with half the mu_g-mass of the digit-shifted parent interval.  In
-    exact mode the inverse terminates on the dyadic value grid and both
-    residuals are exactly zero.  In approx mode they are not certified
-    and can exceed tol by orders of magnitude, as inverse_evaluate can
-    miss tol at the table values (walk:0.5, depth 8, tol 1e-11: a mass
-    residual of 2.5e-7).  Exact checks are refused above depth
-    _MAX_EXACT_CHECK_DEPTH, float checks above _MAX_FLOAT_CHECK_DEPTH.
+    with half the mu_g-mass of the digit-shifted parent interval, all
+    read off one table of g at the depth's values.  In exact mode the
+    inverse terminates on the dyadic value grid and both residuals are
+    exactly zero.  In approx mode they are not certified and can exceed
+    tol by orders of magnitude, as inverse_evaluate can miss tol at the
+    table values (walk:0.5, depth 8, tol 1e-11: a mass residual of
+    2.5e-7).  Exact checks are refused above depth _MAX_EXACT_CHECK_DEPTH,
+    float checks above _MAX_FLOAT_CHECK_DEPTH and below tol
+    _MIN_FLOAT_CHECK_TOL.  verdict_transfer is always True; see
+    StationarityReport.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -92,41 +108,29 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
         )
     if not tol >= 0:
         raise DomainError("tol must be >= 0")
-    values = dyadic_value_table(sys, depth)
-    half_tol = tol / 2
-    g_at = [inverse_evaluate(sys, v, half_tol) for v in values]
-
-    def mass(k: int, j: int) -> Scalar:
-        # mu_g of the value interval of address j at depth k.
-        stride = 1 << (depth - k)
-        return g_at[(j + 1) * stride] - g_at[j * stride]
-
-    zero = sys.zero()
-    max_mass = zero
-    max_rec = zero
+    if not sys.exact and tol < _MIN_FLOAT_CHECK_TOL:
+        raise DomainError(
+            f"tol = {tol!r} is below 2**-53, the floor for float stationarity "
+            "checks (smaller tols cost more and give the same residuals); "
+            "use a larger tol (--tol)"
+        )
+    g = [inverse_evaluate(sys, v, tol / 2) for v in dyadic_value_table(sys, depth)]
+    max_mass = max_rec = sys.zero()
+    parent = [g[-1] - g[0]]  # the depth-0 interval is all of [0, 1]
     for k in range(1, depth + 1):
+        stride = 1 << (depth - k)
+        level = [b - a for a, b in zip(g[::stride], g[stride::stride])]
         cell = sys.one() / 2**k
-        for j in range(1 << k):
-            m = mass(k, j)
-            max_mass = max(max_mass, abs(m - cell))
-            # Drop the leading digit: the image interval halves in mass.
-            j_shift = j - (1 << (k - 1)) if j >= 1 << (k - 1) else j
-            parent = (
-                mass(k - 1, j_shift)
-                if k > 1
-                else g_at[-1] - g_at[0]  # depth-0 interval is all of [0, 1]
-            )
-            max_rec = max(max_rec, abs(m - parent / 2))
-
-    report = classify(sys)
-    transfer = (report.verdict != ABSOLUTELY_CONTINUOUS) == (
-        not (report.ac_condition_0 and report.ac_condition_1)
-    )
+        max_mass = max(max_mass, max(abs(m - cell) for m in level))
+        # Dropping the leading digit maps address j to j mod 2**(k-1),
+        # and the image interval halves in mass.
+        max_rec = max(max_rec, max(abs(m - p / 2) for m, p in zip(level, parent * 2)))
+        parent = level
     return StationarityReport(
         depth=depth,
         max_residual_recursion=max_rec,
         max_residual_mass=max_mass,
-        verdict_transfer=transfer,
+        verdict_transfer=True,
     )
 
 
@@ -138,11 +142,12 @@ def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
         raise DomainError("quad_depth must exceed depth")
     if quad_depth > MAX_SWEEP_DEPTH:
         raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
-    if sys.exact and sys.alpha < sys.beta and quad_depth > _MAX_EXACT_QUAD_DEPTH:
+    cap = _MAX_EXACT_AFFINE_QUAD_DEPTH if sys.affine else _MAX_EXACT_QUAD_DEPTH
+    if sys.exact and quad_depth > cap:
+        pairs = "affine" if sys.affine else "non-affine"
         raise DomainError(
-            f"quad_depth = {quad_depth} exceeds {_MAX_EXACT_QUAD_DEPTH}, the cap for exact "
-            "quadrature when alpha < beta (its sums' denominators grow with the cells); "
-            "use --mode approx (force_approx) or a smaller quad_depth"
+            f"quad_depth = {quad_depth} exceeds {cap}, the cap for exact quadrature of "
+            f"{pairs} pairs; use --mode approx (force_approx) or a smaller quad_depth"
         )
 
 
@@ -157,7 +162,8 @@ def doubling_map_change_of_measure(
     (A0' + A1') at f(cell midpoint) times the exact cell mass over the
     cells of A at `quad_depth`; the residual is pure quadrature error,
     shrinking like 2**-quad_depth.  quad_depth is capped at 22 (4M cells),
-    and at _MAX_EXACT_QUAD_DEPTH for exact systems with alpha < beta.
+    and for exact systems at _MAX_EXACT_QUAD_DEPTH, or at
+    _MAX_EXACT_AFFINE_QUAD_DEPTH for affine pairs.
     """
     _check_quadrature(sys, depth, quad_depth)
     basis = sys.word_basis
@@ -198,8 +204,6 @@ def doubling_map_change_of_measure(
     for block in basis.blocks(depth + 1):
         level = basis.masses(block)
         masses += level if sys.exact else level.tolist()
-    residual = zero
-    for j in range(n_intervals):
-        lhs = zero + masses[j] + masses[n_intervals + j]
-        residual = max(residual, abs(lhs - rhs[j]))
-    return residual
+    return max(
+        (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)), default=zero
+    )

@@ -64,6 +64,18 @@ class DeRhamSystem:
     def exact(self) -> bool:
         return self.mode == EXACT
 
+    @property
+    def affine(self) -> bool:
+        """Whether c0 = c1 = 0, so both transposed maps fix the state 0.
+
+        Tested on the entries, not as alpha == beta: a float c1 of -5e-324
+        over b1 > 2 underflows to alpha = beta = 0.0, yet its digit-1 step
+        takes the state 0.0 to -0.0.  Admissibility makes a_i and d_i
+        positive here, so a float state stays +0.0 even for c_i = -0.0.
+        For exact systems the two tests agree.
+        """
+        return self.A0.entries[2] == 0 and self.A1.entries[2] == 0
+
     @cached_property
     def tA0(self) -> MoebiusMatrix:
         return transpose(self.A0)

@@ -454,6 +454,27 @@ class TestStationaryCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: DomainError: depth = 17 exceeds 16, ")
 
+    def test_affine_quad_depth_and_float_tol_refused_before_sweeping(self, capsys, monkeypatch):
+        from derham_lft import stationary
+        from derham_lft._words import WordBasis
+
+        def no_sweep(*args):
+            raise AssertionError("swept a table")
+
+        monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        code, out, err = run_cli(
+            capsys, "stationary", "--preset", "lebesgue:1/3", "--quad-depth", "19"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DomainError: quad_depth = 19 exceeds 18, ")
+        assert "--mode approx" in err
+        for argv in (("--preset", "walk:0.5"), ("--preset", "walk:1", "--mode", "approx")):
+            code, out, err = run_cli(capsys, "stationary", *argv, "--tol", "0")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: DomainError: tol = 0.0 is below 2**-53, ")
+            assert "--tol" in err
+
     def test_exact_depth_above_cap_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "17")
         assert code == 1
@@ -502,7 +523,7 @@ class TestImports:
         (["plot", "--preset", "walk:1", "--depth", "6", "--mode", "approx"], COMMON | {"solution"}),
         (
             ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],
-            COMMON | {"analysis", "solution", "stationary"},
+            COMMON | {"solution", "stationary"},
         ),
         (["sample", "--preset", "lebesgue:1/4", "-n", "100"], COMMON | {"measure", "_kernels"}),
     )

@@ -127,6 +127,14 @@ class TestAffineClosedForm:
         path = sample_path(force_approx(lebesgue_system(Fraction(1, 3))), 1000, seed=2)
         assert not path.states.any()
 
+    def test_affine_flag(self, walk1, walk05):
+        for p in (Fraction(1, 3), Fraction(1, 2)):
+            system = lebesgue_system(p)
+            assert system.affine and force_approx(system).affine
+        assert validate(*NEG_ZERO_C1).affine
+        for system in (walk1, force_approx(walk1), walk05, validate(*TINY_C1)):
+            assert not system.affine
+
     def test_underflowed_interval_is_not_affine(self):
         system = validate(*TINY_C1)
         assert system.alpha == system.beta == 0.0

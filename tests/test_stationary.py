@@ -7,18 +7,57 @@ from derham_lft import (
     DomainError,
     doubling_map_change_of_measure,
     dyadic_enclosure,
+    dyadic_value_table,
     force_approx,
     interval_measure,
+    inverse_evaluate,
     inverse_measure_interval,
     lebesgue_system,
     stationarity_check,
     walk_system,
 )
+from helpers import random_valid_system
 
 
 def g_walk1(y):
     # Inverse of 2x/(x+1).
     return y / (2 - y)
+
+
+def nested_residuals(system, depth, tol):
+    """(recursion, mass) residuals by the per-address loop: mu_g of
+    address j at level k against 2**-k and against half the mass of
+    address j mod 2**(k-1) at level k - 1."""
+    g_at = [inverse_evaluate(system, v, tol / 2) for v in dyadic_value_table(system, depth)]
+
+    def mass(k, j):
+        stride = 1 << (depth - k)
+        return g_at[(j + 1) * stride] - g_at[j * stride]
+
+    max_mass = max_rec = system.zero()
+    for k in range(1, depth + 1):
+        cell = system.one() / 2**k
+        for j in range(1 << k):
+            m = mass(k, j)
+            max_mass = max(max_mass, abs(m - cell))
+            j_shift = j - (1 << (k - 1)) if j >= 1 << (k - 1) else j
+            parent = mass(k - 1, j_shift) if k > 1 else g_at[-1] - g_at[0]
+            max_rec = max(max_rec, abs(m - parent / 2))
+    return max_rec, max_mass
+
+
+def _exact_systems():
+    rng = random.Random(1205)
+    return [lebesgue_system(Fraction(1, 3)), walk_system(1)] + [
+        random_valid_system(rng) for _ in range(3)
+    ]
+
+
+def _same(got, want):
+    """Equal values of the same type, with the same float bits."""
+    if type(got) is float:
+        return type(want) is float and got.hex() == want.hex()
+    return type(got) is type(want) and got == want
 
 
 class TestInverseMeasure:
@@ -88,6 +127,40 @@ class TestStationarityCheck:
         for depth in (0, 21):
             with pytest.raises(DomainError):
                 stationarity_check(walk1, depth, 1e-11)
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_level_pass_equals_nested_loop(self, index):
+        exact = _exact_systems()
+        systems = exact + [walk_system(0.5)] + [force_approx(s) for s in exact]
+        system = systems[index]
+        for depth in range(1, 11):
+            report = stationarity_check(system, depth, 1e-11)
+            rec, mass = nested_residuals(system, depth, 1e-11)
+            assert _same(report.max_residual_recursion, rec), depth
+            assert _same(report.max_residual_mass, mass), depth
+            assert report.verdict_transfer is True
+
+    def test_float_tol_floor_refused_before_sweeping(self, walk1, walk05, monkeypatch):
+        from derham_lft import stationary
+
+        class Swept(Exception):
+            pass
+
+        def no_sweep(sys, depth):
+            raise Swept(depth)
+
+        assert stationary._MIN_FLOAT_CHECK_TOL == 2.0**-53
+        monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        below = float.fromhex("0x1.fffffffffffffp-54")
+        for system in (walk05, force_approx(walk1)):
+            for tol in (below, 1e-30, 0.0):
+                with pytest.raises(DomainError, match="below 2\\*\\*-53, .*--tol"):
+                    stationarity_check(system, 4, tol)
+            with pytest.raises(Swept):  # at the floor: checked, then swept
+                stationarity_check(system, 4, 2.0**-53)
+        # Exact inversions stop on the grid, so exact checks take tol 0.
+        with pytest.raises(Swept):
+            stationarity_check(walk1, 4, 0.0)
 
     def test_depth_caps_refused_before_sweeping(self, walk1, monkeypatch):
         from derham_lft import stationary
@@ -174,13 +247,37 @@ class TestDoublingChangeOfMeasure:
                 doubling_map_change_of_measure(walk1, 3, cap + 1)
             with pytest.raises(Swept):  # at the cap: checked, then swept
                 doubling_map_change_of_measure(walk1, 3, cap)
-            # Float systems and affine pairs (alpha = beta) are not capped.
+            # Float systems are not capped, and affine pairs have their own cap.
             for system in (force_approx(walk1), leb13):
                 with pytest.raises(Swept):
                     doubling_map_change_of_measure(system, 3, cap + 1)
         # The cap of every mode is checked first, with its message.
         with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):
             doubling_map_change_of_measure(walk1, 4, 23)
+
+    def test_exact_affine_quad_depth_cap_refused_before_sweeping(self, leb13, monkeypatch):
+        from derham_lft import stationary
+        from derham_lft._words import WordBasis
+
+        class Swept(Exception):
+            pass
+
+        def no_sweep(basis, depth):
+            raise Swept(depth)
+
+        assert stationary._MAX_EXACT_AFFINE_QUAD_DEPTH == 18
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        for cap in (18, 6):
+            monkeypatch.setattr(stationary, "_MAX_EXACT_AFFINE_QUAD_DEPTH", cap)
+            refused = f"quad_depth = {cap + 1} exceeds {cap}, .*affine.*--mode approx"
+            with pytest.raises(DomainError, match=refused):
+                doubling_map_change_of_measure(leb13, 3, cap + 1)
+            with pytest.raises(Swept):  # at the cap: checked, then swept
+                doubling_map_change_of_measure(leb13, 3, cap)
+            with pytest.raises(Swept):  # float affine pairs are not capped
+                doubling_map_change_of_measure(force_approx(leb13), 3, cap + 1)
+        with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):
+            doubling_map_change_of_measure(leb13, 4, 23)
 
 
 class TestVerdictTransfer:
