@@ -18,12 +18,11 @@ strictly below log 2 and yields a dimension bound strictly below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import ConditionHoldsError, DomainError
-from .numerics import Scalar, apply_mobius
+from .numerics import Scalar, _Record, apply_mobius
 from .solution import normal_form
 from .system import DeRhamSystem, ac_conditions, binary_entropy, prob_digit0
 
@@ -37,19 +36,34 @@ ABSOLUTELY_CONTINUOUS = "absolutely_continuous"
 _RADIUS_MARGIN = Fraction(2**20 - 1, 2**20)
 
 
-@dataclass(frozen=True)
-class DimensionBounds:
+class DimensionBounds(_Record):
     """Entropy-rate extrema (nats) and the induced dimension bounds."""
 
+    _fields = ("entropy_max", "entropy_min", "dim_upper", "dim_lower", "argmax_location")
     entropy_max: float
     entropy_min: float
     dim_upper: float
     dim_lower: float
     argmax_location: Scalar
 
+    def __init__(
+        self,
+        entropy_max: float,
+        entropy_min: float,
+        dim_upper: float,
+        dim_lower: float,
+        argmax_location: Scalar,
+    ):
+        self.__dict__.update(
+            entropy_max=entropy_max,
+            entropy_min=entropy_min,
+            dim_upper=dim_upper,
+            dim_lower=dim_lower,
+            argmax_location=argmax_location,
+        )
 
-@dataclass(frozen=True)
-class ClassificationReport:
+
+class ClassificationReport(_Record):
     """Outcome of the exact dichotomy.
 
     verdict is "absolutely_continuous" exactly when both identities
@@ -58,13 +72,36 @@ class ClassificationReport:
     is the one failing, the quantitative defect bound (< 1).
     """
 
+    _fields = (
+        "ac_condition_0", "ac_condition_1", "verdict", "exactness", "c0", "bounds", "defect_bound"
+    )
     ac_condition_0: bool
     ac_condition_1: bool
     verdict: str
     exactness: str
-    c0: Optional[Scalar] = None
-    bounds: Optional[DimensionBounds] = None
-    defect_bound: Optional[float] = None
+    c0: Optional[Scalar]
+    bounds: Optional[DimensionBounds]
+    defect_bound: Optional[float]
+
+    def __init__(
+        self,
+        ac_condition_0: bool,
+        ac_condition_1: bool,
+        verdict: str,
+        exactness: str,
+        c0: Optional[Scalar] = None,
+        bounds: Optional[DimensionBounds] = None,
+        defect_bound: Optional[float] = None,
+    ):
+        self.__dict__.update(
+            ac_condition_0=ac_condition_0,
+            ac_condition_1=ac_condition_1,
+            verdict=verdict,
+            exactness=exactness,
+            c0=c0,
+            bounds=bounds,
+            defect_bound=defect_bound,
+        )
 
 
 def dimension_bounds(sys: DeRhamSystem) -> DimensionBounds:

@@ -35,7 +35,6 @@ formed in numpy blocks (``_exact_sum``) and rounded once, so it equals
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from math import fsum
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from . import _kernels
 from ._words import Bits, check_bits
 from .errors import DomainError
-from .numerics import MoebiusMatrix, Scalar
+from .numerics import MoebiusMatrix, Scalar, _Record
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
 if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
@@ -68,14 +67,18 @@ _MAX_EXACT_GROWING_STEPS = 20_000
 _MAX_STEPS = 1 << 25
 
 
-@dataclass(frozen=True)
-class MeasureNode:
-    """Per-address interval mass and ratio state; `word` is formed on read."""
+class MeasureNode(_Record):
+    """Per-address interval mass and ratio state; `word` is formed on read.
+    `system` is not a field: equality, hash and repr leave it out."""
 
+    _fields = ("bits", "mass", "state")
     bits: Bits
     mass: Scalar
     state: Scalar
-    system: DeRhamSystem = field(repr=False, compare=False)
+    system: DeRhamSystem
+
+    def __init__(self, bits: Bits, mass: Scalar, state: Scalar, system: DeRhamSystem):
+        self.__dict__.update(bits=bits, mass=mass, state=state, system=system)
 
     @property
     def word(self) -> MoebiusMatrix:
@@ -159,17 +162,20 @@ def _walk(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
             stack += ((bits + (1,), word), (bits + (0,), word))
 
 
-@dataclass(frozen=True)
-class SamplePath:
+class SamplePath(_Record):
     """A sampled digit string with the ratio states that produced it.
 
     states[n] is the state before digit n+1 was drawn (states[0] = 0);
     exact systems keep Fraction states, float systems a float64 array.
     """
 
+    _fields = ("digits", "states", "seed")
     digits: np.ndarray
     states: Sequence[Scalar]
     seed: int
+
+    def __init__(self, digits: np.ndarray, states: Sequence[Scalar], seed: int):
+        self.__dict__.update(digits=digits, states=states, seed=seed)
 
     def __len__(self) -> int:
         return int(self.digits.shape[0])

@@ -20,7 +20,6 @@ which is invariant under scaling the matrix by any positive constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -51,18 +50,52 @@ def _coerce(x: Scalar) -> Scalar:
     raise TypeError(f"unsupported scalar type {type(x).__name__!r}")
 
 
-@dataclass(frozen=True)
-class MoebiusMatrix:
+class _Record:
+    """A frozen record over the attribute names in ``_fields``.
+
+    Equality (same class, equal field tuples), hash and repr read the
+    fields in order; assigning or deleting any attribute raises
+    AttributeError.  A subclass's ``__init__`` stores its attributes with
+    ``self.__dict__.update``.  Instances keep a ``__dict__``, so
+    ``functools.cached_property`` caches into it, and ``copy`` and
+    ``pickle`` restore it without calling ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MoebiusMatrix(_Record):
     """A real 2x2 matrix ((a, b), (c, d)) acting by z -> (a*z+b)/(c*z+d)."""
 
+    _fields = ("a", "b", "c", "d")
     a: Scalar
     b: Scalar
     c: Scalar
     d: Scalar
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _coerce(getattr(self, name)))
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
+        self.__dict__.update(a=_coerce(a), b=_coerce(b), c=_coerce(c), d=_coerce(d))
 
     @property
     def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:

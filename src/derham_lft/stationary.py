@@ -19,11 +19,12 @@ masses, so the only error is the integrand's variation within a cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 
-from ._words import MAX_SWEEP_DEPTH
-from .errors import DomainError
-from .numerics import Scalar
+from ._words import MAX_SWEEP_DEPTH, WordBasis
+from .errors import DomainError, PoleError
+from .numerics import Scalar, _Record, mobius_derivative
 from .solution import dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
@@ -45,28 +46,40 @@ _MIN_FLOAT_CHECK_TOL = 2.0**-53
 #: Deepest exact doubling-map quadrature of a non-affine pair: the cell
 #: terms then have distinct denominators, and their exact sums grow with
 #: the cells per interval.  As CLI runs of exact walk:1 at --shift-depth 1
-#: on a 2-core Xeon, quad depth 14 took 6.9 s and 15 took 29 s.
+#: on a 2-core Xeon, quad depth 14 took 0.8 s, 15 took 2.0 s and 16 took
+#: 6.7 s (14 took 6.7 s when each cell was added to a running sum).  Larger
+#: integer entries cost more: a random exact pair with 5- and 6-digit
+#: entries took 9.5 s at quad depth 12 in process.  Exact affine pairs are
+#: answered in closed form and capped only at MAX_SWEEP_DEPTH.
 _MAX_EXACT_QUAD_DEPTH = 14
 
-#: Deepest exact doubling-map quadrature of an affine pair (c0 = c1 = 0):
-#: its derivative terms are constant, but each exact cell still costs
-#: about 20 us.  As CLI runs of exact lebesgue:1/3 at --shift-depth 1 on a
-#: 2-core Xeon, quad depth 16 took 1.3 s, 18 took 6.7 s and 20 took 24 s.
-_MAX_EXACT_AFFINE_QUAD_DEPTH = 18
 
-
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(_Record):
     """Maximum residuals of the halving recursion and the mass identity,
     plus the transfer of the classification verdict to g = f^-1, always
     True: g is singular exactly when f is, as the absolutely continuous
     f of this family have positive densities
     (1 + 2*c0)/(-2*c0*x + 1 + 2*c0)**2."""
 
+    _fields = ("depth", "max_residual_recursion", "max_residual_mass", "verdict_transfer")
     depth: int
     max_residual_recursion: Scalar
     max_residual_mass: Scalar
     verdict_transfer: bool
+
+    def __init__(
+        self,
+        depth: int,
+        max_residual_recursion: Scalar,
+        max_residual_mass: Scalar,
+        verdict_transfer: bool,
+    ):
+        self.__dict__.update(
+            depth=depth,
+            max_residual_recursion=max_residual_recursion,
+            max_residual_mass=max_residual_mass,
+            verdict_transfer=verdict_transfer,
+        )
 
 
 def inverse_measure_interval(
@@ -142,13 +155,33 @@ def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
         raise DomainError("quad_depth must exceed depth")
     if quad_depth > MAX_SWEEP_DEPTH:
         raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
-    cap = _MAX_EXACT_AFFINE_QUAD_DEPTH if sys.affine else _MAX_EXACT_QUAD_DEPTH
-    if sys.exact and quad_depth > cap:
-        pairs = "affine" if sys.affine else "non-affine"
+    if sys.exact and not sys.affine and quad_depth > _MAX_EXACT_QUAD_DEPTH:
         raise DomainError(
-            f"quad_depth = {quad_depth} exceeds {cap}, the cap for exact quadrature of "
-            f"{pairs} pairs; use --mode approx (force_approx) or a smaller quad_depth"
+            f"quad_depth = {quad_depth} exceeds {_MAX_EXACT_QUAD_DEPTH}, the cap for exact "
+            "quadrature of non-affine pairs; use --mode approx (force_approx) or a smaller "
+            "quad_depth"
         )
+
+
+def _exact_terms(basis: WordBasis, level: list, split: Fraction) -> list:
+    """(A0' + A1')(z) * mass of every integer word of the level, one
+    Fraction per word, with z the word's value at split: the terms of
+    ``WordBasis.values``, ``derivatives`` and ``masses`` on a common
+    denominator, with their zero-denominator PoleError checks."""
+    p, q = split.numerator, split.denominator
+    (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
+    det0, det1 = basis.dets
+    terms = []
+    for a, b, c, d in level:
+        zn, zd = a * p + b * q, c * p + d * q  # z = zn/zd
+        den0, den1 = c0 * zn + d0 * zd, c1 * zn + d1 * zd  # A_i'(z) = det_i*zd**2/den_i**2
+        if not (zd and den0 and den1):
+            raise PoleError("exact denominator c*z + d is zero")
+        sq0, sq1 = den0 * den0, den1 * den1
+        # (A0' + A1')(z) times the mass (a*d - b*c)/(d*(c + d)).
+        top = zd * zd * (det0 * sq1 + det1 * sq0) * (a * d - b * c)
+        terms.append(Fraction(top, sq0 * sq1 * d * (c + d)))
+    return terms
 
 
 def doubling_map_change_of_measure(
@@ -162,24 +195,44 @@ def doubling_map_change_of_measure(
     (A0' + A1') at f(cell midpoint) times the exact cell mass over the
     cells of A at `quad_depth`; the residual is pure quadrature error,
     shrinking like 2**-quad_depth.  quad_depth is capped at 22 (4M cells),
-    and for exact systems at _MAX_EXACT_QUAD_DEPTH, or at
-    _MAX_EXACT_AFFINE_QUAD_DEPTH for affine pairs.
+    and for exact non-affine pairs at _MAX_EXACT_QUAD_DEPTH.
+
+    Exact mode forms each cell's term as one Fraction from the integer
+    word and sums each interval's cells in a balanced tree, which equals
+    the left-to-right sum in value and type.  For exact affine pairs
+    (c0 = c1 = 0) the integrand is the constant det0/d0**2 + det1/d1**2,
+    so the right side is that constant times the mass of A, with no cells
+    swept.  Float mode sums each interval's cells left to right.
     """
     _check_quadrature(sys, depth, quad_depth)
     basis = sys.word_basis
     n_intervals = 1 << depth
     shift = quad_depth - depth
     split = sys.split_value  # f at the midpoint of any cell = word(split)
-    zero = sys.zero()
-    if sys.exact:
-        rhs = [zero] * n_intervals
-        index = 0
+
+    # Preimage masses: the addresses 0A and 1A lie 2**depth apart at depth + 1.
+    masses: list = []
+    for block in basis.blocks(depth + 1):
+        level = basis.masses(block)
+        masses += level if sys.exact else level.tolist()
+
+    if sys.exact and sys.affine:
+        # A0' + A1' is the constant det0/d0**2 + det1/d1**2, so the sum over
+        # A's cells is that constant times the mass of A, that of its two
+        # children 2j and 2j + 1.
+        slope = mobius_derivative(sys.A0, 0) + mobius_derivative(sys.A1, 0)
+        rhs = [slope * (a + b) for a, b in zip(masses[::2], masses[1::2])]
+    elif sys.exact:
+        # Each interval sums its 2**shift cells in a balanced tree; a block
+        # holds whole intervals, or a part of one when 2**shift is wider.
+        rhs = []
         for block in basis.blocks(quad_depth):
-            z = basis.values(block, split)
-            cells = zip(basis.derivatives(0, z), basis.derivatives(1, z), basis.masses(block))
-            for w0, w1, mass in cells:
-                rhs[index >> shift] += (w0 + w1) * mass
-                index += 1
+            terms = _exact_terms(basis, block, split)
+            while len(terms) > max(len(block) >> shift, 1):
+                terms = list(map(add, terms[::2], terms[1::2]))
+            rhs += terms
+        while len(rhs) > n_intervals:
+            rhs = list(map(add, rhs[::2], rhs[1::2]))
     else:
         import numpy as np
 
@@ -199,11 +252,7 @@ def doubling_map_change_of_measure(
             start += len(terms)
         rhs = acc.tolist()
 
-    # Preimage masses: the addresses 0A and 1A lie 2**depth apart at depth + 1.
-    masses: list = []
-    for block in basis.blocks(depth + 1):
-        level = basis.masses(block)
-        masses += level if sys.exact else level.tolist()
     return max(
-        (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)), default=zero
+        (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)),
+        default=sys.zero(),
     )

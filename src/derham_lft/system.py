@@ -28,13 +28,12 @@ induced measure is 0, given ratio state t, is (t + 1)/(t + gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from ._words import WordBasis
 from .errors import DomainError, ValidationError
-from .numerics import MoebiusMatrix, Scalar, apply_mobius, is_exact, transpose
+from .numerics import MoebiusMatrix, Scalar, _Record, apply_mobius, is_exact, transpose
 
 EXACT = "exact"
 APPROX = "approx"
@@ -49,16 +48,27 @@ A1_ATOL = 1e-9
 FIXED_POINT_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DeRhamSystem:
+class DeRhamSystem(_Record):
     """A validated matrix pair with its cached derived constants."""
 
+    _fields = ("A0", "A1", "alpha", "beta", "gamma", "mode")
     A0: MoebiusMatrix
     A1: MoebiusMatrix
     alpha: Scalar
     beta: Scalar
     gamma: Scalar
     mode: str
+
+    def __init__(
+        self,
+        A0: MoebiusMatrix,
+        A1: MoebiusMatrix,
+        alpha: Scalar,
+        beta: Scalar,
+        gamma: Scalar,
+        mode: str,
+    ):
+        self.__dict__.update(A0=A0, A1=A1, alpha=alpha, beta=beta, gamma=gamma, mode=mode)
 
     @property
     def exact(self) -> bool:

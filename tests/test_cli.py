@@ -464,16 +464,25 @@ class TestStationaryCommand:
         monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
         monkeypatch.setattr(WordBasis, "blocks", no_sweep)
         code, out, err = run_cli(
-            capsys, "stationary", "--preset", "lebesgue:1/3", "--quad-depth", "19"
+            capsys, "stationary", "--preset", "lebesgue:1/3", "--quad-depth", "23"
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: DomainError: quad_depth = 19 exceeds 18, ")
-        assert "--mode approx" in err
+        assert err == "error: DomainError: quad_depth = 23 exceeds the cap of 22\n"
         for argv in (("--preset", "walk:0.5"), ("--preset", "walk:1", "--mode", "approx")):
             code, out, err = run_cli(capsys, "stationary", *argv, "--tol", "0")
             assert (code, out) == (1, "")
             assert err.startswith("error: DomainError: tol = 0.0 is below 2**-53, ")
             assert "--tol" in err
+
+    def test_exact_affine_quadrature_at_quad_depth_22(self, capsys):
+        # The closed form sweeps no cells, so the deepest quad depth runs.
+        code, out, err = run_cli(
+            capsys, "stationary", "--preset", "lebesgue:1/3",
+            "--depth", "1", "--shift-depth", "1", "--quad-depth", "22",
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["quad_depth"], doc["doubling_residual"]) == (22, 0.0)
 
     def test_exact_depth_above_cap_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "17")
@@ -542,6 +551,33 @@ class TestImports:
         )
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert set(run.stdout.split()) == {f"derham_lft.{m}" for m in modules}
+
+    NO_INSPECT = (
+        ["--version"],
+        ["validate", "--preset", "walk:1"],
+        ["classify", "--preset", "lebesgue:1/3"],
+        ["dimension", "--preset", "walk:1"],
+        ["plot", "--preset", "walk:1", "--depth", "6"],
+        ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],
+    )
+
+    @pytest.mark.parametrize("argv", NO_INSPECT, ids=[" ".join(a) for a in NO_INSPECT])
+    def test_exact_commands_skip_dataclasses_and_inspect(self, argv):
+        # Diffed against the modules loaded before the package, so that a
+        # site hook that preloads either module cannot fail the test.
+        code = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from derham_lft.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        assert main({argv!r}) == 0\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0\n"
+            "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout.split() == []
 
 
 class TestRoundTrip:

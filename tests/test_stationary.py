@@ -5,6 +5,7 @@ import pytest
 
 from derham_lft import (
     DomainError,
+    MoebiusMatrix,
     doubling_map_change_of_measure,
     dyadic_enclosure,
     dyadic_value_table,
@@ -14,6 +15,7 @@ from derham_lft import (
     inverse_measure_interval,
     lebesgue_system,
     stationarity_check,
+    validate,
     walk_system,
 )
 from helpers import random_valid_system
@@ -51,6 +53,47 @@ def _exact_systems():
     return [lebesgue_system(Fraction(1, 3)), walk_system(1)] + [
         random_valid_system(rng) for _ in range(3)
     ]
+
+
+def running_sum_residual(system, depth, quad_depth):
+    """The exact doubling-map residual with each interval's right side
+    summed one cell at a time, left to right."""
+    basis = system.word_basis
+    n_intervals, shift = 1 << depth, quad_depth - depth
+    rhs = [system.zero()] * n_intervals
+    index = 0
+    for block in basis.blocks(quad_depth):
+        z = basis.values(block, system.split_value)
+        cells = zip(basis.derivatives(0, z), basis.derivatives(1, z), basis.masses(block))
+        for w0, w1, mass in cells:
+            rhs[index >> shift] += (w0 + w1) * mass
+            index += 1
+    masses = []
+    for block in basis.blocks(depth + 1):
+        masses += basis.masses(block)
+    return max(
+        (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)),
+        default=system.zero(),
+    )
+
+
+def _quadrature_systems():
+    rng = random.Random(1301)
+    return [
+        walk_system(1),
+        walk_system(Fraction(3, 7)),
+        lebesgue_system(Fraction(1, 3)),
+        lebesgue_system(Fraction(1, 4)),
+    ] + [random_valid_system(rng) for _ in range(8)]
+
+
+def random_affine_system(rng):
+    """An exact affine pair: A0 = ((p, 0), (0, 1)), A1 = ((1 - p, p), (0, 1)),
+    both scaled by random positive rationals."""
+    p = Fraction(rng.randint(1, 30), 31)
+    a0 = MoebiusMatrix(p, 0, 0, 1).scaled(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    a1 = MoebiusMatrix(1 - p, p, 0, 1).scaled(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    return validate(a0, a1)
 
 
 def _same(got, want):
@@ -247,7 +290,7 @@ class TestDoublingChangeOfMeasure:
                 doubling_map_change_of_measure(walk1, 3, cap + 1)
             with pytest.raises(Swept):  # at the cap: checked, then swept
                 doubling_map_change_of_measure(walk1, 3, cap)
-            # Float systems are not capped, and affine pairs have their own cap.
+            # Float systems and exact affine pairs are not capped.
             for system in (force_approx(walk1), leb13):
                 with pytest.raises(Swept):
                     doubling_map_change_of_measure(system, 3, cap + 1)
@@ -255,29 +298,75 @@ class TestDoublingChangeOfMeasure:
         with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):
             doubling_map_change_of_measure(walk1, 4, 23)
 
-    def test_exact_affine_quad_depth_cap_refused_before_sweeping(self, leb13, monkeypatch):
-        from derham_lft import stationary
+    @pytest.mark.parametrize("index", range(12))
+    def test_exact_quadrature_equals_running_sum(self, index):
+        system = _quadrature_systems()[index]
+        for depth, quad_depth in ((1, 6), (3, 9), (4, 11), (2, 10), (5, 8)):
+            got = doubling_map_change_of_measure(system, depth, quad_depth)
+            want = running_sum_residual(system, depth, quad_depth)
+            assert type(got) is type(want) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_exact_quadrature_sums_across_blocks(self, walk1, monkeypatch):
+        # With 2**3-row blocks an interval's cells span several blocks.
+        from derham_lft import _words
+
+        want = [running_sum_residual(walk1, d, 9) for d in (1, 4, 6, 8)]
+        monkeypatch.setattr(_words, "BLOCK_LEVELS", 3)
+        assert [doubling_map_change_of_measure(walk1, d, 9) for d in (1, 4, 6, 8)] == want
+
+    def test_exact_zero_denominator_raises_pole_error(self, walk1):
+        from derham_lft.errors import PoleError
+        from derham_lft.stationary import _exact_terms
+
+        basis = walk1.word_basis
+        (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
+        # A word whose own map has its pole at the split, and the identity
+        # word with the split at the pole of A0, then of A1.
+        cases = [
+            ((1, 0, 1, 1), Fraction(-1)),
+            (basis.identity, Fraction(-d0, c0)),
+            (basis.identity, Fraction(-d1, c1)),
+        ]
+        for word, split in cases:
+            with pytest.raises(PoleError):  # as the per-cell path raised
+                z = basis.values([word], split)
+                basis.derivatives(0, z)
+                basis.derivatives(1, z)
+            with pytest.raises(PoleError, match="^exact denominator c\\*z \\+ d is zero$"):
+                _exact_terms(basis, [word], split)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_affine_closed_form_equals_cell_sum(self, index):
+        rng = random.Random(1213)
+        systems = [lebesgue_system(Fraction(1, n)) for n in (3, 2, 4)] + [
+            random_affine_system(rng) for _ in range(5)
+        ]
+        system = systems[index]
+        assert system.exact and system.affine
+        for quad_depth in range(2, 13):
+            for depth in sorted({1, quad_depth // 2, quad_depth - 1}):
+                got = doubling_map_change_of_measure(system, depth, quad_depth)
+                want = running_sum_residual(system, depth, quad_depth)
+                assert type(got) is type(want) is Fraction
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_exact_affine_quadrature_sweeps_no_cells(self, leb13, monkeypatch):
         from derham_lft._words import WordBasis
 
-        class Swept(Exception):
-            pass
+        swept = []
+        blocks = WordBasis.blocks
 
-        def no_sweep(basis, depth):
-            raise Swept(depth)
+        def recording(basis, depth):
+            swept.append(depth)
+            return blocks(basis, depth)
 
-        assert stationary._MAX_EXACT_AFFINE_QUAD_DEPTH == 18
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
-        for cap in (18, 6):
-            monkeypatch.setattr(stationary, "_MAX_EXACT_AFFINE_QUAD_DEPTH", cap)
-            refused = f"quad_depth = {cap + 1} exceeds {cap}, .*affine.*--mode approx"
-            with pytest.raises(DomainError, match=refused):
-                doubling_map_change_of_measure(leb13, 3, cap + 1)
-            with pytest.raises(Swept):  # at the cap: checked, then swept
-                doubling_map_change_of_measure(leb13, 3, cap)
-            with pytest.raises(Swept):  # float affine pairs are not capped
-                doubling_map_change_of_measure(force_approx(leb13), 3, cap + 1)
+        monkeypatch.setattr(WordBasis, "blocks", recording)
+        assert doubling_map_change_of_measure(leb13, 1, 22) == 0
+        assert swept == [2]  # the preimage masses only
         with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):
             doubling_map_change_of_measure(leb13, 4, 23)
+        assert swept == [2]
 
 
 class TestVerdictTransfer:
