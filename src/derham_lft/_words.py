@@ -18,7 +18,10 @@ products of dyadic addresses.  This module owns their representation.
   bits equal those of a mat_mul / renormalize fold.
 
 A level is never wider than 2**BLOCK_LEVELS rows: deeper sweeps run one
-block of 2**BLOCK_LEVELS rows under each prefix, in address order.
+block of 2**BLOCK_LEVELS rows under each prefix, in address order.  Per
+row, a level gives map values, masses and the doubling-map quadrature's
+cell terms (`cell_terms`), so no caller unpacks a word or the integer
+factors.
 
 numpy is imported only where float levels are formed, so exact-mode and
 single-path use of the package (and sampling-free imports) never load it.
@@ -203,21 +206,36 @@ class WordBasis:
             raise ZeroDivisionError("float division by zero")
         return (a * d - b * c) / den
 
-    def derivatives(self, digit: int, zs):
-        """Derivative of A_digit at every z, as ``numerics.mobius_derivative``."""
-        _, _, c, d = self.m1 if digit else self.m0
-        det = self.dets[digit]
-        if self.exact:
-            out = []
-            for z in zs:
-                p, q = z.numerator, z.denominator
-                den = c * p + d * q
-                _check_pole(den, c, d)
-                out.append(Fraction(det * q * q, den * den))
-            return out
-        dens = c * zs + d
-        _check_poles(dens, c, d)
-        return det / (dens * dens)
+    def cell_terms(self, level, z: Scalar):
+        """(A0' + A1')(w) * mass of every row, w the row's value at z, as
+        ``numerics.mobius_derivative`` and `masses`: one Fraction per row,
+        formed from the integer word on a common denominator, or a float64
+        array of values x derivatives x masses."""
+        if not self.exact:
+            w = self.values(level, z)
+            slopes = []
+            for (_, _, c, d), det in zip((self.m0, self.m1), self.dets):
+                den = c * w + d
+                _check_poles(den, c, d)
+                slopes.append(det / (den * den))
+            return (slopes[0] + slopes[1]) * self.masses(level)
+        p, q = z.numerator, z.denominator
+        (_, _, c0, d0), (_, _, c1, d1) = self.m0, self.m1
+        det0, det1 = self.dets
+        terms = []
+        for a, b, c, d in level:
+            wn, wd = a * p + b * q, c * p + d * q  # w = wn/wd
+            den0, den1 = c0 * wn + d0 * wd, c1 * wn + d1 * wd  # A_i'(w) = det_i*wd**2/den_i**2
+            if not (wd and den0 and den1):
+                raise PoleError("exact denominator c*z + d is zero")
+            sq0, sq1 = den0 * den0, den1 * den1
+            top = wd * wd * (det0 * sq1 + det1 * sq0) * (a * d - b * c)
+            terms.append(Fraction(top, sq0 * sq1 * d * (c + d)))
+        return terms
+
+    def entry_bits(self) -> int:
+        """Bit length of the largest entry of the integer factors (exact mode)."""
+        return max(abs(e).bit_length() for e in self.m0 + self.m1)
 
 
 def _check_poles(den: np.ndarray, c, d) -> None:

@@ -19,11 +19,10 @@ masses, so the only error is the integrand's variation within a cell.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
-from ._words import MAX_SWEEP_DEPTH, WordBasis
-from .errors import DomainError, PoleError
+from ._words import MAX_SWEEP_DEPTH
+from .errors import DomainError
 from .numerics import Scalar, _Record, mobius_derivative
 from .solution import dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
@@ -43,13 +42,16 @@ _MAX_FLOAT_CHECK_DEPTH = 18
 #: depth 10 (2-core Xeon), tol 1e-11 took 0.09 s and tol 0 took 2.26 s.
 _MIN_FLOAT_CHECK_TOL = 2.0**-53
 
-#: Deepest exact doubling-map quadrature of a non-affine pair: the cell
-#: terms then have distinct denominators, and their exact sums grow with
-#: the cells per interval.  As CLI runs of exact walk:1 at --shift-depth 1
-#: on a 2-core Xeon, quad depth 14 took 0.8 s, 15 took 2.0 s and 16 took
-#: 6.7 s (14 took 6.7 s when each cell was added to a running sum).  Larger
-#: integer entries cost more: a random exact pair with 5- and 6-digit
-#: entries took 9.5 s at quad depth 12 in process.  Exact affine pairs are
+#: Deepest exact doubling-map quadrature of a non-affine pair with entries
+#: of at most 3 bits (walk:1).  Cell terms have distinct denominators, so
+#: exact sums grow with the cells per interval and with the bits of the
+#: pair's largest integer entry: the cap is the largest quad depth q with
+#: bits * 2**q <= 3 * 2**_MAX_EXACT_QUAD_DEPTH.  At --shift-depth 1, in
+#: process on a 2-core Xeon, times at the cap (one level above) were:
+#: 3 bits (walk:1) at 14, 0.53 s (2.0 s as a CLI run); 4 at 13, 1.9 s
+#: (5.7); 6 at 13, 3.7 s (13.0); 7 at 12, 0.30 s (1.1); 13 at 11, 0.96 s
+#: (5.1); 18 at 11, 2.3 s (7.7); 24 at 11, 2.8 s (12.2); 25 at 10, 0.69 s
+#: (3.4); 48 at 10, 2.7 s; 49 at 9, 0.54 s (2.6).  Exact affine pairs are
 #: answered in closed form and capped only at MAX_SWEEP_DEPTH.
 _MAX_EXACT_QUAD_DEPTH = 14
 
@@ -98,14 +100,14 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     For each address, compares mu_g of its value interval with 2**-k and
     with half the mu_g-mass of the digit-shifted parent interval, all
     read off one table of g at the depth's values.  In exact mode the
-    inverse terminates on the dyadic value grid and both residuals are
-    exactly zero.  In approx mode they are not certified and can exceed
-    tol by orders of magnitude, as inverse_evaluate can miss tol at the
-    table values (walk:0.5, depth 8, tol 1e-11: a mass residual of
-    2.5e-7).  Exact checks are refused above depth _MAX_EXACT_CHECK_DEPTH,
-    float checks above _MAX_FLOAT_CHECK_DEPTH and below tol
-    _MIN_FLOAT_CHECK_TOL.  verdict_transfer is always True; see
-    StationarityReport.
+    inversions run at tol 0 and stop on the dyadic value grid, so both
+    residuals are exactly zero at any tol, which is only validated.  In
+    approx mode they are not certified and can exceed tol by orders of
+    magnitude, as inverse_evaluate can miss tol at the table values
+    (walk:0.5, depth 8, tol 1e-11: a mass residual of 2.5e-7).  Exact
+    checks are refused above depth _MAX_EXACT_CHECK_DEPTH, float checks
+    above _MAX_FLOAT_CHECK_DEPTH and below tol _MIN_FLOAT_CHECK_TOL.
+    verdict_transfer is always True; see StationarityReport.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -127,7 +129,9 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
             "checks (smaller tols cost more and give the same residuals); "
             "use a larger tol (--tol)"
         )
-    g = [inverse_evaluate(sys, v, tol / 2) for v in dyadic_value_table(sys, depth)]
+    # Exact inversions of table values stop on the grid within depth steps.
+    half = 0 if sys.exact else tol / 2
+    g = [inverse_evaluate(sys, v, half) for v in dyadic_value_table(sys, depth)]
     max_mass = max_rec = sys.zero()
     parent = [g[-1] - g[0]]  # the depth-0 interval is all of [0, 1]
     for k in range(1, depth + 1):
@@ -155,32 +159,24 @@ def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
         raise DomainError("quad_depth must exceed depth")
     if quad_depth > MAX_SWEEP_DEPTH:
         raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
-    if sys.exact and not sys.affine and quad_depth > _MAX_EXACT_QUAD_DEPTH:
-        raise DomainError(
-            f"quad_depth = {quad_depth} exceeds {_MAX_EXACT_QUAD_DEPTH}, the cap for exact "
-            "quadrature of non-affine pairs; use --mode approx (force_approx) or a smaller "
-            "quad_depth"
-        )
+    if sys.exact and not sys.affine:
+        bits = sys.word_basis.entry_bits()
+        cap = min(_MAX_EXACT_QUAD_DEPTH, ((3 << _MAX_EXACT_QUAD_DEPTH) // bits).bit_length() - 1)
+        if quad_depth > cap:
+            raise DomainError(
+                f"quad_depth = {quad_depth} exceeds {cap}, the cap for exact quadrature of "
+                f"non-affine pairs with {bits}-bit entries; use --mode approx (force_approx) "
+                "or a smaller quad_depth"
+            )
 
 
-def _exact_terms(basis: WordBasis, level: list, split: Fraction) -> list:
-    """(A0' + A1')(z) * mass of every integer word of the level, one
-    Fraction per word, with z the word's value at split: the terms of
-    ``WordBasis.values``, ``derivatives`` and ``masses`` on a common
-    denominator, with their zero-denominator PoleError checks."""
-    p, q = split.numerator, split.denominator
-    (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
-    det0, det1 = basis.dets
-    terms = []
-    for a, b, c, d in level:
-        zn, zd = a * p + b * q, c * p + d * q  # z = zn/zd
-        den0, den1 = c0 * zn + d0 * zd, c1 * zn + d1 * zd  # A_i'(z) = det_i*zd**2/den_i**2
-        if not (zd and den0 and den1):
-            raise PoleError("exact denominator c*z + d is zero")
-        sq0, sq1 = den0 * den0, den1 * den1
-        # (A0' + A1')(z) times the mass (a*d - b*c)/(d*(c + d)).
-        top = zd * zd * (det0 * sq1 + det1 * sq0) * (a * d - b * c)
-        terms.append(Fraction(top, sq0 * sq1 * d * (c + d)))
+def _pair_sums(terms, count: int):
+    """Add adjacent pairs until `count` sums remain, each the balanced-tree
+    sum of a run of len(terms) // count terms: a list of Fractions (exact
+    mode) or a float64 array."""
+    while len(terms) > count:
+        pairs = terms[::2], terms[1::2]
+        terms = list(map(add, *pairs)) if type(terms) is list else add(*pairs)
     return terms
 
 
@@ -193,22 +189,25 @@ def doubling_map_change_of_measure(
     The left side mu_f(T^{-1} A) is the exact mass of the two preimage
     intervals (prepend digit 0 or 1 to A's address).  The right side sums
     (A0' + A1') at f(cell midpoint) times the exact cell mass over the
-    cells of A at `quad_depth`; the residual is pure quadrature error,
-    shrinking like 2**-quad_depth.  quad_depth is capped at 22 (4M cells),
-    and for exact non-affine pairs at _MAX_EXACT_QUAD_DEPTH.
+    cells of A at `quad_depth`; the residual is pure quadrature error.  It
+    shrinks like 2**-quad_depth on walk:1, far slower where f is flat
+    (walk:3/7 at depth 1: 0.011 at quad depth 6, 1.1e-4 at 18).
+    quad_depth is capped at 22 (4M cells), and for exact non-affine pairs
+    lower, by the size of their integer entries (_check_quadrature).
 
-    Exact mode forms each cell's term as one Fraction from the integer
-    word and sums each interval's cells in a balanced tree, which equals
-    the left-to-right sum in value and type.  For exact affine pairs
+    Both modes take each cell's term from ``WordBasis.cell_terms`` and
+    sum each interval's cells in one balanced tree of pairwise sums,
+    whatever the block size.  In exact mode this equals the left-to-right
+    sum in value and type; in float mode its rounding error grows with
+    the tree's depth, not with the number of cells.  For affine pairs
     (c0 = c1 = 0) the integrand is the constant det0/d0**2 + det1/d1**2,
-    so the right side is that constant times the mass of A, with no cells
-    swept.  Float mode sums each interval's cells left to right.
+    so in either mode the right side is that constant times the mass of
+    A, with no cells swept.
     """
     _check_quadrature(sys, depth, quad_depth)
     basis = sys.word_basis
     n_intervals = 1 << depth
     shift = quad_depth - depth
-    split = sys.split_value  # f at the midpoint of any cell = word(split)
 
     # Preimage masses: the addresses 0A and 1A lie 2**depth apart at depth + 1.
     masses: list = []
@@ -216,41 +215,22 @@ def doubling_map_change_of_measure(
         level = basis.masses(block)
         masses += level if sys.exact else level.tolist()
 
-    if sys.exact and sys.affine:
+    if sys.affine:
         # A0' + A1' is the constant det0/d0**2 + det1/d1**2, so the sum over
         # A's cells is that constant times the mass of A, that of its two
         # children 2j and 2j + 1.
         slope = mobius_derivative(sys.A0, 0) + mobius_derivative(sys.A1, 0)
         rhs = [slope * (a + b) for a, b in zip(masses[::2], masses[1::2])]
-    elif sys.exact:
-        # Each interval sums its 2**shift cells in a balanced tree; a block
-        # holds whole intervals, or a part of one when 2**shift is wider.
+    else:
+        # f at the midpoint of any cell is its word's value at split_value.
+        # A block holds whole intervals, or a part of one when 2**shift is
+        # wider; its sums are joined across blocks in the same tree.
         rhs = []
         for block in basis.blocks(quad_depth):
-            terms = _exact_terms(basis, block, split)
-            while len(terms) > max(len(block) >> shift, 1):
-                terms = list(map(add, terms[::2], terms[1::2]))
-            rhs += terms
-        while len(rhs) > n_intervals:
-            rhs = list(map(add, rhs[::2], rhs[1::2]))
-    else:
-        import numpy as np
-
-        # Each interval sums its cells' terms left to right in address
-        # order, so the float result does not depend on the block size.
-        acc = np.zeros(n_intervals)
-        start = 0
-        for block in basis.blocks(quad_depth):
-            z = basis.values(block, split)
-            terms = (basis.derivatives(0, z) + basis.derivatives(1, z)) * basis.masses(block)
-            per = min(1 << shift, len(terms))
-            rows = slice(start >> shift, (start >> shift) + len(terms) // per)
-            running = np.empty((len(terms) // per, per + 1))
-            running[:, 0] = acc[rows]
-            running[:, 1:] = terms.reshape(-1, per)
-            acc[rows] = np.add.accumulate(running, axis=1)[:, -1]
-            start += len(terms)
-        rhs = acc.tolist()
+            terms = basis.cell_terms(block, sys.split_value)
+            terms = _pair_sums(terms, max(len(block) >> shift, 1))
+            rhs += terms if sys.exact else terms.tolist()
+        rhs = _pair_sums(rhs, n_intervals)
 
     return max(
         (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)),

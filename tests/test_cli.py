@@ -484,6 +484,28 @@ class TestStationaryCommand:
         doc = json.loads(out)
         assert (doc["quad_depth"], doc["doubling_residual"]) == (22, 0.0)
 
+    def test_exact_quad_depth_cap_follows_entry_bits(self, capsys, tmp_path, monkeypatch):
+        from derham_lft import stationary
+        from derham_lft._words import WordBasis
+
+        def no_sweep(*args):
+            raise AssertionError("swept a table")
+
+        # A pair with 18-bit integer entries: quad depth 11 is its cap.
+        system = random_valid_system(random.Random(5))
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"A0": [str(e) for e in system.A0.entries],
+                                      "A1": [str(e) for e in system.A1.entries]}))
+        monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        code, out, err = run_cli(
+            capsys, "stationary", "--config", str(config),
+            "--shift-depth", "1", "--quad-depth", "12",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DomainError: quad_depth = 12 exceeds 11, ")
+        assert "18-bit entries" in err and "--mode approx" in err
+
     def test_exact_depth_above_cap_exit_1(self, capsys):
         code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "17")
         assert code == 1

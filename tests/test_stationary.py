@@ -6,6 +6,8 @@ import pytest
 from derham_lft import (
     DomainError,
     MoebiusMatrix,
+    PoleError,
+    apply_mobius,
     doubling_map_change_of_measure,
     dyadic_enclosure,
     dyadic_value_table,
@@ -14,6 +16,7 @@ from derham_lft import (
     inverse_evaluate,
     inverse_measure_interval,
     lebesgue_system,
+    mobius_derivative,
     stationarity_check,
     validate,
     walk_system,
@@ -57,16 +60,17 @@ def _exact_systems():
 
 def running_sum_residual(system, depth, quad_depth):
     """The exact doubling-map residual with each interval's right side
-    summed one cell at a time, left to right."""
+    summed one cell at a time, left to right, each cell's term from the
+    public mobius_derivative."""
     basis = system.word_basis
     n_intervals, shift = 1 << depth, quad_depth - depth
     rhs = [system.zero()] * n_intervals
     index = 0
     for block in basis.blocks(quad_depth):
         z = basis.values(block, system.split_value)
-        cells = zip(basis.derivatives(0, z), basis.derivatives(1, z), basis.masses(block))
-        for w0, w1, mass in cells:
-            rhs[index >> shift] += (w0 + w1) * mass
+        for w, mass in zip(z, basis.masses(block)):
+            slope = mobius_derivative(system.A0, w) + mobius_derivative(system.A1, w)
+            rhs[index >> shift] += slope * mass
             index += 1
     masses = []
     for block in basis.blocks(depth + 1):
@@ -157,6 +161,18 @@ class TestStationarityCheck:
         report = stationarity_check(walk05, 6, 1e-11)
         assert report.max_residual_mass < 1e-5
         assert report.verdict_transfer
+
+    def test_exact_residuals_vanish_at_any_tol(self, walk1):
+        # Exact inversions of table values run at tol 0 whatever tol is;
+        # tol is still validated.
+        systems = [walk1, lebesgue_system(Fraction(1, 3))] + _exact_systems()[2:]
+        for system in systems:
+            for tol in (0.5, 1.0, 1e-11, 0.0):
+                report = stationarity_check(system, 4, tol)
+                assert report.max_residual_mass == 0, tol
+                assert report.max_residual_recursion == 0, tol
+        with pytest.raises(DomainError, match="tol must be >= 0"):
+            stationarity_check(walk1, 4, -0.5)
 
     def test_depth_one_split_trivial(self, walk1):
         report = stationarity_check(walk1, 1, 1e-11)
@@ -260,6 +276,12 @@ class TestDoublingChangeOfMeasure:
         exact = doubling_map_change_of_measure(walk1, 3, 10)
         approx = doubling_map_change_of_measure(force_approx(walk1), 3, 10)
         assert abs(float(exact) - approx) < 1e-12
+        # Pairwise float sums: within 64 units of 2**-52 of the exact residual.
+        for system in _quadrature_systems():
+            for depth, quad_depth in ((1, 6), (3, 9)):
+                exact = doubling_map_change_of_measure(system, depth, quad_depth)
+                approx = doubling_map_change_of_measure(force_approx(system), depth, quad_depth)
+                assert abs(float(exact) - approx) <= 64 * 2.0**-52
 
     def test_parameter_validation(self, walk1):
         with pytest.raises(DomainError):
@@ -298,6 +320,39 @@ class TestDoublingChangeOfMeasure:
         with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):
             doubling_map_change_of_measure(walk1, 4, 23)
 
+    def test_exact_quad_depth_cap_follows_entry_bits(self, walk1, monkeypatch):
+        from derham_lft._words import WordBasis
+
+        class Swept(Exception):
+            pass
+
+        def no_sweep(basis, depth):
+            raise Swept(depth)
+
+        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        # (system, bit length of its largest integer entry, quad-depth cap):
+        # the largest q with bits * 2**q <= 3 * 2**14, walk:1 at its cap.
+        cases = [
+            (walk1, 3, 14),
+            (walk_system(Fraction(3, 7)), 4, 13),
+            (random_valid_system(random.Random(41)), 6, 13),
+            (random_valid_system(random.Random(57)), 7, 12),
+            (random_valid_system(random.Random(14)), 8, 12),
+            (random_valid_system(random.Random(13)), 15, 11),
+            (random_valid_system(random.Random(5)), 18, 11),
+            (_quadrature_systems()[4], 19, 11),
+        ]
+        for system, bits, cap in cases:
+            assert system.word_basis.entry_bits() == bits
+            for depth in (1, 4):
+                refused = f"quad_depth = {cap + 1} exceeds {cap}, .* {bits}-bit entries; use --mode approx"
+                with pytest.raises(DomainError, match=refused):
+                    doubling_map_change_of_measure(system, depth, cap + 1)
+                with pytest.raises(Swept):  # at the cap: checked, then swept
+                    doubling_map_change_of_measure(system, depth, cap)
+            with pytest.raises(Swept):  # float twins are not capped
+                doubling_map_change_of_measure(force_approx(system), 1, cap + 1)
+
     @pytest.mark.parametrize("index", range(12))
     def test_exact_quadrature_equals_running_sum(self, index):
         system = _quadrature_systems()[index]
@@ -307,18 +362,23 @@ class TestDoublingChangeOfMeasure:
             assert type(got) is type(want) is Fraction
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
-    def test_exact_quadrature_sums_across_blocks(self, walk1, monkeypatch):
-        # With 2**3-row blocks an interval's cells span several blocks.
+    def test_exact_quadrature_sums_across_blocks(self, walk1, walk05, monkeypatch):
+        # With 2**3-row blocks an interval's cells span several blocks; the
+        # sums join in the same tree, so float residuals keep their bits.
         from derham_lft import _words
 
+        floats = [force_approx(walk1), walk05, force_approx(_quadrature_systems()[4])]
+        pairs = [(d, 9) for d in (1, 4, 6, 8)] + [(2, 12), (5, 11)]
         want = [running_sum_residual(walk1, d, 9) for d in (1, 4, 6, 8)]
+        want_floats = [[doubling_map_change_of_measure(s, *p) for p in pairs] for s in floats]
         monkeypatch.setattr(_words, "BLOCK_LEVELS", 3)
         assert [doubling_map_change_of_measure(walk1, d, 9) for d in (1, 4, 6, 8)] == want
+        for system, residuals in zip(floats, want_floats):
+            got = [doubling_map_change_of_measure(system, *p) for p in pairs]
+            assert [r.hex() for r in got] == [r.hex() for r in residuals]
+            assert all(type(r) is float for r in got)
 
     def test_exact_zero_denominator_raises_pole_error(self, walk1):
-        from derham_lft.errors import PoleError
-        from derham_lft.stationary import _exact_terms
-
         basis = walk1.word_basis
         (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
         # A word whose own map has its pole at the split, and the identity
@@ -329,12 +389,12 @@ class TestDoublingChangeOfMeasure:
             (basis.identity, Fraction(-d1, c1)),
         ]
         for word, split in cases:
-            with pytest.raises(PoleError):  # as the per-cell path raised
-                z = basis.values([word], split)
-                basis.derivatives(0, z)
-                basis.derivatives(1, z)
+            with pytest.raises(PoleError):  # as the per-cell path raises
+                z = apply_mobius(MoebiusMatrix(*word), split)
+                mobius_derivative(walk1.A0, z)
+                mobius_derivative(walk1.A1, z)
             with pytest.raises(PoleError, match="^exact denominator c\\*z \\+ d is zero$"):
-                _exact_terms(basis, [word], split)
+                basis.cell_terms([word], split)
 
     @pytest.mark.parametrize("index", range(8))
     def test_affine_closed_form_equals_cell_sum(self, index):

@@ -14,8 +14,11 @@ from derham_lft import (
     MoebiusMatrix,
     PoleError,
     apply_mobius,
+    dyadic_enclosure,
+    dyadic_value_table,
     force_approx,
     identity_matrix,
+    interval_measure,
     mass_from_word,
     mat_mul,
     ratio_state,
@@ -96,6 +99,28 @@ class TestFloatSweep:
                 ref = reference_word(system, address(j, depth))
                 assert list(map(bits_of, leaves[j])) == list(map(bits_of, ref.entries))
 
+    def test_level_sweeps_equal_path_reads_at_depth_18(self):
+        # Table values and level masses against one-path reads of the
+        # full-length address (value_at_dyadic reads the terminating
+        # address, a shorter word with other last bits).
+        depth = 18
+        width = 1 << BLOCK_LEVELS
+        rng = random.Random(18)
+        picks = {0, (1 << depth) - 1}
+        for k in range(1, 1 << (depth - BLOCK_LEVELS)):
+            picks |= {k * width - 1, k * width}
+        picks |= {rng.randrange(1 << depth) for _ in range(200)}
+        floats = [force_approx(s) for s in systems(2, 16)]
+        floats += [force_approx(walk_system(1)), walk_system(0.5), walk_system(0.3)]
+        for system in floats:
+            basis = system.word_basis
+            table = dyadic_value_table(system, depth)
+            masses = np.concatenate([basis.masses(block) for block in basis.blocks(depth)])
+            for j in sorted(picks):
+                bits = address(j, depth)
+                assert bits_of(table[j]) == bits_of(dyadic_enclosure(system, bits).lower)
+                assert bits_of(masses[j]) == bits_of(interval_measure(system, bits))
+
     def test_word_matrix_bit_identical(self):
         rng = random.Random(6)
         system = force_approx(systems(1, 14)[0])
@@ -141,7 +166,11 @@ def test_pole_checks(exact):
     with pytest.raises(PoleError):
         basis.value(basis.path((0,)), one)
     with pytest.raises(PoleError):
-        basis.derivatives(0, [one] if exact else np.array([one]))
+        basis.cell_terms(level, one)
+    # The identity word's value at 1 is finite; A0' and A1' have the pole.
+    identity = [basis.identity] if exact else np.array([basis.identity])
+    with pytest.raises(PoleError):
+        basis.cell_terms(identity, one)
 
 
 def test_single_path_use_does_not_load_numpy():
