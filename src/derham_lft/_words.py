@@ -19,12 +19,20 @@ products of dyadic addresses.  This module owns their representation.
 
 A level is never wider than 2**BLOCK_LEVELS rows: deeper sweeps run one
 block of 2**BLOCK_LEVELS rows under each prefix, in address order.  Per
-row, a level gives map values, masses and the doubling-map quadrature's
-cell terms (`cell_terms`), so no caller unpacks a word or the integer
-factors.
+row, a level gives masses, float map values and the doubling-map
+quadrature's cell terms (`cell_terms`), so no caller unpacks a word or
+the integer factors.
+
+Values of f at dyadic points need no word: de Rham's equation
+f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
+A_{i1}(A_{i2}(... A_{in}(0))), its digits applied right to left, one map
+per digit (`image`), and the values at depth k + 1 as A0 of those at
+depth k followed by A1 of them (`table`).  Exact mode maps homogeneous
+integer pairs (p, q) of p/q by the M_i, the pair W @ (0, 1) of the word,
+so the values equal the words' exactly; float mode maps Python floats.
 
 numpy is imported only where float levels are formed, so exact-mode and
-single-path use of the package (and sampling-free imports) never load it.
+single-path use of the package, and float value tables, never load it.
 """
 
 from __future__ import annotations
@@ -127,6 +135,58 @@ class WordBasis:
         scale = self.k0**n0 * self.k1**n1
         return MoebiusMatrix(*(scale * e for e in word))
 
+    def image(self, bits: Bits, z: Scalar) -> Scalar:
+        """A_{i1}(A_{i2}(... A_{in}(z))), the address's word at z, one map per
+        digit from the last, with the operations of `table`: in exact mode on
+        the pair (p, q) of z, with one Fraction and the pole check of
+        `value` at the end; in float mode with ``numerics.apply_mobius``'s
+        pole check at every map."""
+        if self.exact:
+            p, q = z.numerator, z.denominator
+            for digit in reversed(bits):
+                a, b, c, d = self.m1 if digit else self.m0
+                p, q = a * p + b * q, c * p + d * q
+            return _fraction(p, q)
+        for digit in reversed(bits):
+            a, b, c, d = self.m1 if digit else self.m0
+            den = c * z + d
+            _check_pole(den, c, d)
+            z = (a * z + b) / den
+        return z
+
+    def table(self, depth: int) -> list:
+        """`image` at 0 of every address at `depth`, in address order: from
+        [0], each level is A0 of the level before followed by A1 of it.
+
+        The levels share one list of the final length: a block of at most
+        2**BLOCK_LEVELS values of the level is mapped by A1 into the second
+        half and by A0 onto itself, so no level is copied.  Exact mode maps
+        the pairs (p, q) and forms the Fractions from the last block back,
+        freeing pairs as it goes."""
+        width = 1 << BLOCK_LEVELS
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = self.m0, self.m1
+        if self.exact:
+            ps, qs = [0] * (1 << depth), [1] * (1 << depth)
+            for n, s, e in _spans(depth, width):
+                low = ps[s:e], qs[s:e]
+                ps[n + s : n + e] = [a1 * p + b1 * q for p, q in zip(*low)]
+                qs[n + s : n + e] = [c1 * p + d1 * q for p, q in zip(*low)]
+                ps[s:e] = [a0 * p + b0 * q for p, q in zip(*low)]
+                qs[s:e] = [c0 * p + d0 * q for p, q in zip(*low)]
+            for s in reversed(range(0, len(ps), width)):
+                ps[s : s + width] = map(_fraction, ps[s : s + width], qs[s:])
+                del qs[s:]
+            return ps
+        zs = [0.0] * (1 << depth)
+        for n, s, e in _spans(depth, width):
+            low = zs[s:e]
+            lo, hi = min(low), max(low)
+            _check_level_poles(low, c0, d0, lo, hi)
+            _check_level_poles(low, c1, d1, lo, hi)
+            zs[n + s : n + e] = [(a1 * z + b1) / (c1 * z + d1) for z in low]
+            zs[s:e] = [(a0 * z + b0) / (c0 * z + d0) for z in low]
+        return zs
+
     # -- whole levels --------------------------------------------------
 
     def blocks(self, depth: int) -> Iterator:
@@ -181,15 +241,8 @@ class WordBasis:
             out /= top[:, None]
         return out
 
-    def values(self, level, z: Scalar):
-        """`value` at z for every row: Fractions in a list (exact mode) or a
-        float64 array."""
-        if self.exact:
-            p, q = z.numerator, z.denominator
-            try:
-                return [Fraction(a * p + b * q, c * p + d * q) for a, b, c, d in level]
-            except ZeroDivisionError:
-                raise PoleError("exact denominator c*z + d is zero") from None
+    def values(self, level: np.ndarray, z: float) -> np.ndarray:
+        """`value` at z for every row of a float level."""
         a, b, c, d = level.T
         den = c * z + d
         _check_poles(den, c, d)
@@ -248,6 +301,35 @@ def _check_poles(den: np.ndarray, c, d) -> None:
     if bad.size:
         i = bad[0]
         _check_pole(float(den[i]), float(c[i]), float(d[i]))
+
+
+def _spans(depth: int, width: int) -> Iterator[tuple[int, int, int]]:
+    """(n, s, e) for each block [s, e) of at most `width` values of the
+    levels of n = 2**k values, k < depth."""
+    for k in range(depth):
+        n = 1 << k
+        for s in range(0, n, width):
+            yield n, s, min(s + width, n)
+
+
+def _fraction(p: int, q: int) -> Fraction:
+    """p/q, with the pole check of an exact ``numerics.apply_mobius``."""
+    if not q:
+        raise PoleError("exact denominator c*z + d is zero")
+    return Fraction(p, q)
+
+
+def _check_level_poles(zs: list, c: float, d: float, lo: float, hi: float) -> None:
+    """``numerics._check_pole`` of c*z + d for every float z in zs, lo and hi
+    their least and greatest.  Rounding is monotone, so c*z + d lies between
+    its values at lo and hi; only a range that reaches the pole's tolerance
+    is checked value by value."""
+    tol = POLE_RTOL * max(abs(c), abs(d), 1.0)
+    ends = c * lo + d, c * hi + d
+    if min(ends) > tol or max(ends) < -tol:
+        return
+    for z in zs:
+        _check_pole(c * z + d, c, d)
 
 
 def _integer_factor(m: MoebiusMatrix) -> tuple[Word, Fraction]:

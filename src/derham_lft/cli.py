@@ -24,9 +24,7 @@ import math
 import re
 import sys as _sys
 from fractions import Fraction
-from itertools import repeat
-from operator import truediv
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from . import __version__
 from .errors import DeRhamError, ValidationError
@@ -215,9 +213,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _reprs(floats: Iterable[float]) -> list[str]:
+def _reprs(floats: list[float]) -> list[str]:
     """repr of each float, cut out of one repr of their list."""
-    return repr(list(floats))[1:-1].split(", ")
+    return repr(floats)[1:-1].split(", ") if floats else []
+
+
+def _grid_xs(start: int, stop: int, depth: int) -> list[str]:
+    """repr(j / 2**depth) for start <= j < stop.  Up to depth 16 it is the
+    exact decimal j * 5**depth / 10**depth: a shorter decimal lies at least
+    5 * 10**-depth away, more than half an ulp (at most 2**-54) below 1,
+    so repr prints the same digits wherever it writes no exponent.  Rows
+    below 1e-4, x = 1 and deeper grids keep repr."""
+    n, ten, step = 1 << depth, 10**depth, 5**depth
+    low = min(max(start, n // 10**4 + 1), stop) if depth <= 16 else stop
+    high = max(low, min(stop, n))
+    xs = _reprs([j / n for j in range(start, low)])
+    xs += ["0." + t[1:].rstrip("0") for t in map(str, range(ten + low * step, ten + high * step, step))]
+    return xs + _reprs([j / n for j in range(high, stop)])
 
 
 def cmd_grid(args) -> int:
@@ -225,13 +237,12 @@ def cmd_grid(args) -> int:
 
     system, _ = load_system(args)
     values = dyadic_value_table(system, args.depth)
-    n = 1 << args.depth
     with _writer(args.out) as write:
         write("x,f_lower,f_upper\n")
         for start in range(0, len(values), _CSV_BLOCK):
             block = values[start : start + _CSV_BLOCK]
-            xs = _reprs(map(truediv, range(start, start + len(block)), repeat(n)))
-            fs = _reprs(map(float, block))
+            xs = _grid_xs(start, start + len(block), args.depth)
+            fs = _reprs(list(map(float, block)) if system.exact else block)
             write("\n".join(map(",".join, zip(xs, fs, fs))) + "\n")
     return 0
 

@@ -31,9 +31,10 @@ from .system import DeRhamSystem, ac_conditions
 #: a point with a non-terminating expansion).
 MAX_DEPTH = 4096
 
-#: Deepest exact value table: the integer words, and so the time and
-#: memory per cell, grow with the depth (exact `plot walk:1` took 2.2 s
-#: at depth 18 and 8 to 10 s at depth 20, on a 2-core Xeon).
+#: Deepest exact value table: its integer pairs and Fractions, and so the
+#: time and memory per value, grow with the depth.  As CLI runs on a
+#: 2-core Xeon, exact `plot walk:1` took 1.9 s at depth 18 and 7.0 s
+#: (147 MB) at depth 20, of which the table took about 2.8 s.
 _MAX_EXACT_TABLE_DEPTH = 20
 
 
@@ -111,29 +112,34 @@ def dyadic_enclosure(sys: DeRhamSystem, bits: Bits) -> ValueEnclosure:
 
     The empty address yields [0, 1].  Upper endpoints are consistent:
     the upper value of an address equals the lower value of its dyadic
-    successor, exactly so in exact mode.  Float endpoints are rounded, not
-    rounded outward, so they can miss f by a few units in the last place
-    on either side (walk_system(1) cast to float, depth 14: 8209 table
-    values above the exact ones and 8174 below, by up to 5.6e-17).
+    successor, exactly so in exact mode.  Both endpoints are read as
+    dyadic_value_table reads its values, A_{i1}(... A_{in}(z)) from the
+    last digit, so the lower one equals the table's value at the
+    address's left end, bit for bit in float mode.  Float endpoints are
+    rounded, not rounded outward, so they can miss f by a few units in
+    the last place on either side (walk_system(1) cast to float, depth
+    14: 8447 table values above the exact ones and 7936 below, by up to
+    2.5e-16).
     """
     check_bits(bits)
     basis = sys.word_basis
-    word = basis.path(bits)
-    return ValueEnclosure(basis.value(word, 0), basis.value(word, 1))
+    return ValueEnclosure(basis.image(bits, sys.zero()), basis.image(bits, sys.one()))
 
 
 def value_at_dyadic(sys: DeRhamSystem, x: Scalar) -> Scalar:
-    """f at a dyadic rational in [0, 1], via the terminating address."""
+    """f at a dyadic rational in [0, 1], read off the terminating address
+    as dyadic_enclosure reads its lower end."""
     if x == 1:
         return sys.one()
     if x == 0:
         return sys.zero()
-    basis = sys.word_basis
-    return basis.value(basis.path(dyadic_digits(x)), 0)
+    return sys.word_basis.image(dyadic_digits(x), sys.zero())
 
 
 def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
-    """f(j / 2**depth) for j = 0 .. 2**depth, sharing word prefixes.
+    """f(j / 2**depth) for j = 0 .. 2**depth, built from the functional
+    equation: from [f(0)] = [0], the values at depth k + 1 are A0 of those
+    at depth k followed by A1 of them (``WordBasis.table``).
 
     Exact tables are refused above depth _MAX_EXACT_TABLE_DEPTH, float
     tables above MAX_SWEEP_DEPTH, before anything is swept."""
@@ -147,11 +153,7 @@ def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
             "tables (their integer words grow with the depth); "
             "use --mode approx (force_approx) or a smaller depth"
         )
-    basis = sys.word_basis
-    out: list[Scalar] = []
-    for block in basis.blocks(depth):
-        values = basis.values(block, 0)
-        out += values if sys.exact else values.tolist()
+    out = sys.word_basis.table(depth)
     out.append(sys.one())
     return out
 
@@ -254,7 +256,7 @@ def inverse_evaluate(
     approx mode tol is not a guarantee: where f is flat, comparing y with
     a rounded node value can send the descent into the wrong child, far
     outside tol (force_approx(walk_system(3/7)) at its table value for
-    x = 192/256, with tol 5e-12, lands 1.9e-6 from the exact inverse of
+    x = 255/256, with tol 5e-12, lands 1.9e-6 from the exact inverse of
     that float).
     """
     if not 0 <= y <= 1:

@@ -104,7 +104,7 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     residuals are exactly zero at any tol, which is only validated.  In
     approx mode they are not certified and can exceed tol by orders of
     magnitude, as inverse_evaluate can miss tol at the table values
-    (walk:0.5, depth 8, tol 1e-11: a mass residual of 2.5e-7).  Exact
+    (walk:0.5, depth 8, tol 1e-11: a mass residual of 1.0e-7).  Exact
     checks are refused above depth _MAX_EXACT_CHECK_DEPTH, float checks
     above _MAX_FLOAT_CHECK_DEPTH and below tol _MIN_FLOAT_CHECK_TOL.
     verdict_transfer is always True; see StationarityReport.

@@ -179,10 +179,22 @@ class TestGridBytes:
         # 2^11 + 1 rows fit one block, 2^12 + 1 and 2^13 + 1 spill over.
         assert 2**11 + 1 < cli._CSV_BLOCK < 2**12 + 1
 
+    def test_x_column_is_repr(self):
+        # The decimal form up to depth 16 against repr, row by row, in
+        # blocks of the CSV's size and of 7 rows.
+        for depth in range(17):
+            n = 1 << depth
+            want = [repr(j / n) for j in range(n + 1)]
+            for width in (cli._CSV_BLOCK, 7):
+                got = []
+                for start in range(0, n + 1, width):
+                    got += cli._grid_xs(start, min(start + width, n + 1), depth)
+                assert got == want, (depth, width)
+
     @pytest.mark.parametrize("preset, mode", list(SYSTEMS))
     def test_streamed_csv_equals_per_row_render(self, capsys, tmp_path, preset, mode):
         system = self.SYSTEMS[preset, mode]()
-        for depth in (0, 1, 11, 12, 13, 16):
+        for depth in (0, 1, 11, 12, 13, 16, 17):
             expect = _per_row_csv(dyadic_value_table(system, depth), depth)
             argv = ("plot", "--preset", preset, "--mode", mode, "--depth", str(depth))
             code, out, err = run_cli(capsys, *argv)
@@ -542,6 +554,20 @@ class TestImports:
             "",
         ]
 
+    def test_plot_skips_numpy_in_both_modes(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "from derham_lft.cli import main\n"
+            "for argv in (\n"
+            "    ['plot', '--preset', 'walk:1', '--depth', '6', '--mode', 'approx'],\n"
+            "    ['plot', '--preset', 'walk:0.5', '--depth', '17'],\n"
+            "):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout == "False\n"
 
     # The derham_lft submodules each command leaves in sys.modules.
     COMMON = {"cli", "errors", "numerics", "_words", "system", "presets"}

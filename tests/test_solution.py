@@ -94,7 +94,7 @@ class TestEnclosures:
         def no_sweep(self, depth):
             raise AssertionError("swept a level before checking the depth cap")
 
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         with pytest.raises(DomainError, match="depth = 23 exceeds the cap of 22"):
             dyadic_value_table(walk1, 23)
 
@@ -109,7 +109,7 @@ class TestEnclosures:
             raise Swept(depth)
 
         assert solution._MAX_EXACT_TABLE_DEPTH == 20
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         for cap in (20, 5):
             monkeypatch.setattr(solution, "_MAX_EXACT_TABLE_DEPTH", cap)
             with pytest.raises(DomainError, match=f"depth = {cap + 1} exceeds {cap}, .*--mode approx"):

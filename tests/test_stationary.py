@@ -67,7 +67,7 @@ def running_sum_residual(system, depth, quad_depth):
     rhs = [system.zero()] * n_intervals
     index = 0
     for block in basis.blocks(quad_depth):
-        z = basis.values(block, system.split_value)
+        z = [basis.value(word, system.split_value) for word in block]
         for w, mass in zip(z, basis.masses(block)):
             slope = mobius_derivative(system.A0, w) + mobius_derivative(system.A1, w)
             rhs[index >> shift] += slope * mass
