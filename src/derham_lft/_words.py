@@ -1,4 +1,4 @@
-"""Word products A_{i1} @ ... @ A_{in}, a whole tree level or one path at a time.
+"""Word products A_{i1} @ ... @ A_{in} along one path, and value tables of f.
 
 Every enclosure, interval mass and ratio state of f is read off the word
 products of dyadic addresses.  This module owns their representation.
@@ -10,18 +10,10 @@ products of dyadic addresses.  This module owns their representation.
   are read off the integer word and a Fraction is built only for the
   result; `literal` multiplies k0**n0 * k1**n1 back in when the product
   itself is wanted.
-* Float mode.  A word is a 4-tuple of floats and a tree level is a
-  (2**k, 4) float64 array, the children of each row interleaved so rows
-  stay in address order.  Entries are formed in the same order as
-  ``numerics.mat_mul``, and every RENORM_EVERY-th product divides by the
-  largest entry magnitude like ``numerics.renormalize``, so the float
-  bits equal those of a mat_mul / renormalize fold.
-
-A level is never wider than 2**BLOCK_LEVELS rows: deeper sweeps run one
-block of 2**BLOCK_LEVELS rows under each prefix, in address order.  Per
-row, a level gives masses, float map values and the doubling-map
-quadrature's cell terms (`cell_terms`), so no caller unpacks a word or
-the integer factors.
+* Float mode.  A word is a 4-tuple of floats.  Entries are formed in the
+  same order as ``numerics.mat_mul``, and every RENORM_EVERY-th product
+  divides by the largest entry magnitude like ``numerics.renormalize``,
+  so the float bits equal those of a mat_mul / renormalize fold.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -29,32 +21,40 @@ A_{i1}(A_{i2}(... A_{in}(0))), its digits applied right to left, one map
 per digit (`image`), and the values at depth k + 1 as A0 of those at
 depth k followed by A1 of them (`table`).  Exact mode maps homogeneous
 integer pairs (p, q) of p/q by the M_i, the pair W @ (0, 1) of the word,
-so the values equal the words' exactly; float mode maps Python floats.
+so the values equal the words' exactly; `to_fractions` and `to_floats`
+turn the pairs into values.  Float mode maps Python floats, or, in tables
+of more than 2**ARRAY_LEVELS values, float64 arrays with the same
+operations: IEEE +, * and / round alike in both, so the bits agree.
 
-numpy is imported only where float levels are formed, so exact-mode and
-single-path use of the package, and float value tables, never load it.
+numpy is imported only for those deep float tables, so exact-mode and
+single-path use of the package, and float tables of up to
+2**ARRAY_LEVELS values, never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from operator import truediv
+from typing import Iterator
 
-from .errors import DomainError, PoleError, ZeroMatrixError
+from .errors import DomainError, PoleError
 from .numerics import POLE_RTOL, MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
 
 #: Float word products are rescaled after this many multiplications;
 #: entries otherwise grow or shrink geometrically.
 RENORM_EVERY = 16
 
-#: Levels wider than 2**BLOCK_LEVELS rows are swept block by block.
+#: Table levels wider than 2**BLOCK_LEVELS values are mapped block by block.
 BLOCK_LEVELS = 16
 
-#: Deepest tree level a sweep may be asked for (4M leaves).
-MAX_SWEEP_DEPTH = 22
+#: Float tables of more than 2**ARRAY_LEVELS values are float64 arrays.
+#: In process on a 2-core Xeon, walk:0.5 took 0.094 s as Python floats
+#: and 0.003 s as an array at depth 18, 0.39 s and 0.012 s at depth 20;
+#: the first array also imports numpy, about 0.12 s.
+ARRAY_LEVELS = 17
 
-if TYPE_CHECKING:
-    import numpy as np
+#: Deepest value table a request may ask for (4M values).
+MAX_SWEEP_DEPTH = 22
 
 Word = tuple  # (a, b, c, d) of ints (exact mode) or floats
 
@@ -154,153 +154,45 @@ class WordBasis:
             z = (a * z + b) / den
         return z
 
-    def table(self, depth: int) -> list:
-        """`image` at 0 of every address at `depth`, in address order: from
-        [0], each level is A0 of the level before followed by A1 of it.
+    def table(self, depth: int):
+        """f(j / 2**depth) for j = 0 .. 2**depth: `image` at 0 of every
+        address at `depth`, in address order, then f(1) = 1.  From [0], each
+        level is A0 of the level before followed by A1 of it.
 
-        The levels share one list of the final length: a block of at most
+        Exact mode returns the integer pairs as two lists (ps, qs), before
+        any Fraction is made (`to_fractions`, `to_floats`); float mode a list of
+        Python floats, or a float64 array above 2**ARRAY_LEVELS values.  The
+        levels share one carrier of the final length: a block of at most
         2**BLOCK_LEVELS values of the level is mapped by A1 into the second
-        half and by A0 onto itself, so no level is copied.  Exact mode maps
-        the pairs (p, q) and forms the Fractions from the last block back,
-        freeing pairs as it goes."""
-        width = 1 << BLOCK_LEVELS
-        (a0, b0, c0, d0), (a1, b1, c1, d1) = self.m0, self.m1
+        half and by A0 onto itself, so no level is copied."""
+        n, width = 1 << depth, 1 << BLOCK_LEVELS
         if self.exact:
-            ps, qs = [0] * (1 << depth), [1] * (1 << depth)
-            for n, s, e in _spans(depth, width):
+            (a0, b0, c0, d0), (a1, b1, c1, d1) = self.m0, self.m1
+            ps, qs = [0] * n + [1], [1] * (n + 1)
+            for k, s, e in _spans(depth, width):
                 low = ps[s:e], qs[s:e]
-                ps[n + s : n + e] = [a1 * p + b1 * q for p, q in zip(*low)]
-                qs[n + s : n + e] = [c1 * p + d1 * q for p, q in zip(*low)]
+                ps[k + s : k + e] = [a1 * p + b1 * q for p, q in zip(*low)]
+                qs[k + s : k + e] = [c1 * p + d1 * q for p, q in zip(*low)]
                 ps[s:e] = [a0 * p + b0 * q for p, q in zip(*low)]
                 qs[s:e] = [c0 * p + d0 * q for p, q in zip(*low)]
-            for s in reversed(range(0, len(ps), width)):
-                ps[s : s + width] = map(_fraction, ps[s : s + width], qs[s:])
-                del qs[s:]
-            return ps
-        zs = [0.0] * (1 << depth)
-        for n, s, e in _spans(depth, width):
-            low = zs[s:e]
-            lo, hi = min(low), max(low)
-            _check_level_poles(low, c0, d0, lo, hi)
-            _check_level_poles(low, c1, d1, lo, hi)
-            zs[n + s : n + e] = [(a1 * z + b1) / (c1 * z + d1) for z in low]
-            zs[s:e] = [(a0 * z + b0) / (c0 * z + d0) for z in low]
-        return zs
-
-    # -- whole levels --------------------------------------------------
-
-    def blocks(self, depth: int) -> Iterator:
-        """The words of every address at `depth` in address order, as
-        consecutive blocks of at most 2**BLOCK_LEVELS rows: lists of
-        tuples in exact mode, float64 arrays of shape (rows, 4) otherwise."""
-        if self.exact:
-            root = [self.identity]
-        else:
+            return ps, qs
+        if depth > ARRAY_LEVELS:
             import numpy as np
 
-            root = np.array([self.identity])
-        top = max(depth - BLOCK_LEVELS, 0)
-        prefixes = self._grow(root, 0, top)
-        for i in range(len(prefixes)):
-            yield self._grow(prefixes[i : i + 1], top, depth)
-
-    def _grow(self, level, start: int, stop: int):
-        for n in range(start + 1, stop + 1):
-            level = self._children(level, n)
-        return level
-
-    def _children(self, level, n: int):
-        """The next level, the n-th products, children interleaved."""
-        if self.exact:
-            p0, q0, r0, s0 = self.m0
-            p1, q1, r1, s1 = self.m1
-            out = []
-            for a, b, c, d in level:
-                out += (
-                    (a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0),
-                    (a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1),
-                )
-            return out
-        import numpy as np
-
-        a, b, c, d = level.T
-        out = np.empty((len(level), 2, 4))
-        for digit, (p, q, r, s) in enumerate((self.m0, self.m1)):
-            child = out[:, digit]
-            child[:, 0] = a * p + b * r
-            child[:, 1] = a * q + b * s
-            child[:, 2] = c * p + d * r
-            child[:, 3] = c * q + d * s
-        out = out.reshape(-1, 4)
-        if n % RENORM_EVERY == 0:
-            top = np.abs(out).max(axis=1)
-            if not top.all():
-                raise ZeroMatrixError("cannot renormalize the zero matrix")
-            if not np.isfinite(top).all():
-                raise ZeroMatrixError("cannot renormalize a non-finite matrix")
-            out /= top[:, None]
-        return out
-
-    def values(self, level: np.ndarray, z: float) -> np.ndarray:
-        """`value` at z for every row of a float level."""
-        a, b, c, d = level.T
-        den = c * z + d
-        _check_poles(den, c, d)
-        return (a * z + b) / den
-
-    def masses(self, level):
-        """Interval mass (a*d - b*c)/(d*(c + d)) of every row, as in
-        ``measure.mass_from_word``."""
-        if self.exact:
-            return [Fraction(a * d - b * c, d * (c + d)) for a, b, c, d in level]
-        a, b, c, d = level.T
-        den = d * (c + d)
-        if not den.all():
-            raise ZeroDivisionError("float division by zero")
-        return (a * d - b * c) / den
-
-    def cell_terms(self, level, z: Scalar):
-        """(A0' + A1')(w) * mass of every row, w the row's value at z, as
-        ``numerics.mobius_derivative`` and `masses`: one Fraction per row,
-        formed from the integer word on a common denominator, or a float64
-        array of values x derivatives x masses."""
-        if not self.exact:
-            w = self.values(level, z)
-            slopes = []
-            for (_, _, c, d), det in zip((self.m0, self.m1), self.dets):
-                den = c * w + d
-                _check_poles(den, c, d)
-                slopes.append(det / (den * den))
-            return (slopes[0] + slopes[1]) * self.masses(level)
-        p, q = z.numerator, z.denominator
-        (_, _, c0, d0), (_, _, c1, d1) = self.m0, self.m1
-        det0, det1 = self.dets
-        terms = []
-        for a, b, c, d in level:
-            wn, wd = a * p + b * q, c * p + d * q  # w = wn/wd
-            den0, den1 = c0 * wn + d0 * wd, c1 * wn + d1 * wd  # A_i'(w) = det_i*wd**2/den_i**2
-            if not (wd and den0 and den1):
-                raise PoleError("exact denominator c*z + d is zero")
-            sq0, sq1 = den0 * den0, den1 * den1
-            top = wd * wd * (det0 * sq1 + det1 * sq0) * (a * d - b * c)
-            terms.append(Fraction(top, sq0 * sq1 * d * (c + d)))
-        return terms
+            zs = np.zeros(n + 1)
+            zs[n] = 1.0
+        else:
+            zs = [0.0] * n + [1.0]
+        for k, s, e in _spans(depth, width):
+            low = zs[s:e]
+            check_poles(low, (self.m0, self.m1))
+            zs[k + s : k + e] = _mobius(self.m1, low)
+            zs[s:e] = _mobius(self.m0, low)
+        return zs
 
     def entry_bits(self) -> int:
         """Bit length of the largest entry of the integer factors (exact mode)."""
         return max(abs(e).bit_length() for e in self.m0 + self.m1)
-
-
-def _check_poles(den: np.ndarray, c, d) -> None:
-    """``numerics._check_pole`` for every entry of a float array."""
-    import numpy as np
-
-    c, d = np.broadcast_to(c, den.shape), np.broadcast_to(d, den.shape)
-    scale = np.maximum(np.maximum(np.abs(c), np.abs(d)), 1.0)
-    bad = np.flatnonzero(np.abs(den) <= POLE_RTOL * scale)
-    if bad.size:
-        i = bad[0]
-        _check_pole(float(den[i]), float(c[i]), float(d[i]))
 
 
 def _spans(depth: int, width: int) -> Iterator[tuple[int, int, int]]:
@@ -312,6 +204,56 @@ def _spans(depth: int, width: int) -> Iterator[tuple[int, int, int]]:
             yield n, s, min(s + width, n)
 
 
+def _mobius(m: Word, zs):
+    """(a*z + b)/(c*z + d) of every float z of a list or float64 array,
+    with the same operations on either."""
+    a, b, c, d = m
+    if type(zs) is list:
+        return [(a * z + b) / (c * z + d) for z in zs]
+    return (a * zs + b) / (c * zs + d)
+
+
+def to_fractions(pairs: tuple[list, list]) -> list:
+    """The Fractions p/q of an exact table's pairs (ps, qs), with the pole
+    check of an exact ``numerics.apply_mobius``.  They replace ps from the
+    last block of 2**BLOCK_LEVELS back, and qs is freed as they go."""
+    ps, qs = pairs
+    width = 1 << BLOCK_LEVELS
+    for s in reversed(range(0, len(ps), width)):
+        ps[s : s + width] = map(_fraction, ps[s : s + width], qs[s:])
+        del qs[s:]
+    return ps
+
+
+def to_floats(table) -> list:
+    """A table's values as a list of Python floats.  Exact pairs give p/q,
+    which int / int rounds correctly, so it equals float(Fraction(p, q))
+    without forming the Fraction."""
+    if type(table) is tuple:
+        ps, qs = table
+        if not all(qs):
+            raise PoleError("exact denominator c*z + d is zero")
+        return list(map(truediv, ps, qs))
+    return table if type(table) is list else table.tolist()
+
+
+def cut(table, index: slice):
+    """table[index], of both lists of an exact table's pairs."""
+    if type(table) is tuple:
+        return tuple(column[index] for column in table)
+    return table[index]
+
+
+def cell_blocks(table) -> Iterator:
+    """A table of 2n + 1 values as its n cells between even indices, in
+    blocks of at most 2**BLOCK_LEVELS cells, in order: each block is the
+    table from its first cell's left end to its last cell's right end."""
+    size = len(table[0] if type(table) is tuple else table)
+    step = 2 << BLOCK_LEVELS
+    for s in range(0, size - 1, step):
+        yield cut(table, slice(s, s + step + 1))
+
+
 def _fraction(p: int, q: int) -> Fraction:
     """p/q, with the pole check of an exact ``numerics.apply_mobius``."""
     if not q:
@@ -319,7 +261,15 @@ def _fraction(p: int, q: int) -> Fraction:
     return Fraction(p, q)
 
 
-def _check_level_poles(zs: list, c: float, d: float, lo: float, hi: float) -> None:
+def check_poles(zs, maps) -> None:
+    """``numerics._check_pole`` of c*z + d for every float z of a list or
+    float64 array and every map (a, b, c, d) of `maps`."""
+    lo, hi = (min(zs), max(zs)) if type(zs) is list else (zs.min(), zs.max())
+    for _, _, c, d in maps:
+        _check_level_poles(zs, c, d, lo, hi)
+
+
+def _check_level_poles(zs, c: float, d: float, lo: float, hi: float) -> None:
     """``numerics._check_pole`` of c*z + d for every float z in zs, lo and hi
     their least and greatest.  Rounding is monotone, so c*z + d lies between
     its values at lo and hi; only a range that reaches the pole's tolerance
@@ -328,7 +278,7 @@ def _check_level_poles(zs: list, c: float, d: float, lo: float, hi: float) -> No
     ends = c * lo + d, c * hi + d
     if min(ends) > tol or max(ends) < -tol:
         return
-    for z in zs:
+    for z in zs if type(zs) is list else zs.tolist():
         _check_pole(c * z + d, c, d)
 
 

@@ -233,16 +233,16 @@ def _grid_xs(start: int, stop: int, depth: int) -> list[str]:
 
 
 def cmd_grid(args) -> int:
-    from .solution import dyadic_value_table
+    from ._words import cut, to_floats
+    from .solution import _value_table
 
     system, _ = load_system(args)
-    values = dyadic_value_table(system, args.depth)
+    table = _value_table(system, args.depth)
     with _writer(args.out) as write:
         write("x,f_lower,f_upper\n")
-        for start in range(0, len(values), _CSV_BLOCK):
-            block = values[start : start + _CSV_BLOCK]
-            xs = _grid_xs(start, start + len(block), args.depth)
-            fs = _reprs(list(map(float, block)) if system.exact else block)
+        for start in range(0, (1 << args.depth) + 1, _CSV_BLOCK):
+            fs = _reprs(to_floats(cut(table, slice(start, start + _CSV_BLOCK))))
+            xs = _grid_xs(start, start + len(fs), args.depth)
             write("\n".join(map(",".join, zip(xs, fs, fs))) + "\n")
     return 0
 

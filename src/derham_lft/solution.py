@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from ._words import MAX_SWEEP_DEPTH, Bits, check_bits
+from ._words import MAX_SWEEP_DEPTH, Bits, check_bits, to_floats, to_fractions
 from .errors import (
     DomainError,
     FormMismatchError,
@@ -143,6 +143,13 @@ def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
 
     Exact tables are refused above depth _MAX_EXACT_TABLE_DEPTH, float
     tables above MAX_SWEEP_DEPTH, before anything is swept."""
+    table = _value_table(sys, depth)
+    return to_fractions(table) if sys.exact else to_floats(table)
+
+
+def _value_table(sys: DeRhamSystem, depth: int):
+    """dyadic_value_table's ``WordBasis.table``: integer pairs in exact
+    mode, floats otherwise."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
     if depth > MAX_SWEEP_DEPTH:
@@ -153,9 +160,7 @@ def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
             "tables (their integer words grow with the depth); "
             "use --mode approx (force_approx) or a smaller depth"
         )
-    out = sys.word_basis.table(depth)
-    out.append(sys.one())
-    return out
+    return sys.word_basis.table(depth)
 
 
 def evaluate(

@@ -454,7 +454,7 @@ class TestStationaryCommand:
             raise AssertionError("swept a table")
 
         monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--quad-depth", "15")
         assert (code, out) == (1, "")
         assert err.startswith("error: DomainError: quad_depth = 15 exceeds 14, ")
@@ -474,7 +474,7 @@ class TestStationaryCommand:
             raise AssertionError("swept a table")
 
         monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         code, out, err = run_cli(
             capsys, "stationary", "--preset", "lebesgue:1/3", "--quad-depth", "23"
         )
@@ -509,7 +509,7 @@ class TestStationaryCommand:
         config.write_text(json.dumps({"A0": [str(e) for e in system.A0.entries],
                                       "A1": [str(e) for e in system.A1.entries]}))
         monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         code, out, err = run_cli(
             capsys, "stationary", "--config", str(config),
             "--shift-depth", "1", "--quad-depth", "12",
@@ -529,7 +529,8 @@ class TestStationaryCommand:
 class TestImports:
     def test_commands_without_float_work_skip_numpy(self):
         # One fresh interpreter runs every command in turn and reports,
-        # after each, whether numpy has been imported so far.
+        # after each, whether numpy has been imported so far.  Approx
+        # stationary maps its quadrature's table in Python floats.
         code = (
             "import contextlib, io, sys\n"
             "from derham_lft.cli import main\n"
@@ -539,6 +540,7 @@ class TestImports:
             "    ['dimension', '--preset', 'walk:1'],\n"
             "    ['plot', '--preset', 'walk:1', '--depth', '6'],\n"
             "    ['stationary', '--preset', 'walk:1', '--depth', '4', '--quad-depth', '6'],\n"
+            "    ['stationary', '--preset', 'walk:1', '--mode', 'approx', '--quad-depth', '14'],\n"
             "):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
@@ -550,6 +552,7 @@ class TestImports:
             "classify False",
             "dimension False",
             "plot False",
+            "stationary False",
             "stationary False",
             "",
         ]
@@ -568,6 +571,21 @@ class TestImports:
         )
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert run.stdout == "False\n"
+
+    def test_approx_quadrature_imports_numpy_past_array_levels(self):
+        # The quadrature's table has 2**(quad_depth + 1) values: a float64
+        # array past 2**ARRAY_LEVELS = 2**17, Python floats up to it.
+        code = (
+            "import contextlib, io, sys\n"
+            "from derham_lft.cli import main\n"
+            "for quad in ('16', '17'):\n"
+            "    argv = ['stationary', '--preset', 'walk:0.5', '--depth', '2', '--quad-depth', quad]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(quad, 'numpy' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout == "16 False\n17 True\n"
 
     # The derham_lft submodules each command leaves in sys.modules.
     COMMON = {"cli", "errors", "numerics", "_words", "system", "presets"}

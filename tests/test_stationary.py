@@ -16,6 +16,7 @@ from derham_lft import (
     inverse_evaluate,
     inverse_measure_interval,
     lebesgue_system,
+    mass_from_word,
     mobius_derivative,
     stationarity_check,
     validate,
@@ -58,23 +59,28 @@ def _exact_systems():
     ]
 
 
+def address(j, depth):
+    return tuple((j >> (depth - 1 - i)) & 1 for i in range(depth))
+
+
 def running_sum_residual(system, depth, quad_depth):
     """The exact doubling-map residual with each interval's right side
-    summed one cell at a time, left to right, each cell's term from the
-    public mobius_derivative."""
+    summed one cell at a time, left to right: each cell's word read
+    through basis.path, f at its midpoint by apply_mobius at the split,
+    its mass by mass_from_word, and its term from mobius_derivative."""
     basis = system.word_basis
+
+    def word(j, depth):
+        return MoebiusMatrix(*basis.path(address(j, depth)))
+
     n_intervals, shift = 1 << depth, quad_depth - depth
     rhs = [system.zero()] * n_intervals
-    index = 0
-    for block in basis.blocks(quad_depth):
-        z = [basis.value(word, system.split_value) for word in block]
-        for w, mass in zip(z, basis.masses(block)):
-            slope = mobius_derivative(system.A0, w) + mobius_derivative(system.A1, w)
-            rhs[index >> shift] += slope * mass
-            index += 1
-    masses = []
-    for block in basis.blocks(depth + 1):
-        masses += basis.masses(block)
+    for j in range(1 << quad_depth):
+        cell = word(j, quad_depth)
+        w = apply_mobius(cell, system.split_value)
+        slope = mobius_derivative(system.A0, w) + mobius_derivative(system.A1, w)
+        rhs[j >> shift] += slope * mass_from_word(cell)
+    masses = [mass_from_word(word(j, depth + 1)) for j in range(2 << depth)]
     return max(
         (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)),
         default=system.zero(),
@@ -276,9 +282,10 @@ class TestDoublingChangeOfMeasure:
         exact = doubling_map_change_of_measure(walk1, 3, 10)
         approx = doubling_map_change_of_measure(force_approx(walk1), 3, 10)
         assert abs(float(exact) - approx) < 1e-12
-        # Pairwise float sums: within 64 units of 2**-52 of the exact residual.
+        # Pairwise float sums of table terms: within 64 units of 2**-52 of
+        # the exact residual (3.0e-16 at most, measured).
         for system in _quadrature_systems():
-            for depth, quad_depth in ((1, 6), (3, 9)):
+            for depth, quad_depth in ((1, 6), (3, 9), (4, 11), (2, 10)):
                 exact = doubling_map_change_of_measure(system, depth, quad_depth)
                 approx = doubling_map_change_of_measure(force_approx(system), depth, quad_depth)
                 assert abs(float(exact) - approx) <= 64 * 2.0**-52
@@ -304,7 +311,7 @@ class TestDoublingChangeOfMeasure:
             raise Swept(depth)
 
         assert stationary._MAX_EXACT_QUAD_DEPTH == 14
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         for cap in (14, 6):
             monkeypatch.setattr(stationary, "_MAX_EXACT_QUAD_DEPTH", cap)
             refused = f"quad_depth = {cap + 1} exceeds {cap}, .*--mode approx"
@@ -329,7 +336,7 @@ class TestDoublingChangeOfMeasure:
         def no_sweep(basis, depth):
             raise Swept(depth)
 
-        monkeypatch.setattr(WordBasis, "blocks", no_sweep)
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
         # (system, bit length of its largest integer entry, quad-depth cap):
         # the largest q with bits * 2**q <= 3 * 2**14, walk:1 at its cap.
         cases = [
@@ -378,7 +385,40 @@ class TestDoublingChangeOfMeasure:
             assert [r.hex() for r in got] == [r.hex() for r in residuals]
             assert all(type(r) is float for r in got)
 
+    def test_exact_quadrature_from_pairs_across_table_blocks(self, monkeypatch):
+        # With 2**2-value blocks the table's pairs, and the Fractions of its
+        # preimage grid, are formed in many blocks.
+        from derham_lft import _words
+
+        monkeypatch.setattr(_words, "BLOCK_LEVELS", 2)
+        for system in _quadrature_systems()[:2] + _quadrature_systems()[11:]:
+            for depth, quad_depth in ((1, 10), (6, 8)):
+                got = doubling_map_change_of_measure(system, depth, quad_depth)
+                want = running_sum_residual(system, depth, quad_depth)
+                assert type(got) is type(want) is Fraction
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_float_residuals_from_arrays(self, walk1, walk05, monkeypatch):
+        # Past ARRAY_LEVELS the table is a float64 array and the cell terms
+        # and their pairwise sums are numpy operations: the same bits.
+        import numpy as np
+
+        from derham_lft import _words
+
+        floats = [force_approx(walk1), walk05, walk_system(1.5)]
+        floats += [force_approx(s) for s in _quadrature_systems()[1:6]]
+        pairs = [(1, 9), (4, 9), (8, 9), (2, 12), (5, 11)]
+        want = [[doubling_map_change_of_measure(s, *p) for p in pairs] for s in floats]
+        monkeypatch.setattr(_words, "ARRAY_LEVELS", 5)
+        assert isinstance(walk05.word_basis.table(6), np.ndarray)
+        for system, residuals in zip(floats, want):
+            got = [doubling_map_change_of_measure(system, *p) for p in pairs]
+            assert all(type(r) is float for r in got)
+            assert [r.hex() for r in got] == [r.hex() for r in residuals]
+
     def test_exact_zero_denominator_raises_pole_error(self, walk1):
+        from derham_lft import stationary
+
         basis = walk1.word_basis
         (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
         # A word whose own map has its pole at the split, and the identity
@@ -388,13 +428,16 @@ class TestDoublingChangeOfMeasure:
             (basis.identity, Fraction(-d0, c0)),
             (basis.identity, Fraction(-d1, c1)),
         ]
-        for word, split in cases:
+        for (a, b, c, d), split in cases:
             with pytest.raises(PoleError):  # as the per-cell path raises
-                z = apply_mobius(MoebiusMatrix(*word), split)
+                z = apply_mobius(MoebiusMatrix(a, b, c, d), split)
                 mobius_derivative(walk1.A0, z)
                 mobius_derivative(walk1.A1, z)
+            # One cell whose midpoint pair is the word's pair at the split.
+            p, q = split.numerator, split.denominator
+            table = ([0, a * p + b * q, 1], [1, c * p + d * q, 1])
             with pytest.raises(PoleError, match="^exact denominator c\\*z \\+ d is zero$"):
-                basis.cell_terms([word], split)
+                stationary._cell_terms(basis, table)
 
     @pytest.mark.parametrize("index", range(8))
     def test_affine_closed_form_equals_cell_sum(self, index):
@@ -415,13 +458,13 @@ class TestDoublingChangeOfMeasure:
         from derham_lft._words import WordBasis
 
         swept = []
-        blocks = WordBasis.blocks
+        table = WordBasis.table
 
         def recording(basis, depth):
             swept.append(depth)
-            return blocks(basis, depth)
+            return table(basis, depth)
 
-        monkeypatch.setattr(WordBasis, "blocks", recording)
+        monkeypatch.setattr(WordBasis, "table", recording)
         assert doubling_map_change_of_measure(leb13, 1, 22) == 0
         assert swept == [2]  # the preimage masses only
         with pytest.raises(DomainError, match="^quad_depth = 23 exceeds the cap of 22$"):

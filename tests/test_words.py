@@ -1,4 +1,4 @@
-"""The word-product sweep against a reference fold of the public
+"""Word products and value tables against a reference fold of the public
 mat_mul / renormalize primitives."""
 
 import itertools
@@ -28,7 +28,15 @@ from derham_lft import (
     walk_tree,
     word_matrix,
 )
-from derham_lft._words import BLOCK_LEVELS, RENORM_EVERY, WordBasis, _check_level_poles
+from derham_lft import stationary
+from derham_lft._words import (
+    BLOCK_LEVELS,
+    RENORM_EVERY,
+    WordBasis,
+    _check_level_poles,
+    to_floats,
+    to_fractions,
+)
 from helpers import random_valid_system
 
 
@@ -60,15 +68,14 @@ class TestExactSweep:
         depth = 10
         for system in systems(4, 11):
             basis = system.word_basis
-            (block,) = basis.blocks(depth)
-            values = basis.table(depth)
-            masses = basis.masses(block)
-            assert len(block) == 1 << depth
-            for j, word in enumerate(block):
+            values = dyadic_value_table(system, depth)
+            assert len(values) == (1 << depth) + 1
+            for j in range(1 << depth):
+                word = basis.path(address(j, depth))
                 ref = reference_word(system, address(j, depth))
                 assert values[j] == apply_mobius(ref, 0)
                 assert isinstance(values[j], Fraction)
-                assert masses[j] == mass_from_word(ref)
+                assert basis.mass(word) == mass_from_word(ref)
                 ones = bin(j).count("1")
                 assert basis.literal(word, depth - ones, ones) == ref
 
@@ -93,17 +100,16 @@ class TestFloatSweep:
             picks |= {k * width - 1, k * width}
         picks |= {rng.randrange(1 << depth) for _ in range(40)}
         for system in [force_approx(s) for s in systems(2, 13)] + [walk_system(0.5)]:
-            blocks = list(system.word_basis.blocks(depth))
-            assert all(len(block) == width for block in blocks)
-            leaves = np.concatenate(blocks)
             for j in sorted(picks):
                 ref = reference_word(system, address(j, depth))
-                assert list(map(bits_of, leaves[j])) == list(map(bits_of, ref.entries))
+                leaf = system.word_basis.path(address(j, depth))
+                assert list(map(bits_of, leaf)) == list(map(bits_of, ref.entries))
 
     def test_level_sweeps_equal_path_reads_at_depth_18(self):
-        # Table values and level masses against one-path reads of the
-        # full-length address (value_at_dyadic reads the terminating
-        # address, a shorter word with other last bits).
+        # Table values (a float64 array at this depth) against one-path
+        # reads of the full-length address (value_at_dyadic reads the
+        # terminating address, a shorter word with other last bits), and
+        # one-path masses against the mat_mul / renormalize fold.
         depth = 18
         width = 1 << BLOCK_LEVELS
         rng = random.Random(18)
@@ -111,16 +117,16 @@ class TestFloatSweep:
         for k in range(1, 1 << (depth - BLOCK_LEVELS)):
             picks |= {k * width - 1, k * width}
         picks |= {rng.randrange(1 << depth) for _ in range(200)}
-        floats = [force_approx(s) for s in systems(2, 16)]
-        floats += [force_approx(walk_system(1)), walk_system(0.5), walk_system(0.3)]
-        for system in floats:
-            basis = system.word_basis
+        twins = [force_approx(s) for s in systems(2, 16)]
+        twins += [force_approx(walk_system(1)), walk_system(0.5), walk_system(0.3)]
+        for system in twins:
+            assert isinstance(system.word_basis.table(depth), np.ndarray)
             table = dyadic_value_table(system, depth)
-            masses = np.concatenate([basis.masses(block) for block in basis.blocks(depth)])
             for j in sorted(picks):
                 bits = address(j, depth)
                 assert bits_of(table[j]) == bits_of(dyadic_enclosure(system, bits).lower)
-                assert bits_of(masses[j]) == bits_of(interval_measure(system, bits))
+                want = mass_from_word(reference_word(system, bits))
+                assert bits_of(interval_measure(system, bits)) == bits_of(want)
 
     def test_word_matrix_bit_identical(self):
         rng = random.Random(6)
@@ -132,16 +138,11 @@ class TestFloatSweep:
 
 
 def word_product_table(system, depth):
-    """The value table as the word-product sweep forms it: every word of
-    the level, left to right, read at 0; f(1) appended."""
+    """The value table read off word products: the word of every address
+    at the depth, formed left to right, read at 0; f(1) appended."""
     basis = system.word_basis
-    out = []
-    for block in basis.blocks(depth):
-        if system.exact:
-            out += [basis.value(word, Fraction(0)) for word in block]
-        else:
-            out += basis.values(block, 0.0).tolist()
-    return out + [system.one()]
+    words = (basis.path(address(j, depth)) for j in range(1 << depth))
+    return [basis.value(word, system.zero()) for word in words] + [system.one()]
 
 
 def exact_tables():
@@ -203,6 +204,33 @@ class TestValueTable:
             else:
                 assert list(map(bits_of, got)) == list(map(bits_of, values))
 
+    def test_float_tables_as_arrays(self, monkeypatch):
+        # Past ARRAY_LEVELS a float table is a float64 array mapped with the
+        # list's operations: the same bits, in blocks of any size, and the
+        # same pole check.
+        from derham_lft import _words
+
+        cases = [walk_system(0.5), walk_system(0.3), force_approx(walk_system(1))]
+        cases += [force_approx(s) for s in systems(3, 19)]
+        want = [[dyadic_value_table(system, depth) for depth in range(11)] for system in cases]
+        hop = MoebiusMatrix(1.0, 1.0, -1.0, 1.0)  # maps 0 to 1, its pole
+        with pytest.raises(PoleError) as pole:
+            apply_mobius(hop, apply_mobius(hop, 0.0))
+        for block_levels in (BLOCK_LEVELS, 2):
+            monkeypatch.setattr(_words, "BLOCK_LEVELS", block_levels)
+            monkeypatch.setattr(_words, "ARRAY_LEVELS", 4)
+            for system, tables in zip(cases, want):
+                for depth, values in enumerate(tables):
+                    assert isinstance(system.word_basis.table(depth), np.ndarray) == (depth > 4)
+                    got = dyadic_value_table(system, depth)
+                    assert all(type(v) is float for v in got)
+                    assert list(map(bits_of, got)) == list(map(bits_of, values))
+            assert type(walk_system(1).word_basis.table(8)) is tuple  # exact pairs
+            monkeypatch.setattr(_words, "ARRAY_LEVELS", 1)
+            with pytest.raises(PoleError) as got:
+                WordBasis(hop, hop, False).table(2)
+            assert str(got.value) == str(pole.value)
+
     @pytest.mark.parametrize("index", range(13))
     def test_float_tables_near_the_rounded_exact_table(self, index):
         exact = exact_tables()[index]
@@ -251,21 +279,19 @@ def test_pole_checks(exact):
     if not exact:
         pole = MoebiusMatrix(*(float(e) for e in pole.entries))
     basis = WordBasis(pole, pole, exact)
-    (level,) = basis.blocks(1)
     one = Fraction(1) if exact else 1.0
-    if not exact:
-        with pytest.raises(PoleError):
-            basis.values(level, one)
     with pytest.raises(PoleError):
         basis.value(basis.path((0,)), one)
     with pytest.raises(PoleError):
         basis.image((0,), one)
-    with pytest.raises(PoleError):
-        basis.cell_terms(level, one)
-    # The identity word's value at 1 is finite; A0' and A1' have the pole.
-    identity = [basis.identity] if exact else np.array([basis.identity])
-    with pytest.raises(PoleError):
-        basis.cell_terms(identity, one)
+    # The quadrature's cells: a midpoint value at 1, where A0' and A1'
+    # have the pole, and (exact pairs) a midpoint value that is a pole.
+    tables = [[0.0, 1.0, 1.0], np.array([0.0, 1.0, 1.0])]
+    if exact:
+        tables = [([0, 1, 1], [1, 1, 1]), ([0, 1, 1], [1, 0, 1])]
+    for table in tables:
+        with pytest.raises(PoleError):
+            stationary._cell_terms(basis, table)
     # z -> (z + 1)/(1 - z) maps 0 to 1, its pole: the table and the
     # one-path read of depth 2 raise as apply_mobius does.
     hop = MoebiusMatrix(1, 1, -1, 1)
@@ -274,11 +300,17 @@ def test_pole_checks(exact):
     basis = WordBasis(hop, hop, exact)
     with pytest.raises(PoleError) as want:
         apply_mobius(hop, apply_mobius(hop, 0 * one))
-    for read in (lambda: basis.table(2), lambda: basis.image((0, 1), 0 * one)):
+    # Exact tables hold pairs, so the pole shows where their values are formed.
+    reads = [lambda: basis.image((0, 1), 0 * one)]
+    if exact:
+        reads += [lambda: to_fractions(basis.table(2)), lambda: to_floats(basis.table(2))]
+    else:
+        reads += [lambda: basis.table(2)]
+    for read in reads:
         with pytest.raises(PoleError) as got:
             read()
         assert str(got.value) == str(want.value)
-    assert len(basis.table(1)) == 2  # depth 1 stops short of the pole
+    assert to_floats(basis.table(1)) == [1.0, 1.0, 1.0]  # depth 1 stops short of the pole
 
 
 def test_level_pole_check_reads_the_extremes_then_every_value():
