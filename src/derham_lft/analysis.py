@@ -46,22 +46,6 @@ class DimensionBounds(_Record):
     dim_lower: float
     argmax_location: Scalar
 
-    def __init__(
-        self,
-        entropy_max: float,
-        entropy_min: float,
-        dim_upper: float,
-        dim_lower: float,
-        argmax_location: Scalar,
-    ):
-        self.__dict__.update(
-            entropy_max=entropy_max,
-            entropy_min=entropy_min,
-            dim_upper=dim_upper,
-            dim_lower=dim_lower,
-            argmax_location=argmax_location,
-        )
-
 
 class ClassificationReport(_Record):
     """Outcome of the exact dichotomy.
@@ -75,6 +59,7 @@ class ClassificationReport(_Record):
     _fields = (
         "ac_condition_0", "ac_condition_1", "verdict", "exactness", "c0", "bounds", "defect_bound"
     )
+    _defaults = (None, None, None)  # c0, bounds, defect_bound
     ac_condition_0: bool
     ac_condition_1: bool
     verdict: str
@@ -82,26 +67,6 @@ class ClassificationReport(_Record):
     c0: Optional[Scalar]
     bounds: Optional[DimensionBounds]
     defect_bound: Optional[float]
-
-    def __init__(
-        self,
-        ac_condition_0: bool,
-        ac_condition_1: bool,
-        verdict: str,
-        exactness: str,
-        c0: Optional[Scalar] = None,
-        bounds: Optional[DimensionBounds] = None,
-        defect_bound: Optional[float] = None,
-    ):
-        self.__dict__.update(
-            ac_condition_0=ac_condition_0,
-            ac_condition_1=ac_condition_1,
-            verdict=verdict,
-            exactness=exactness,
-            c0=c0,
-            bounds=bounds,
-            defect_bound=defect_bound,
-        )
 
 
 def dimension_bounds(sys: DeRhamSystem) -> DimensionBounds:

@@ -16,13 +16,13 @@ When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
 alpha = beta = 0, as for the lebesgue presets): every state is 0, the
 digits are i.i.d. with P(0) = 1/gamma, and sampling draws them in one
 vectorised comparison in either mode (``DeRhamSystem.affine``).  The
-entropy post-pass of such a path forms its one term once (exact mode)
-or once per block shape (float mode: one full block and the tail, the
-full block counted once per full block).  Otherwise exact sampling reads the state off the integer
-bottom row (r, s) of the word, the coprime integer matrices of
-``_words``: each step forms the next pair with Python ints and one gcd
-(the Fraction constructor), and the digit probability is the correctly
-rounded int/int quotient.  On a state interval with alpha < beta exact
+entropy post-pass of such a path forms its one term h once, in either
+mode, and returns h * n / n: fsum of the n equal terms is h * n.
+Otherwise exact sampling reads the state off the integer bottom row
+(r, s) of the word, the coprime integer matrices of ``_words``: each
+step forms the next pair with Python ints and one gcd (the Fraction
+constructor), and the digit probability is the correctly rounded
+int/int quotient.  On a state interval with alpha < beta exact
 states gain about one bit of denominator per step (exact walk:1), so
 those paths stay quadratic in their length.  Float paths run the loop
 of ``_kernels``: a long path in numpy lanes that are checked and
@@ -36,7 +36,7 @@ formed in numpy blocks (``_exact_sum``) and rounded once, so it equals
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -90,14 +90,18 @@ class MeasureNode(_Record):
 
 
 def mass_from_word(word: MoebiusMatrix) -> Scalar:
-    """Interval mass (p*s - q*r)/(s*(r + s)) of a word ((p, q), (r, s))."""
+    """Interval mass (p*s - q*r)/(s*(r + s)) of a word ((p, q), (r, s)).
+    On a long float word p*s and q*r nearly cancel, so float masses lose
+    relative accuracy with the depth and can come out 0 or negative."""
     p, q, r, s = word.entries
     return (p * s - q * r) / (s * (r + s))
 
 
 def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
-    """Mass of the dyadic interval named by the address. In (0, 1], equal
-    to the width of the value enclosure of the same address."""
+    """Mass of the dyadic interval named by the address, equal to the
+    width of the value enclosure of the same address; in (0, 1] in exact
+    mode.  Float masses lose relative accuracy with the depth and can be
+    0 (walk:0.5 at (1,) * 30, not 6.1e-23) or negative (ROADMAP.md item 3)."""
     check_bits(bits)
     basis = sys.word_basis
     return basis.mass(basis.path(bits))
@@ -143,7 +147,8 @@ def walk_tree(sys: DeRhamSystem, depth: int) -> Iterator[MeasureNode]:
 
     Word products share prefixes, so the full exhaustive sweep costs one
     matrix multiplication per node.  Masses and states are read off each
-    node's word, as `interval_measure` and `ratio_state` read them.
+    node's word, as `interval_measure` and `ratio_state` read them, so
+    float masses lose relative accuracy with the depth as theirs do.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -173,9 +178,6 @@ class SamplePath(_Record):
     digits: np.ndarray
     states: Sequence[Scalar]
     seed: int
-
-    def __init__(self, digits: np.ndarray, states: Sequence[Scalar], seed: int):
-        self.__dict__.update(digits=digits, states=states, seed=seed)
 
     def __len__(self) -> int:
         return int(self.digits.shape[0])
@@ -289,9 +291,10 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
             r, s = t.numerator, t.denominator
             return gd * (r + s) / (gd * r + gn * s)
 
+        terms = map(binary_entropy, map(prob0, path.states))
         if sys.affine:  # every state is 0; fsum of n copies of h is h * n
-            return binary_entropy(prob0(sys.zero())) * n / n
-        return fsum(map(binary_entropy, map(prob0, path.states))) / n
+            return next(terms) * n / n
+        return fsum(terms) / n
     import numpy as np
 
     gamma = sys.gamma
@@ -301,32 +304,20 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
         p0 = (t + 1.0) / (t + gamma)
         return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
 
+    if sys.affine:  # as in exact mode, h the term at state 0.0
+        return float(block_terms(0)[0]) * n / n
     blocks = range(0, n, _ENTROPY_BLOCK)
-    if sys.affine:
-        # Every state is 0.0, so every full block has the same terms: form
-        # the first block and the tail once each, and count the first block
-        # once per full block.
-        full, tail = divmod(n, _ENTROPY_BLOCK)
-        counted = []  # (times, block start)
-        if full:
-            counted.append((full, 0))
-        if tail:
-            counted.append((1, n - tail))
-        counts, starts = zip(*counted)
-        total = _exact_sum(map(block_terms, starts), counts)
-    else:
-        total = _exact_sum(map(block_terms, blocks))
+    total = _exact_sum(map(block_terms, blocks))
     if total is None:
         total = fsum(chain.from_iterable(t.tolist() for t in map(block_terms, blocks)))
     return total / n
 
 
-def _exact_sum(blocks: Iterable[np.ndarray], counts: Iterable[int] | None = None) -> float | None:
-    """math.fsum of the float64 blocks, block i counted counts[i] times
-    (once by default), bit for bit, without a Python float per term;
-    None if a term is non-finite or not below _EXACT_SUM_LIMIT, or if the
-    sum is exactly zero (fsum's sign of zero and its errors are left to
-    fsum).
+def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
+    """math.fsum of the float64 blocks, bit for bit, without a Python
+    float per term; None if a term is non-finite or not below
+    _EXACT_SUM_LIMIT, or if the sum is exactly zero (fsum's sign of zero
+    and its errors are left to fsum).
 
     Each term is m * 2^e with a 53-bit integer m (np.frexp), cut into a
     high and a low half of 27 and 26 bits.  np.bincount sums the halves
@@ -339,7 +330,7 @@ def _exact_sum(blocks: Iterable[np.ndarray], counts: Iterable[int] | None = None
     import numpy as np
 
     total = 0
-    for count, x in zip(repeat(1) if counts is None else counts, blocks):
+    for x in blocks:
         if not -_EXACT_SUM_LIMIT < x.min() <= x.max() < _EXACT_SUM_LIMIT:  # also NaN
             return None
         frac, exp = np.frexp(x)
@@ -348,10 +339,8 @@ def _exact_sum(blocks: Iterable[np.ndarray], counts: Iterable[int] | None = None
         high = np.bincount(exp, weights=mant >> 26)
         low = np.bincount(exp, weights=mant & ((1 << 26) - 1))
         nonzero = np.flatnonzero((high != 0) | (low != 0))
-        block = 0
         for k, h, lo in zip(nonzero.tolist(), high[nonzero].tolist(), low[nonzero].tolist()):
-            block += ((int(h) << 26) + int(lo)) << k
-        total += count * block
+            total += ((int(h) << 26) + int(lo)) << k
     if total == 0:
         return None
     return total / (1 << 1126)

@@ -55,13 +55,30 @@ class _Record:
 
     Equality (same class, equal field tuples), hash and repr read the
     fields in order; assigning or deleting any attribute raises
-    AttributeError.  A subclass's ``__init__`` stores its attributes with
-    ``self.__dict__.update``.  Instances keep a ``__dict__``, so
-    ``functools.cached_property`` caches into it, and ``copy`` and
-    ``pickle`` restore it without calling ``__setattr__``.
+    AttributeError.  A subclass that writes no ``__init__`` gets one that
+    takes its fields in order, the last ones defaulting to ``_defaults``,
+    built from source once, as ``collections.namedtuple`` builds its own,
+    so signatures, keyword calls and TypeErrors are those of a written
+    one.  Either stores the attributes with ``self.__dict__.update``.
+    Instances keep a ``__dict__``, so ``functools.cached_property``
+    caches into it, and ``copy`` and ``pickle`` restore it without
+    calling ``__setattr__``.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" in vars(cls):
+            return
+        fields, ns = cls._fields, {"__name__": cls.__module__}
+        stores = ", ".join(f"{n}={n}" for n in fields)
+        exec(f"def __init__(self, {', '.join(fields)}):\n self.__dict__.update({stores})", ns)
+        init = ns["__init__"]
+        init.__defaults__ = cls._defaults or None
+        init.__annotations__ = {n: cls.__annotations__[n] for n in fields}
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

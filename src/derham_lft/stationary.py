@@ -70,20 +70,6 @@ class StationarityReport(_Record):
     max_residual_mass: Scalar
     verdict_transfer: bool
 
-    def __init__(
-        self,
-        depth: int,
-        max_residual_recursion: Scalar,
-        max_residual_mass: Scalar,
-        verdict_transfer: bool,
-    ):
-        self.__dict__.update(
-            depth=depth,
-            max_residual_recursion=max_residual_recursion,
-            max_residual_mass=max_residual_mass,
-            verdict_transfer=verdict_transfer,
-        )
-
 
 def inverse_measure_interval(
     sys: DeRhamSystem, a: Scalar, b: Scalar, tol: float
@@ -100,15 +86,20 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
 
     For each address, compares mu_g of its value interval with 2**-k and
     with half the mu_g-mass of the digit-shifted parent interval, all
-    read off one table of g at the depth's values.  In exact mode the
-    inversions run at tol 0 and stop on the dyadic value grid, so both
-    residuals are exactly zero at any tol, which is only validated.  In
-    approx mode they are not certified and can exceed tol by orders of
-    magnitude, as inverse_evaluate can miss tol at the table values
-    (walk:0.5, depth 8, tol 1e-11: a mass residual of 1.0e-7).  Exact
-    checks are refused above depth _MAX_EXACT_CHECK_DEPTH, float checks
-    above _MAX_FLOAT_CHECK_DEPTH and below tol _MIN_FLOAT_CHECK_TOL.
-    verdict_transfer is always True; see StationarityReport.
+    read off one table of g at the depth's values.  Both identities hold
+    for any increasing f, as mu_g(f([a, b])) = b - a, so neither tests
+    that mu_g is stationary (the doubling-map identity is the one that
+    uses A0' and A1'): exact residuals check that inverse_evaluate
+    inverts the table, approx ones measure its float error at the table
+    values.  In exact mode the inversions run at tol 0 and stop on the
+    dyadic value grid, so both residuals are exactly zero at any tol,
+    which is only validated.  In approx mode they are not certified and
+    can exceed tol by orders of magnitude, as inverse_evaluate can miss
+    tol at the table values (walk:0.5, depth 8, tol 1e-11: a mass
+    residual of 1.0e-7).  Exact checks are refused above depth
+    _MAX_EXACT_CHECK_DEPTH, float checks above _MAX_FLOAT_CHECK_DEPTH and
+    below tol _MIN_FLOAT_CHECK_TOL.  verdict_transfer is always True; see
+    StationarityReport.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")

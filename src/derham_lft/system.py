@@ -59,17 +59,6 @@ class DeRhamSystem(_Record):
     gamma: Scalar
     mode: str
 
-    def __init__(
-        self,
-        A0: MoebiusMatrix,
-        A1: MoebiusMatrix,
-        alpha: Scalar,
-        beta: Scalar,
-        gamma: Scalar,
-        mode: str,
-    ):
-        self.__dict__.update(A0=A0, A1=A1, alpha=alpha, beta=beta, gamma=gamma, mode=mode)
-
     @property
     def exact(self) -> bool:
         return self.mode == EXACT

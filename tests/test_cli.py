@@ -622,6 +622,8 @@ class TestImports:
         ["--version"],
         ["validate", "--preset", "walk:1"],
         ["classify", "--preset", "lebesgue:1/3"],
+        # The absolutely continuous branch builds its report with c0.
+        ["classify", "--preset", "walk:1"],
         ["dimension", "--preset", "walk:1"],
         ["plot", "--preset", "walk:1", "--depth", "6"],
         ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],

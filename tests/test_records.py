@@ -1,6 +1,7 @@
 """The seven frozen records: repr, equality, hash, immutability, copy and pickle."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from derham_lft import (
     ClassificationReport,
+    DeRhamSystem,
     DimensionBounds,
     MeasureNode,
     MoebiusMatrix,
@@ -214,3 +216,48 @@ def test_keyword_construction_and_defaults():
     assert (report.c0, report.bounds, report.defect_bound) == (None, bounds, None)
     path = SamplePath(digits=None, states=[], seed=3)
     assert (path.digits, path.states, path.seed) == (None, [], 3)
+
+
+#: The records whose __init__ _Record builds from their _fields.
+GENERATED = {
+    "DeRhamSystem": DeRhamSystem,
+    "DimensionBounds": DimensionBounds,
+    "ClassificationReport": ClassificationReport,
+    "SamplePath": SamplePath,
+    "StationarityReport": StationarityReport,
+}
+
+#: Defaults of the generated constructors; every other field is required.
+DEFAULTS = {"ClassificationReport": {"c0": None, "bounds": None, "defect_bound": None}}
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_constructor_signature(name):
+    cls = GENERATED[name]
+    assert "def __init__" not in inspect.getsource(cls)
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == FIELDS[name]
+    defaults = DEFAULTS.get(name, {})
+    for param in params.values():
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert param.default is defaults.get(param.name, inspect.Parameter.empty)
+        assert param.annotation == cls.__annotations__[param.name]
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_constructor_rejects_bad_calls(name):
+    cls, record, fields = GENERATED[name], _instances()[name], FIELDS[name]
+    values = [getattr(record, f) for f in fields]
+    _same_record(cls(*values), record, name)
+    _same_record(cls(**dict(zip(fields, values))), record, name)
+    bad_calls = (
+        ((), dict(zip(fields[1:], values[1:]))),  # the first field missing
+        ((*values, 0), {}),  # one positional argument too many
+        (values, {"not_a_field": 0}),
+        (values, {fields[0]: values[0]}),  # the first field twice
+    )
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\)"):
+            cls(*args, **kwargs)
