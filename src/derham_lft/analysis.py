@@ -23,7 +23,6 @@ from typing import Optional
 
 from .errors import ConditionHoldsError, DomainError
 from .numerics import Scalar, _Record, apply_mobius
-from .solution import normal_form
 from .system import DeRhamSystem, ac_conditions, binary_entropy, prob_digit0
 
 LOG2 = math.log(2.0)
@@ -166,6 +165,8 @@ def classify(sys: DeRhamSystem) -> ClassificationReport:
     """
     cond0, cond1 = ac_conditions(sys)
     if cond0 and cond1:
+        from .solution import normal_form  # only this branch runs solution
+
         n0, _ = normal_form(sys)
         return ClassificationReport(
             ac_condition_0=True,

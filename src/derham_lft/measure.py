@@ -27,15 +27,21 @@ states gain about one bit of denominator per step (exact walk:1), so
 those paths stay quadratic in their length.  Float paths run the loop
 of ``_kernels``: a long path in numpy lanes that are checked and
 repaired against the Python loop bit for bit, a short one in that
-loop.  The entropy rate of a float path is the exact sum of its terms,
-formed in numpy blocks (``_exact_sum``) and rounded once, so it equals
-``math.fsum`` over the terms bit for bit at about 0.4 of the cost
-(0.025 s against 0.065 s per 10^6 steps, 2-core Xeon).
+loop.  Every path takes its uniforms from one Philox stream per seed,
+entered at any position (``_uniforms``), so no path holds an array of
+uniforms beside its digits and states: float paths draw them into the
+state array, which the loop overwrites step by step, and repairs draw
+the stretch they re-run again; affine paths compare blocks of 2^16
+uniforms with P(0).  The entropy rate of a float path is the exact sum
+of its terms, formed in numpy blocks (``_exact_sum``) and rounded once,
+so it equals ``math.fsum`` over the terms bit for bit at about 0.4 of
+the cost (0.025 s against 0.065 s per 10^6 steps, 2-core Xeon).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -61,9 +67,9 @@ DEFAULT_SEED = 99991
 #: steps, 2.9 s and 244 MB at 40k, on a 2-core Xeon).
 _MAX_EXACT_GROWING_STEPS = 20_000
 
-#: Longest path sample_path draws in any mode: the uniforms, digits and
-#: states take about 17 bytes per step (570 MB at the cap), and the
-#: pure-Python float loop takes about 12 s at the cap on a 2-core Xeon.
+#: Longest path sample_path draws in any mode: the digits and states
+#: take about 9 bytes per step (300 MB at the cap), and the pure-Python
+#: float loop takes about 12 s at the cap on a 2-core Xeon.
 _MAX_STEPS = 1 << 25
 
 
@@ -183,11 +189,23 @@ class SamplePath(_Record):
         return int(self.digits.shape[0])
 
 
-def _uniforms(seed: int, n: int) -> np.ndarray:
+#: Uniforms per draw of an affine path, compared with P(0) a block at a
+#: time, so that no path-sized array of uniforms is held.
+_DRAW_BLOCK = 1 << 16
+
+
+def _uniforms(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill the float64 array out with the uniforms start, start + 1, ...
+    of the seed's stream: Generator(Philox(seed)).random(n)[start:start +
+    len(out)], for any n past that stretch.  Philox is counter-based
+    (Salmon, Moraes, Dror and Shaw, SC 2011): each counter step gives
+    four 64-bit words, one per uniform, so the stream is entered at
+    counter start // 4 and start % 4 words are discarded."""
     import numpy as np
 
-    # Philox is counter-based and splittable: one stream per (seed, call).
-    return np.random.Generator(np.random.Philox(seed)).random(n)
+    bit_generator = np.random.Philox(seed).advance(start // 4)
+    bit_generator.random_raw(start % 4)
+    np.random.Generator(bit_generator).random(out=out)
 
 
 def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
@@ -214,7 +232,7 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     if n > _MAX_STEPS:
         raise DomainError(
             f"n = {n} exceeds {_MAX_STEPS}, the most steps one path holds "
-            "(about 17 bytes per step); use a smaller n"
+            "(about 9 bytes per step); use a smaller n"
         )
     if sys.exact and not sys.affine and n > _MAX_EXACT_GROWING_STEPS:
         raise DomainError(
@@ -224,19 +242,26 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
         )
     import numpy as np
 
-    u = _uniforms(seed, n)
     if sys.affine:
         # P(0) = 1/gamma rounded to float, as the step loops below
         # round (t + 1)/(t + gamma) at t = 0 (an int/int or float quotient).
         g = sys.gamma
         p0 = g.denominator / g.numerator if sys.exact else 1.0 / g
+        digits = np.empty(n, dtype=np.uint8)
+        u = np.empty(min(n, _DRAW_BLOCK))
+        for start in range(0, n, _DRAW_BLOCK):
+            block = u[: n - start]
+            _uniforms(seed, start, block)
+            np.greater_equal(block, p0, out=digits[start : start + len(block)])
         states = [sys.zero()] * n if sys.exact else np.zeros(n)
-        return SamplePath((u >= p0).astype(np.uint8), states, seed)
+        return SamplePath(digits, states, seed)
     if not sys.exact:
         digits = np.empty(n, dtype=np.uint8)
         states = np.empty(n, dtype=np.float64)
-        _kernels.fill_path(_float_params(sys), u, digits, states)
+        _kernels.fill_path(_float_params(sys), partial(_uniforms, seed), digits, states)
         return SamplePath(digits, states, seed)
+    u = np.empty(n)
+    _uniforms(seed, 0, u)
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
     (a0, b0, c0, d0), (a1, b1, c1, d1) = sys.word_basis.m0, sys.word_basis.m1
@@ -268,10 +293,11 @@ def entropy_rate_estimate(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -
     return _entropy_rate(sys, sample_path(sys, n, seed))
 
 
-#: States per numpy block of the float entropy post-pass, so its
-#: temporaries stay small next to the path itself, and so the per-exponent
-#: sums of _exact_sum (at most 2^16 halves below 2^27) stay exact in float64.
-_ENTROPY_BLOCK = 1 << 16
+#: States per numpy block of the float entropy post-pass.  Its temporaries
+#: add about 1.4 MB to a float path's peak, against about 5.4 MB at 2^16
+#: states, at the same speed; the per-exponent sums of _exact_sum (at
+#: most 2^16 halves below 2^27) stay exact in float64.
+_ENTROPY_BLOCK = 1 << 14
 
 #: Terms below this magnitude cannot overflow fsum's partial sums, even
 #: 2^25 of them (_MAX_STEPS).
@@ -322,10 +348,10 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
     Each term is m * 2^e with a 53-bit integer m (np.frexp), cut into a
     high and a low half of 27 and 26 bits.  np.bincount sums the halves
     of a block per exponent in float64, exactly as long as a block holds
-    at most 2^16 terms (_ENTROPY_BLOCK); the sums are then added as one Python int scaled by
-    2^1126 (the least subnormal is 2^-1074 = 2^52 * 2^-1126).  int/int
-    division rounds correctly, as CPython's fsum does, so both give the
-    float nearest the exact sum, ties to even.
+    at most 2^16 terms (_ENTROPY_BLOCK is 2^14); the sums are then added
+    as one Python int scaled by 2^1126 (the least subnormal is 2^-1074 =
+    2^52 * 2^-1126).  int/int division rounds correctly, as CPython's
+    fsum does, so both give the float nearest the exact sum, ties to even.
     """
     import numpy as np
 

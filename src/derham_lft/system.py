@@ -30,10 +30,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from ._words import WordBasis
 from .errors import DomainError, ValidationError
 from .numerics import MoebiusMatrix, Scalar, _Record, apply_mobius, is_exact, transpose
+
+if TYPE_CHECKING:  # imported on use, so `validate` does not load _words
+    from ._words import WordBasis
 
 EXACT = "exact"
 APPROX = "approx"
@@ -86,6 +89,8 @@ class DeRhamSystem(_Record):
     @cached_property
     def word_basis(self) -> WordBasis:
         """A0 and A1 as the factors of word products (see _words)."""
+        from ._words import WordBasis
+
         return WordBasis(self.A0, self.A1, self.exact)
 
     @cached_property

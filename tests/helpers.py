@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from derham_lft import (
     DeRhamSystem,
     MoebiusMatrix,
@@ -42,6 +44,21 @@ def random_valid_system(rng, require_digit0_fails: bool = False, scaled: bool = 
         if require_digit0_fails and ac_conditions(system)[0]:
             continue
         return system
+
+
+def philox_uniforms(seed: int, n: int) -> np.ndarray:
+    """The first n uniforms of the seed's stream, drawn by numpy alone:
+    the oracle for the positioned draw of measure._uniforms."""
+    return np.random.Generator(np.random.Philox(seed)).random(n)
+
+
+def draw_from(u: np.ndarray):
+    """A fill_path draw, draw(start, out), over the fixed uniforms u."""
+
+    def draw(start: int, out: np.ndarray) -> None:
+        out[:] = u[start : start + len(out)]
+
+    return draw
 
 
 def coin_distribution(p: Fraction, k: int, depth: int) -> Fraction:

@@ -371,7 +371,7 @@ class TestSample:
     def test_exact_growing_states_default_n_refused(self, capsys, monkeypatch):
         from derham_lft import measure
 
-        def no_draw(seed, n):
+        def no_draw(seed, start, out):
             raise AssertionError("drew uniforms for a refused path")
 
         monkeypatch.setattr(measure, "_uniforms", no_draw)
@@ -387,9 +387,9 @@ class TestSample:
         calls = []
         draw = measure._uniforms
 
-        def counted(seed, n):
-            calls.append((seed, n))
-            return draw(seed, n)
+        def counted(seed, start, out):
+            calls.append((seed, start, len(out)))
+            return draw(seed, start, out)
 
         monkeypatch.setattr(measure, "_uniforms", counted)
         for mode in ("exact", "approx"):
@@ -398,7 +398,7 @@ class TestSample:
                 capsys, "sample", "--preset", "walk:1", "--mode", mode, "-n", "500"
             )
             assert code == 0
-            assert calls == [(99991, 500)], mode
+            assert calls == [(99991, 0, 500)], mode
 
 
 class TestStationaryCommand:
@@ -588,19 +588,22 @@ class TestImports:
         assert run.stdout == "16 False\n17 True\n"
 
     # The derham_lft submodules each command leaves in sys.modules.
-    COMMON = {"cli", "errors", "numerics", "_words", "system", "presets"}
+    COMMON = {"cli", "errors", "numerics", "system", "presets"}
+    WORDS = COMMON | {"_words"}
     GRAPH = (
         (["--version"], {"cli", "errors"}),
         (["validate", "--preset", "walk:1"], COMMON),
-        (["classify", "--preset", "lebesgue:1/3"], COMMON | {"analysis", "solution"}),
-        (["dimension", "--preset", "walk:1"], COMMON | {"analysis", "solution"}),
-        (["plot", "--preset", "walk:1", "--depth", "6"], COMMON | {"solution"}),
-        (["plot", "--preset", "walk:1", "--depth", "6", "--mode", "approx"], COMMON | {"solution"}),
+        (["classify", "--preset", "lebesgue:1/3"], COMMON | {"analysis"}),
+        # The absolutely continuous branch reads c0 off the normal form.
+        (["classify", "--preset", "walk:1"], WORDS | {"analysis", "solution"}),
+        (["dimension", "--preset", "walk:1"], COMMON | {"analysis"}),
+        (["plot", "--preset", "walk:1", "--depth", "6"], WORDS | {"solution"}),
+        (["plot", "--preset", "walk:1", "--depth", "6", "--mode", "approx"], WORDS | {"solution"}),
         (
             ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],
-            COMMON | {"solution", "stationary"},
+            WORDS | {"solution", "stationary"},
         ),
-        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], COMMON | {"measure", "_kernels"}),
+        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], WORDS | {"measure", "_kernels"}),
     )
 
     @pytest.mark.parametrize("argv, modules", GRAPH, ids=[" ".join(a) for a, _ in GRAPH])

@@ -1,5 +1,7 @@
 """The speculative lane sweep of fill_path against one sequential loop,
-and the exact float sum of the entropy post-pass against math.fsum.
+the positioned uniform draw against numpy's own stream, the memory a
+float path holds, and the exact float sum of the entropy post-pass
+against math.fsum.
 
 A long float path runs in _kernels.LANES lanes that are checked and
 repaired against the Python loop; the digits and state bits must equal
@@ -15,9 +17,16 @@ from math import fsum
 import numpy as np
 import pytest
 
-from derham_lft import _kernels, force_approx, walk_system
-from derham_lft.measure import _ENTROPY_BLOCK, _exact_sum, _float_params, _uniforms
-from helpers import random_valid_system
+from derham_lft import _kernels, force_approx, lebesgue_system, sample_path, walk_system
+from derham_lft.measure import (
+    _ENTROPY_BLOCK,
+    DEFAULT_SEED,
+    _entropy_rate,
+    _exact_sum,
+    _float_params,
+    _uniforms,
+)
+from helpers import draw_from, philox_uniforms, random_valid_system
 
 THRESHOLD = _kernels.LANES * _kernels.BURN_IN
 WHOLE = _kernels.LANES * 300
@@ -41,7 +50,7 @@ SYSTEMS = _systems()
 
 @pytest.fixture(scope="module")
 def uniforms():
-    return _uniforms(2718, LONGEST)
+    return philox_uniforms(2718, LONGEST)
 
 
 def _oracle(params, u):
@@ -54,7 +63,7 @@ def _oracle(params, u):
 def _fill(params, u):
     digits = np.empty(len(u), dtype=np.uint8)
     states = np.empty(len(u), dtype=np.float64)
-    _kernels.fill_path(params, u, digits, states)
+    _kernels.fill_path(params, draw_from(u), digits, states)
     return digits, states
 
 
@@ -161,16 +170,77 @@ def test_no_path_sized_temporary(uniforms):
     params = _float_params(SYSTEMS[0])
     digits = np.empty(LONGEST, dtype=np.uint8)
     states = np.empty(LONGEST, dtype=np.float64)
-    _kernels.fill_path(params, uniforms, digits, states)  # warm up
+    draw = draw_from(uniforms)
+    _kernels.fill_path(params, draw, digits, states)  # warm up
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        _kernels.fill_path(params, uniforms, digits, states)
+        _kernels.fill_path(params, draw, digits, states)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # A uint8 or bool copy of the path alone would take LONGEST bytes.
     assert peak < LONGEST // 8
+
+
+def _peak(call):
+    """Bytes call() allocates at its peak above what was held before it."""
+    call()  # warm up: imports and numpy's caches are not the call's own
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+class TestPathMemory:
+    """A path holds its digits and states, 9 bytes per step, and no array
+    of uniforms beside them."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [walk_system(0.5), force_approx(lebesgue_system(Fraction(1, 3)))],
+        ids=["walk:0.5", "lebesgue:1/3 approx"],
+    )
+    def test_sample_path_nine_bytes_per_step(self, system):
+        assert _peak(lambda: sample_path(system, LONGEST, seed=1)) <= 9 * LONGEST + (1 << 20)
+
+    def test_entropy_post_pass_adds_little(self):
+        system = SYSTEMS[0]
+        path = sample_path(system, LONGEST, seed=1)
+        assert _peak(lambda: _entropy_rate(system, path)) <= 1 << 21
+
+
+class TestPositionedDraw:
+    """measure._uniforms(seed, start, out) against the first n uniforms
+    of the seed's stream drawn by numpy alone."""
+
+    STARTS = sorted(
+        {*range(10)}
+        | {4 * j + i for j in (1, 2, 3, 250, 1 << 14, LONGEST // 4 - 1) for i in (-1, 0, 1)}
+        | {(LONGEST // _kernels.LANES) * j for j in (1, 2, 3, _kernels.LANES - 1, _kernels.LANES)}
+        | {LONGEST - 1}
+    )
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_equals_the_stream_from_start(self, start, uniforms):
+        for k in (1, 3, 4, 5, _kernels.REPAIR, 977, LONGEST - start):
+            k = min(k, LONGEST - start)
+            out = np.empty(k)
+            _uniforms(2718, start, out)
+            assert out.tobytes() == uniforms[start : start + k].tobytes(), (start, k)
+
+    def test_other_seeds(self):
+        for seed in (0, 1, DEFAULT_SEED, 2**63):
+            want = philox_uniforms(seed, 4099)
+            for start in (0, 1, 2, 3, 4, 5, 4095, 4096, 4098):
+                out = np.empty(4099 - start)
+                _uniforms(seed, start, out)
+                assert out.tobytes() == want[start:].tobytes(), (seed, start)
 
 
 class TestExactSum:
@@ -183,13 +253,16 @@ class TestExactSum:
         assert got is not None
         assert got.hex() == fsum(x.tolist()).hex()
 
-    @pytest.mark.parametrize("n", (1, 2, 3, 1000, _ENTROPY_BLOCK, _ENTROPY_BLOCK + 1))
+    # 2^16 and 2^16 + 1 terms span several blocks.
+    @pytest.mark.parametrize(
+        "n", (1, 2, 3, 1000, _ENTROPY_BLOCK, _ENTROPY_BLOCK + 1, 1 << 16, (1 << 16) + 1)
+    )
     def test_mixed_signs_over_40_decades(self, n):
         rng = np.random.default_rng(n)
         for _ in range(4):
             self._check(rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n))
 
-    @pytest.mark.parametrize("n", (2, 1000, _ENTROPY_BLOCK + 1))
+    @pytest.mark.parametrize("n", (2, 1000, _ENTROPY_BLOCK + 1, (1 << 16) + 1))
     def test_subnormals_and_zeros(self, n):
         rng = np.random.default_rng(n + 7)
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
@@ -209,9 +282,12 @@ class TestExactSum:
         self._check(np.array([1.0 + 2.0**-52, 2.0**-53]))
 
     def test_full_block_of_largest_mantissas(self):
-        # 2^16 mantissas of 53 ones: the per-exponent half sums stay exact.
-        self._check(np.full(_ENTROPY_BLOCK, np.nextafter(1.0, 0.0)))
-        self._check(np.full(_ENTROPY_BLOCK, -np.nextafter(2.0**900, 0.0)))
+        # 2^16 mantissas of 53 ones, in blocks and as one block: the
+        # per-exponent half sums stay exact up to 2^16 terms a block.
+        for x in (np.nextafter(1.0, 0.0), -np.nextafter(2.0**900, 0.0)):
+            x = np.full(1 << 16, x)
+            self._check(x)
+            assert _exact_sum([x]).hex() == fsum(x.tolist()).hex()
 
     @pytest.mark.parametrize(
         "x",

@@ -28,7 +28,7 @@ from derham_lft import (
 )
 from derham_lft import measure
 from derham_lft.measure import transposed_step
-from helpers import random_valid_system
+from helpers import philox_uniforms, random_valid_system
 
 
 class TestIntervalMeasure:
@@ -170,7 +170,7 @@ class TestSamplePath:
                 draw(leb14, 10, seed=-1)
 
     def test_long_exact_growing_path_refused_before_drawing(self, walk1, leb14, monkeypatch):
-        def no_draw(seed, n):
+        def no_draw(seed, start, out):
             raise AssertionError("drew uniforms for a refused path")
 
         with monkeypatch.context() as patch:
@@ -286,7 +286,7 @@ class TestExactBitIdentity:
     def test_sample_path_equals_fraction_fold(self, index):
         system = _exact_systems()[index]
         n, seed = (3000, 7) if index < 2 else (400, 100 + index)
-        u = measure._uniforms(seed, n)
+        u = philox_uniforms(seed, n)
         states, digits = [], []
         t = Fraction(0)
         for x in u:

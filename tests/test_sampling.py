@@ -26,7 +26,7 @@ from derham_lft import (
 from derham_lft import _kernels, measure
 from derham_lft.cli import main
 from derham_lft.measure import _float_params, transposed_step
-from helpers import random_valid_system
+from helpers import draw_from, philox_uniforms, random_valid_system
 
 LENGTHS = (1, 4095, 4096, 4097, 3 * _kernels.BLOCK + 5)
 
@@ -40,20 +40,22 @@ def _lebesgue_systems():
     return out
 
 
-def _loop(system, n, seed):
-    """One unblocked pure-Python loop over numpy arrays."""
-    u = measure._uniforms(seed, n)
+def _loop(system, n, seed, u=None):
+    """One unblocked pure-Python loop over numpy arrays, on the given
+    uniforms or else the seed's stream."""
+    u = philox_uniforms(seed, n) if u is None else u
     digits = np.empty(n, dtype=np.uint8)
     states = np.empty(n, dtype=np.float64)
     _kernels.path_arrays(*_float_params(system), 0.0, u, digits, states)
     return digits, states
 
 
-def _fold(system, n, seed):
-    """The exact path as a fold of the public single-step primitives."""
+def _fold(system, n, seed, u=None):
+    """The exact path as a fold of the public single-step primitives, on
+    the given uniforms or else the seed's stream."""
     states, digits = [], []
     t = Fraction(0)
-    for x in measure._uniforms(seed, n):
+    for x in philox_uniforms(seed, n) if u is None else u:
         states.append(t)
         digit = 0 if x < float(prob_digit0(system, t)) else 1
         digits.append(digit)
@@ -109,12 +111,12 @@ class TestAffineClosedForm:
         p0 = float(prob_digit0(system, system.zero()))
         near = [p0, np.nextafter(p0, 0.0), np.nextafter(p0, 1.0)]
         u = np.array(near * 3 + [0.0, 0.5, 0.9])
-        monkeypatch.setattr(measure, "_uniforms", lambda seed, n: u[:n].copy())
+        monkeypatch.setattr(measure, "_uniforms", lambda seed, start, out: draw_from(u)(start, out))
         n = len(u)
         if exact:
-            digits, _ = _fold(system, n, 0)
+            digits, _ = _fold(system, n, 0, u)
         else:
-            digits, _ = _loop(system, n, 0)
+            digits, _ = _loop(system, n, 0, u)
             digits = digits.tolist()
         assert digits[:3] == [1, 0, 1]
         assert sample_path(system, n, 0).digits.tolist() == digits
@@ -152,16 +154,16 @@ class TestBlockedLoop:
             system = force_approx(random_valid_system(random.Random(draw)))
         for n in LENGTHS:
             digits, states = _loop(system, n, seed=draw + 40)
-            u = measure._uniforms(draw + 40, n)
+            u = philox_uniforms(draw + 40, n)
             got_digits = np.empty(n, dtype=np.uint8)
             got_states = np.empty(n, dtype=np.float64)
-            _kernels.fill_path(_float_params(system), u, got_digits, got_states)
+            _kernels.fill_path(_float_params(system), draw_from(u), got_digits, got_states)
             assert np.array_equal(got_digits, digits)
             assert got_states.tobytes() == states.tobytes()
 
     def test_returns_the_next_state(self):
         params = _float_params(walk_system(0.5))
-        u = measure._uniforms(8, 100).tolist()
+        u = philox_uniforms(8, 100).tolist()
         d, s = bytearray(100), [0.0] * 100
         t = _kernels.path_arrays(*params, 0.0, u[:60], d, s)
         d2, s2 = bytearray(40), [0.0] * 40
@@ -186,8 +188,8 @@ class TestAffineEntropy:
         assert differs
 
     def test_float_counted_blocks_equal_the_full_pass(self):
-        # The full pass: the terms of every 2^16 block of the path's own
-        # states, all summed with fsum (which _exact_sum equals bit for bit).
+        # The full pass: the terms of every _ENTROPY_BLOCK of the path's
+        # own states, all summed with fsum (which _exact_sum equals bit for bit).
         block = measure._ENTROPY_BLOCK
 
         def full_pass(system, path):
@@ -210,7 +212,7 @@ class TestAffineEntropy:
 
 class TestStepCap:
     def test_refused_before_drawing(self, monkeypatch):
-        def no_draw(seed, n):
+        def no_draw(seed, start, out):
             raise AssertionError("drew uniforms for a refused path")
 
         monkeypatch.setattr(measure, "_uniforms", no_draw)
@@ -229,7 +231,7 @@ class TestStepCap:
             measure.entropy_rate_estimate(system, 101)
 
     def test_cli_exit_1(self, capsys, monkeypatch):
-        def no_draw(seed, n):
+        def no_draw(seed, start, out):
             raise AssertionError("drew uniforms for a refused path")
 
         monkeypatch.setattr(measure, "_uniforms", no_draw)
