@@ -45,6 +45,8 @@ when the uniforms were a third array.
 
 from __future__ import annotations
 
+import numpy as np
+
 #: Steps per block of the pure-Python loop.  Larger blocks cost memory:
 #: one list for a 1e6-step path took `sample` to 120 MB peak RSS, 2^16
 #: steps to 59 MB, 2^12 steps to 51.7 MB against 51 MB for no lists.
@@ -93,8 +95,6 @@ def fill_path(params, draw, digits, states) -> None:
     if length < BURN_IN:
         _python_path(params, 0.0, states, digits, states)
         return
-    import numpy as np
-
     # (lane, step) views of the path's own arrays: no copies.  The tail
     # past `cut` still holds its uniforms.
     cut = LANES * length
@@ -122,8 +122,6 @@ def _sweep(params, d, s):
     """Step every lane through its row of s, which holds the lane's
     uniforms, writing d and overwriting s with the states; return the
     state after each lane's last step."""
-    import numpy as np
-
     a0, b0, c0, d0, a1, b1, c1, d1, gamma = params
     lanes, length = s.shape
 
@@ -154,8 +152,6 @@ def _repair(params, t, d, s, end, draw, start):
     uniforms again into s, until the state after a run equals the
     speculative state there bit for bit; return the chunk's true end
     state (its speculative `end` once the runs have met the lane)."""
-    import numpy as np
-
     bits = s.view(np.int64)
     t = float(t)
     for first in range(0, len(s), REPAIR):

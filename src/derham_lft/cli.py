@@ -4,12 +4,12 @@
                [--config FILE | --preset NAME:PARAM] [--depth K] [--tol T]
                [--seed S] [--out PATH] [--mode exact|approx] ...
 
-Config files are JSON with a top-level "schema": 1.  Matrix entries are
-strings: "num/den" or integers parse to exact rationals, anything with a
-decimal point or exponent parses to a float and switches the whole
-system to approximate mode.  Alternatively "preset": {"lebesgue": "1/3"}
-or {"walk": "1"}.  Reports are JSON (CSV for the value grids), written
-to --out or stdout.
+Config files are JSON; a top-level "schema", if given, must be 1.
+Matrix entries are strings: "num/den" or integers parse to exact
+rationals, anything with a decimal point or exponent parses to a float
+and switches the whole system to approximate mode.  Alternatively
+"preset": {"lebesgue": "1/3"} or {"walk": "1"}.  Reports are JSON (CSV
+for the value grids), written to --out or stdout.
 
 Exit codes: 0 ok, 1 validation or analysis precondition failure,
 2 parse error, 3 I/O error.
@@ -119,6 +119,9 @@ def load_system(args: argparse.Namespace) -> tuple[DeRhamSystem, dict]:
             raise ConfigError("config parse error: a number has too many digits") from None
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
+        schema = doc.get("schema", SCHEMA_VERSION)
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            raise ConfigError(f'config "schema" must be 1, got {_shown(json.dumps(schema))}')
         has_matrices = "A0" in doc or "A1" in doc
         has_preset = "preset" in doc
         if has_matrices == has_preset:

@@ -25,17 +25,18 @@ constructor), and the digit probability is the correctly rounded
 int/int quotient.  On a state interval with alpha < beta exact
 states gain about one bit of denominator per step (exact walk:1), so
 those paths stay quadratic in their length.  Float paths run the loop
-of ``_kernels``: a long path in numpy lanes that are checked and
-repaired against the Python loop bit for bit, a short one in that
-loop.  Every path takes its uniforms from one Philox stream per seed,
-entered at any position (``_uniforms``), so no path holds an array of
-uniforms beside its digits and states: float paths draw them into the
-state array, which the loop overwrites step by step, and repairs draw
-the stretch they re-run again; affine paths compare blocks of 2^16
-uniforms with P(0).  The entropy rate of a float path is the exact sum
-of its terms, formed in numpy blocks (``_exact_sum``) and rounded once,
-so it equals ``math.fsum`` over the terms bit for bit at about 0.4 of
-the cost (0.025 s against 0.065 s per 10^6 steps, 2-core Xeon).
+of ``_kernels``, imported for them alone: a long path in numpy lanes
+that are checked and repaired against the Python loop bit for bit, a
+short one in that loop.  Every path takes its uniforms from one Philox
+stream per seed, entered at any position (``_uniforms``), so no path
+holds an array of uniforms beside its digits and states: float paths
+draw them into the state array, which the loop overwrites step by
+step, and repairs draw the stretch they re-run again; affine paths
+compare blocks of 2^16 uniforms with P(0).  The entropy rate of a float
+path is the exact sum of its terms, formed in numpy blocks
+(``_exact_sum``) and rounded once, so it equals ``math.fsum`` over the
+terms bit for bit at about 0.4 of the cost (0.025 s against 0.065 s
+per 10^6 steps, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from itertools import chain
 from math import fsum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import _kernels
 from ._words import Bits, check_bits
 from .errors import DomainError
 from .numerics import MoebiusMatrix, Scalar, _Record
@@ -243,10 +243,9 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     import numpy as np
 
     if sys.affine:
-        # P(0) = 1/gamma rounded to float, as the step loops below
-        # round (t + 1)/(t + gamma) at t = 0 (an int/int or float quotient).
-        g = sys.gamma
-        p0 = g.denominator / g.numerator if sys.exact else 1.0 / g
+        # P(0) = 1/gamma rounded to float, as the step loops below round
+        # (t + 1)/(t + gamma) at t = 0 (float of a Fraction rounds correctly).
+        p0 = float(1 / sys.gamma)
         digits = np.empty(n, dtype=np.uint8)
         u = np.empty(min(n, _DRAW_BLOCK))
         for start in range(0, n, _DRAW_BLOCK):
@@ -256,6 +255,8 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
         states = [sys.zero()] * n if sys.exact else np.zeros(n)
         return SamplePath(digits, states, seed)
     if not sys.exact:
+        from . import _kernels
+
         digits = np.empty(n, dtype=np.uint8)
         states = np.empty(n, dtype=np.float64)
         _kernels.fill_path(_float_params(sys), partial(_uniforms, seed), digits, states)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from ._words import MAX_SWEEP_DEPTH, Bits, check_bits, to_floats, to_fractions
+from ._words import MAX_TABLE_DEPTH, Bits, check_bits
 from .errors import (
     DomainError,
     FormMismatchError,
@@ -97,9 +97,9 @@ def dyadic_digits(x: Scalar) -> Bits:
 
 
 def word_matrix(sys: DeRhamSystem, bits: Bits) -> MoebiusMatrix:
-    """Left-to-right product of the matrices named by the address.  In
-    float mode it is rescaled by a positive factor every 16 factors, as
-    the sweeps form it: the same map, masses and states, other entries
+    """Left-to-right product of the matrices named by the address.  In float
+    mode it is rescaled by a positive factor every 16 factors, as
+    ``WordBasis.path`` forms it: the same map, masses and states, other entries
     (force_approx(walk:1) at (0, 1) * 10: 192 times the mat_mul fold)."""
     check_bits(bits)
     basis = sys.word_basis
@@ -142,9 +142,8 @@ def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
     at depth k followed by A1 of them (``WordBasis.table``).
 
     Exact tables are refused above depth _MAX_EXACT_TABLE_DEPTH, float
-    tables above MAX_SWEEP_DEPTH, before anything is swept."""
-    table = _value_table(sys, depth)
-    return to_fractions(table) if sys.exact else to_floats(table)
+    tables above MAX_TABLE_DEPTH, before anything is swept."""
+    return sys.word_basis.table_values(_value_table(sys, depth))
 
 
 def _value_table(sys: DeRhamSystem, depth: int):
@@ -152,8 +151,8 @@ def _value_table(sys: DeRhamSystem, depth: int):
     mode, floats otherwise."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if depth > MAX_SWEEP_DEPTH:
-        raise DomainError(f"depth = {depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
+    if depth > MAX_TABLE_DEPTH:
+        raise DomainError(f"depth = {depth} exceeds the cap of {MAX_TABLE_DEPTH}")
     if sys.exact and depth > _MAX_EXACT_TABLE_DEPTH:
         raise DomainError(
             f"depth = {depth} exceeds {_MAX_EXACT_TABLE_DEPTH}, the cap for exact "

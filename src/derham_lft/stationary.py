@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from ._words import MAX_SWEEP_DEPTH, cell_blocks, check_poles, cut, to_floats, to_fractions
+from ._words import MAX_TABLE_DEPTH, cell_blocks, check_poles, cut
 from .errors import DomainError, PoleError
 from .numerics import Scalar, _Record, mobius_derivative
 from .solution import dyadic_value_table, inverse_evaluate
@@ -53,7 +53,7 @@ _MIN_FLOAT_CHECK_TOL = 2.0**-53
 #: (5.7); 6 at 13, 3.7 s (13.0); 7 at 12, 0.30 s (1.1); 13 at 11, 0.96 s
 #: (5.1); 18 at 11, 2.3 s (7.7); 24 at 11, 2.8 s (12.2); 25 at 10, 0.69 s
 #: (3.4); 48 at 10, 2.7 s; 49 at 9, 0.54 s (2.6).  Exact affine pairs are
-#: answered in closed form and capped only at MAX_SWEEP_DEPTH.
+#: answered in closed form and capped only at MAX_TABLE_DEPTH.
 _MAX_EXACT_QUAD_DEPTH = 14
 
 
@@ -149,8 +149,8 @@ def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
         raise DomainError("depth must be >= 1")
     if quad_depth <= depth:
         raise DomainError("quad_depth must exceed depth")
-    if quad_depth > MAX_SWEEP_DEPTH:
-        raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_SWEEP_DEPTH}")
+    if quad_depth > MAX_TABLE_DEPTH:
+        raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_TABLE_DEPTH}")
     if sys.exact and not sys.affine:
         bits = sys.word_basis.entry_bits()
         cap = min(_MAX_EXACT_QUAD_DEPTH, ((3 << _MAX_EXACT_QUAD_DEPTH) // bits).bit_length() - 1)
@@ -241,8 +241,7 @@ def doubling_map_change_of_measure(
     table = basis.table(top)
 
     # Preimage masses: the addresses 0A and 1A lie 2**depth apart at depth + 1.
-    grid = cut(table, slice(None, None, 1 << (top - depth - 1)))
-    grid = to_fractions(grid) if sys.exact else to_floats(grid)
+    grid = basis.table_values(cut(table, slice(None, None, 1 << (top - depth - 1))))
     masses = [b - a for a, b in zip(grid, grid[1:])]
 
     if sys.affine:

@@ -311,6 +311,22 @@ class TestConfigFiles:
         code, _, err = run_cli(capsys, "classify", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "schema, code", [((), 0), ((1,), 0), ((2,), 2), (("1",), 2), ((1.5,), 2)]
+    )
+    def test_schema_other_than_1_refused(self, capsys, tmp_path, schema, code):
+        # A config may leave "schema" out; given, it must be the integer 1.
+        cfg = tmp_path / "sys.json"
+        cfg.write_text(json.dumps({"preset": {"walk": "1"}, **dict(zip(["schema"], schema))}))
+        got, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+        assert got == code
+        if code:
+            shown = repr(json.dumps(schema[0]))
+            assert out == ""
+            assert err == f'error: config "schema" must be 1, got {shown}\n'
+        else:
+            assert json.loads(out)["schema"] == 1
+
     def test_missing_config_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--config", "/does/not/exist.json")
         assert code == 3
@@ -603,7 +619,9 @@ class TestImports:
             ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],
             WORDS | {"solution", "stationary"},
         ),
-        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], WORDS | {"measure", "_kernels"}),
+        # Only float paths that are not affine run, and import, the lanes.
+        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], WORDS | {"measure"}),
+        (["sample", "--preset", "walk:0.5", "-n", "100"], WORDS | {"measure", "_kernels"}),
     )
 
     @pytest.mark.parametrize("argv, modules", GRAPH, ids=[" ".join(a) for a, _ in GRAPH])

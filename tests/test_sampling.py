@@ -210,6 +210,35 @@ class TestAffineEntropy:
                 assert got.hex() == full_pass(system, path).hex(), (system.gamma, n)
 
 
+def _full_pass_rate(system, path):
+    """The entropy rate of a float path as the terms of every
+    _ENTROPY_BLOCK of its states, all summed with one fsum."""
+    block, gamma, n = measure._ENTROPY_BLOCK, system.gamma, len(path)
+    terms = []
+    for start in range(0, n, block):
+        t = path.states[start : start + block]
+        p0 = (t + 1.0) / (t + gamma)
+        terms += (-(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))).tolist()
+    return fsum(terms) / n
+
+
+class TestFloatEntropy:
+    def test_non_affine_rate_equals_the_full_pass(self):
+        # _exact_sum must equal fsum bit for bit on states of the Python
+        # loop (n < LANES * BURN_IN), of the lanes and of the tail past them.
+        twins = [force_approx(random_valid_system(random.Random(s))) for s in (3, 8)]
+        systems = [walk_system(0.5), walk_system(1.5), force_approx(walk_system(1)), *twins]
+        block = measure._ENTROPY_BLOCK
+        lengths = (1, block - 1, block + 1, 196609, 10**6 + 3)
+        assert lengths[-2] > _kernels.LANES * _kernels.BURN_IN > lengths[-3]
+        for system in systems:
+            assert not system.exact and not system.affine
+            for n in lengths:
+                path = sample_path(system, n, seed=11)
+                got = measure._entropy_rate(system, path)
+                assert got.hex() == _full_pass_rate(system, path).hex(), (system, n)
+
+
 class TestStepCap:
     def test_refused_before_drawing(self, monkeypatch):
         def no_draw(seed, start, out):
