@@ -332,9 +332,12 @@ def cmd_stationary(args) -> int:
 
     if not math.isfinite(args.tol):  # the finiteness rule of parse_scalar
         raise ConfigError(f"tol {args.tol!r} is not finite")
+    if args.quad_depth is None and args.shift_depth is not None:
+        raise ConfigError("--shift-depth is read only with --quad-depth")
+    shift_depth = 4 if args.shift_depth is None else args.shift_depth
     system, meta = load_system(args)
     if args.quad_depth is not None:  # refused before the stationarity sweep
-        _check_quadrature(system, args.shift_depth, args.quad_depth)
+        _check_quadrature(system, shift_depth, args.quad_depth)
     report = stationarity_check(system, args.depth, args.tol)
     doc = dict(meta, command="stationary")
     doc.update(
@@ -345,12 +348,10 @@ def cmd_stationary(args) -> int:
         verdict_transfer=report.verdict_transfer,
     )
     if args.quad_depth is not None:
-        residual = doubling_map_change_of_measure(
-            system, args.shift_depth, args.quad_depth
-        )
+        residual = doubling_map_change_of_measure(system, shift_depth, args.quad_depth)
         doc.update(
             doubling_residual=float(residual),
-            shift_depth=args.shift_depth,
+            shift_depth=shift_depth,
             quad_depth=args.quad_depth,
         )
     _emit_json(doc, args.out)
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         tol_default=1e-11,
     )
     p_stat.add_argument("--quad-depth", type=int, default=None)
-    p_stat.add_argument("--shift-depth", type=int, default=4)
+    p_stat.add_argument("--shift-depth", type=int, default=None)  # 4 with --quad-depth
     return parser
 
 

@@ -31,10 +31,12 @@ from .system import DeRhamSystem, ac_conditions
 #: a point with a non-terminating expansion).
 MAX_DEPTH = 4096
 
-#: Deepest exact value table: its integer pairs and Fractions, and so the
-#: time and memory per value, grow with the depth.  As CLI runs on a
-#: 2-core Xeon, exact `plot walk:1` took 1.9 s at depth 18 and 7.0 s
-#: (147 MB) at depth 20, of which the table took about 2.8 s.
+#: Deepest exact value table, so also of `plot` and exact `stationary`:
+#: its integer pairs and Fractions, and so the time and memory per value,
+#: grow with the depth.  As CLI runs at depth 20 on a 2-core Xeon, exact
+#: `plot walk:1` took 7.0 s (147 MB), of which the table took about
+#: 2.8 s; `stationary walk:1` 2.8-3.8 s (150 MB), and on a pair with
+#: 18-bit integer entries 6.9-8.4 s (220 MB).
 _MAX_EXACT_TABLE_DEPTH = 20
 
 

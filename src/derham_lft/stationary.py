@@ -8,8 +8,9 @@ algebra generated by the f-images of dyadic intervals it satisfies
     mu_g(f(I_k(x))) = mu_g(f(I_{k-1}(2x mod 1))) / 2 = 2**(-k).
 
 Both identities are verified here to a requested tolerance (exactly, in
-exact mode).  The final check is the change-of-measure identity for the
-doubling map T(x) = 2x mod 1:
+exact mode, where f's value table is certified strictly increasing).
+The final check is the change-of-measure identity for the doubling map
+T(x) = 2x mod 1:
 
     mu_f(T^{-1} A) = integral over A of (A0'(f(y)) + A1'(f(y))) dmu_f(y)
 
@@ -20,7 +21,7 @@ masses, so the only error is the integrand's variation within a cell.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, lt
 
 from ._words import MAX_TABLE_DEPTH, cell_blocks, check_poles, cut
 from .errors import DomainError, PoleError
@@ -29,12 +30,11 @@ from .solution import dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
 
-#: Deepest stationarity checks, refused above before any table is swept:
-#: every address down to the depth is visited and every grid value
-#: inverted, about four times the work per two levels.  As CLI runs on a
-#: 2-core Xeon, exact walk:1 took 17.7 s at depth 16 and 74 s at 18;
-#: approx walk:0.5 took 21.6 s at depth 18 and 93 s (112 MB) at 20.
-_MAX_EXACT_CHECK_DEPTH = 16
+#: Deepest float stationarity check, refused above before any table is
+#: swept: every grid value is inverted, about four times the work per two
+#: levels.  As CLI runs on a 2-core Xeon, approx walk:0.5 took 21.6 s at
+#: depth 18 and 93 s (112 MB) at 20.  Exact checks invert nothing and
+#: share the exact table cap (solution._MAX_EXACT_TABLE_DEPTH).
 _MAX_FLOAT_CHECK_DEPTH = 18
 
 #: Smallest tol of a float stationarity check: below it the float
@@ -58,11 +58,11 @@ _MAX_EXACT_QUAD_DEPTH = 14
 
 
 class StationarityReport(_Record):
-    """Maximum residuals of the halving recursion and the mass identity,
-    plus the transfer of the classification verdict to g = f^-1, always
-    True: g is singular exactly when f is, as the absolutely continuous
-    f of this family have positive densities
-    (1 + 2*c0)/(-2*c0*x + 1 + 2*c0)**2."""
+    """Maximum residuals of the halving recursion and the mass identity
+    (exactly 0 in exact mode; the inversions' error in float mode), plus
+    the transfer of the classification verdict to g = f^-1, always True:
+    g is singular exactly when f is, as the absolutely continuous f of
+    this family have positive densities (1 + 2*c0)/(-2*c0*x + 1 + 2*c0)**2."""
 
     _fields = ("depth", "max_residual_recursion", "max_residual_mass", "verdict_transfer")
     depth: int
@@ -89,25 +89,20 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     read off one table of g at the depth's values.  Both identities hold
     for any increasing f, as mu_g(f([a, b])) = b - a, so neither tests
     that mu_g is stationary (the doubling-map identity is the one that
-    uses A0' and A1'): exact residuals check that inverse_evaluate
-    inverts the table, approx ones measure its float error at the table
-    values.  In exact mode the inversions run at tol 0 and stop on the
-    dyadic value grid, so both residuals are exactly zero at any tol,
-    which is only validated.  In approx mode they are not certified and
-    can exceed tol by orders of magnitude, as inverse_evaluate can miss
-    tol at the table values (walk:0.5, depth 8, tol 1e-11: a mass
-    residual of 1.0e-7).  Exact checks are refused above depth
-    _MAX_EXACT_CHECK_DEPTH, float checks above _MAX_FLOAT_CHECK_DEPTH and
-    below tol _MIN_FLOAT_CHECK_TOL.  verdict_transfer is always True; see
+    uses A0' and A1').  Exact mode certifies that the table of f strictly
+    increases (else ArithmeticError), so g(f(j / 2**depth)) = j / 2**depth
+    and both residuals are exactly zero at any tol, which is only
+    validated.  Float mode inverts every table value at tol/2, so its
+    residuals are not certified and can exceed tol by orders of
+    magnitude, as inverse_evaluate can miss tol at the table values
+    (walk:0.5, depth 8, tol 1e-11: a mass residual of 1.0e-7).  Exact
+    checks are refused above the exact table cap (20), float checks above
+    _MAX_FLOAT_CHECK_DEPTH and below tol _MIN_FLOAT_CHECK_TOL, before any
+    table is swept.  verdict_transfer is always True; see
     StationarityReport.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if sys.exact and depth > _MAX_EXACT_CHECK_DEPTH:
-        raise DomainError(
-            f"depth = {depth} exceeds {_MAX_EXACT_CHECK_DEPTH}, the cap for exact "
-            "stationarity checks; use --mode approx (force_approx) or a smaller depth"
-        )
     if not sys.exact and depth > _MAX_FLOAT_CHECK_DEPTH:
         raise DomainError(
             f"depth = {depth} exceeds {_MAX_FLOAT_CHECK_DEPTH}, the cap for float "
@@ -121,9 +116,12 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
             "checks (smaller tols cost more and give the same residuals); "
             "use a larger tol (--tol)"
         )
-    # Exact inversions of table values stop on the grid within depth steps.
-    half = 0 if sys.exact else tol / 2
-    g = [inverse_evaluate(sys, v, half) for v in dyadic_value_table(sys, depth)]
+    values = dyadic_value_table(sys, depth)
+    if sys.exact:
+        if not all(map(lt, values, values[1:])):
+            raise ArithmeticError(f"exact value table at depth {depth} is not strictly increasing")
+        return StationarityReport(depth, sys.zero(), sys.zero(), True)
+    g = [inverse_evaluate(sys, v, tol / 2) for v in values]
     max_mass = max_rec = sys.zero()
     parent = [g[-1] - g[0]]  # the depth-0 interval is all of [0, 1]
     for k in range(1, depth + 1):
@@ -135,12 +133,7 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
         # and the image interval halves in mass.
         max_rec = max(max_rec, max(abs(m - p / 2) for m, p in zip(level, parent * 2)))
         parent = level
-    return StationarityReport(
-        depth=depth,
-        max_residual_recursion=max_rec,
-        max_residual_mass=max_mass,
-        verdict_transfer=True,
-    )
+    return StationarityReport(depth, max_rec, max_mass, True)
 
 
 def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:

@@ -463,13 +463,12 @@ class TestStationaryCommand:
         assert err == "error: DomainError: quad_depth = 30 exceeds the cap of 22\n"
 
     def test_caps_refused_before_sweeping(self, capsys, monkeypatch):
-        from derham_lft import stationary
         from derham_lft._words import WordBasis
 
         def no_sweep(*args):
             raise AssertionError("swept a table")
 
-        monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        # The depth refusal lives inside the real dyadic_value_table.
         monkeypatch.setattr(WordBasis, "table", no_sweep)
         code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--quad-depth", "15")
         assert (code, out) == (1, "")
@@ -477,10 +476,10 @@ class TestStationaryCommand:
         assert "--mode approx" in err
         # An accepted quad depth is not swept before a refused depth.
         code, out, err = run_cli(
-            capsys, "stationary", "--preset", "walk:1", "--depth", "17", "--quad-depth", "14"
+            capsys, "stationary", "--preset", "walk:1", "--depth", "21", "--quad-depth", "14"
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: DomainError: depth = 17 exceeds 16, ")
+        assert err.startswith("error: DomainError: depth = 21 exceeds 20, ")
 
     def test_affine_quad_depth_and_float_tol_refused_before_sweeping(self, capsys, monkeypatch):
         from derham_lft import stationary
@@ -535,11 +534,29 @@ class TestStationaryCommand:
         assert "18-bit entries" in err and "--mode approx" in err
 
     def test_exact_depth_above_cap_exit_1(self, capsys):
-        code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "17")
+        code, out, err = run_cli(capsys, "stationary", "--preset", "walk:1", "--depth", "21")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: DomainError: depth = 17 exceeds 16, ")
+        assert err.startswith("error: DomainError: depth = 21 exceeds 20, the cap for exact tables ")
         assert "--mode approx" in err
+
+    def test_shift_depth_without_quad_depth_exit_2(self, capsys, monkeypatch):
+        from derham_lft._words import WordBasis
+
+        def no_sweep(*args):
+            raise AssertionError("swept a table")
+
+        code, out, _ = run_cli(
+            capsys, "stationary", "--preset", "walk:1", "--depth", "2", "--quad-depth", "6"
+        )
+        assert (code, json.loads(out)["shift_depth"]) == (0, 4)  # the default with --quad-depth
+        monkeypatch.setattr(WordBasis, "table", no_sweep)
+        for shift in ("-3", "2", "4"):
+            code, out, err = run_cli(
+                capsys, "stationary", "--preset", "walk:1", "--depth", "2", "--shift-depth", shift
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: --shift-depth is read only with --quad-depth\n"
 
 
 class TestImports:

@@ -169,8 +169,8 @@ class TestStationarityCheck:
         assert report.verdict_transfer
 
     def test_exact_residuals_vanish_at_any_tol(self, walk1):
-        # Exact inversions of table values run at tol 0 whatever tol is;
-        # tol is still validated.
+        # Exact checks certify the table and invert nothing, whatever tol
+        # is; tol is still validated.
         systems = [walk1, lebesgue_system(Fraction(1, 3))] + _exact_systems()[2:]
         for system in systems:
             for tol in (0.5, 1.0, 1e-11, 0.0):
@@ -223,37 +223,61 @@ class TestStationarityCheck:
                     stationarity_check(system, 4, tol)
             with pytest.raises(Swept):  # at the floor: checked, then swept
                 stationarity_check(system, 4, 2.0**-53)
-        # Exact inversions stop on the grid, so exact checks take tol 0.
+        # Exact checks invert nothing, so they take tol 0.
         with pytest.raises(Swept):
             stationarity_check(walk1, 4, 0.0)
 
     def test_depth_caps_refused_before_sweeping(self, walk1, monkeypatch):
-        from derham_lft import stationary
+        from derham_lft import solution, stationary
+        from derham_lft._words import WordBasis
 
         class Swept(Exception):
             pass
 
-        def no_sweep(sys, depth):
-            raise Swept(depth)
+        def no_sweep(*args):
+            raise Swept(args[-1])
 
-        assert (stationary._MAX_EXACT_CHECK_DEPTH, stationary._MAX_FLOAT_CHECK_DEPTH) == (16, 18)
+        # Exact checks share the exact table cap, which _value_table
+        # enforces inside the real dyadic_value_table.
+        assert solution._MAX_EXACT_TABLE_DEPTH == 20
+        with monkeypatch.context() as patch:
+            patch.setattr(WordBasis, "table", no_sweep)
+            for exact_cap in (20, 3):
+                patch.setattr(solution, "_MAX_EXACT_TABLE_DEPTH", exact_cap)
+                refused = f"depth = {exact_cap + 1} exceeds {exact_cap}, the cap for exact tables"
+                with pytest.raises(DomainError, match=f"{refused} .*--mode approx"):
+                    stationarity_check(walk1, exact_cap + 1, 1e-11)
+                with pytest.raises(Swept):  # at the cap: checked, then swept
+                    stationarity_check(walk1, exact_cap, 1e-11)
+
+        assert stationary._MAX_FLOAT_CHECK_DEPTH == 18
         monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
         floats = (force_approx(walk1), walk_system(0.5))
-        for exact_cap, float_cap in ((16, 18), (3, 5)):
-            monkeypatch.setattr(stationary, "_MAX_EXACT_CHECK_DEPTH", exact_cap)
+        for float_cap in (18, 5):
             monkeypatch.setattr(stationary, "_MAX_FLOAT_CHECK_DEPTH", float_cap)
-            with pytest.raises(
-                DomainError, match=f"depth = {exact_cap + 1} exceeds {exact_cap}, .*--mode approx"
-            ):
-                stationarity_check(walk1, exact_cap + 1, 1e-11)
-            with pytest.raises(Swept):  # at the cap: checked, then swept
-                stationarity_check(walk1, exact_cap, 1e-11)
             for system in floats:
                 refused = f"depth = {float_cap + 1} exceeds {float_cap}, .*smaller depth"
                 with pytest.raises(DomainError, match=refused):
                     stationarity_check(system, float_cap + 1, 1e-11)
                 with pytest.raises(Swept):
                     stationarity_check(system, float_cap, 1e-11)
+
+    def test_exact_table_not_strictly_increasing_raises(self, walk1, monkeypatch):
+        from derham_lft import stationary
+
+        table = dyadic_value_table(walk1, 6)
+        swapped = table[:20] + [table[21], table[20]] + table[22:]
+        equal = table[:20] + [table[20], table[20]] + table[22:]
+        for bad in (swapped, equal):
+            monkeypatch.setattr(stationary, "dyadic_value_table", lambda sys, depth: bad)
+            with pytest.raises(ArithmeticError, match="not strictly increasing"):
+                stationarity_check(walk1, 6, 1e-11)
+
+    def test_exact_walk1_depth_16_residuals_are_fraction_zero(self, walk1):
+        report = stationarity_check(walk1, 16, 1e-11)
+        for residual in (report.max_residual_recursion, report.max_residual_mass):
+            assert residual == 0 and type(residual) is Fraction
+        assert (report.depth, report.verdict_transfer) == (16, True)
 
 
 class TestDoublingChangeOfMeasure:
