@@ -1,8 +1,10 @@
-"""Word products A_{i1} @ ... @ A_{in} along one path, and value tables of f.
+"""Word products A_{i1} @ ... @ A_{in} along one path, the point-query
+descents, and value tables of f.
 
 Interval masses and ratio states of f are read off the word products
-of dyadic addresses; enclosures and value tables apply one map per
-digit from the last (`image`, `table`).  This module owns both, and
+of dyadic addresses, and `evaluate` and `inverse_evaluate` descend the
+tree on them; enclosures and value tables apply one map per digit from
+the last (`image`, `table`).  This module owns all of these, and
 `WordBasis` picks each mode's arithmetic once, when it is built.
 
 * Exact mode.  A0 and A1 are scaled once to coprime integer matrices
@@ -16,6 +18,14 @@ digit from the last (`image`, `table`).  This module owns both, and
   same order as ``numerics.mat_mul``, and every RENORM_EVERY-th product
   divides by the largest entry magnitude like ``numerics.renormalize``,
   so the float bits equal those of a mat_mul / renormalize fold.
+
+The descents (`WordBasis.evaluate`, `WordBasis.inverse`) are one loop per
+mode.  The exact loops step integer words and read each node as a
+Fraction.  The float loops keep the word in four local floats, multiply
+and rescale them as `step` does, and read each node with
+``numerics.apply_mobius``'s operations; ``numerics._check_pole`` runs
+only where a cheap bound cannot rule the pole out, so results and
+PoleErrors are those of the loop over `step`, bit for bit.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -39,8 +49,9 @@ from fractions import Fraction
 from operator import truediv
 from typing import Iterator
 
+from . import numerics
 from .errors import DomainError, PoleError
-from .numerics import POLE_RTOL, MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
+from .numerics import MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
 
 #: Float word products are rescaled after this many multiplications;
 #: entries otherwise grow or shrink geometrically.
@@ -73,9 +84,13 @@ def check_bits(bits: Bits) -> None:
 class WordBasis:
     """The pair (A0, A1) as the factors of word products, with the mode's
     arithmetic chosen once: the quotient `div`, the scales k_i of A_i =
-    k_i * M_i (1.0 in float mode) and the table reader `table_values`."""
+    k_i * M_i (1.0 in float mode), the table reader `table_values` and the
+    point-query descents `evaluate` and `inverse`."""
 
-    __slots__ = ("exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "table_values")
+    __slots__ = (
+        "exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "table_values",
+        "evaluate", "inverse",
+    )
 
     def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool):
         self.exact = exact
@@ -85,12 +100,14 @@ class WordBasis:
             self.dets = tuple(m[0] * m[3] - m[1] * m[2] for m in (self.m0, self.m1))
             self.identity = (1, 0, 0, 1)
             self.div, self.table_values = Fraction, to_fractions
+            self.evaluate, self.inverse = self._evaluate_exact, self._inverse_exact
         else:
             self.m0, self.m1 = a0.entries, a1.entries
             self.k0 = self.k1 = 1.0
             self.dets = (a0.det(), a1.det())
             self.identity = (1.0, 0.0, 0.0, 1.0)
             self.div, self.table_values = truediv, to_floats
+            self.evaluate, self.inverse = self._evaluate_float, self._inverse_float
 
     # -- one path ------------------------------------------------------
 
@@ -110,16 +127,12 @@ class WordBasis:
             word = self.step(word, digit, n)
         return word
 
-    def value(self, word: Word, z: Scalar) -> Scalar:
-        """The word's map at z, (a*z + b)/(c*z + d), with the pole check of
-        ``numerics.apply_mobius``."""
+    def value(self, word: Word, z: Scalar) -> Fraction:
+        """The integer word's map at the rational z, (a*z + b)/(c*z + d), with
+        the pole check of an exact ``numerics.apply_mobius`` (exact mode)."""
         a, b, c, d = word
-        if self.exact:
-            p, q = z.numerator, z.denominator
-            return _fraction(a * p + b * q, c * p + d * q)
-        den = c * z + d
-        _check_pole(den, c, d)
-        return (a * z + b) / den
+        p, q = z.numerator, z.denominator
+        return _fraction(a * p + b * q, c * p + d * q)
 
     def mass(self, word: Word) -> Scalar:
         """Interval mass (a*d - b*c)/(d*(c + d)), as ``measure.mass_from_word``."""
@@ -190,6 +203,118 @@ class WordBasis:
             zs[k + s : k + e] = _mobius(self.m1, low)
             zs[s:e] = _mobius(self.m0, low)
         return zs
+
+    # -- point queries -------------------------------------------------
+    #
+    # Each descent returns (result, depth, width), the digits it read and
+    # the width of its last enclosure; result is None when max_depth digits
+    # did not reach tol, and the caller raises NonConvergenceError.
+
+    def _evaluate_exact(self, y: Fraction, tol, max_depth: int):
+        """``solution.evaluate``'s descent to the digits of y in (0, 1): the
+        midpoint of the first enclosure [W(0), W(1)] no wider than 2*tol."""
+        word = self.identity
+        depth = 0
+        width = Fraction(1)
+        while depth < max_depth:
+            y = y * 2
+            if y >= 1:
+                digit = 1
+                y = y - 1
+            else:
+                digit = 0
+            depth += 1
+            word = self.step(word, digit, depth)
+            lower = self.value(word, 0)
+            upper = self.value(word, 1)
+            width = upper - lower
+            if width <= 2 * tol:
+                return (lower + upper) / 2, depth, width
+        return None, depth, width
+
+    def _evaluate_float(self, y: float, tol, max_depth: int):
+        """`_evaluate_exact` in floats, fused as the module docstring says:
+        bit for bit the loop over `step` reading the word at 0 and 1."""
+        (p0, q0, r0, s0), (p1, q1, r1, s1) = self.m0, self.m1
+        a, b, c, d = self.identity
+        two_tol, two_rtol = 2 * tol, 2 * numerics.POLE_RTOL
+        depth = 0
+        width = 1.0
+        while depth < max_depth:
+            y = y * 2
+            if y >= 1:
+                y = y - 1
+                a, b, c, d = a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1
+            else:
+                a, b, c, d = a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0
+            depth += 1
+            if depth % RENORM_EVERY == 0:
+                a, b, c, d = _unit_scaled((a, b, c, d))
+            den0, den1 = c * 0.0 + d, c + d
+            # Both above 2*POLE_RTOL*(den0 + den1 + 1): then d = den0 > 0,
+            # |c| <= den1 + den0 up to rounding, so neither is within
+            # POLE_RTOL*max(|c|, |d|, 1), the tolerance _check_pole applies.
+            lim = two_rtol * (den0 + den1 + 1.0)
+            if not (den0 > lim and den1 > lim):
+                _check_pole(den0, c, d)
+                _check_pole(den1, c, d)
+            lower = (a * 0.0 + b) / den0
+            upper = (a + b) / den1
+            width = upper - lower
+            if width <= two_tol:
+                return (lower + upper) / 2, depth, width
+        return None, depth, width
+
+    def _inverse_exact(self, y: Fraction, split: Fraction, tol, max_depth: int):
+        """``solution.inverse_evaluate``'s descent: at each node, the child
+        whose value range holds y, split at the word's value at `split`,
+        f(1/2); a y equal to that value returns its dyadic point."""
+        word = self.identity
+        x_lo = Fraction(0)
+        half = Fraction(1, 2)
+        depth = 0
+        while depth < max_depth:
+            mid_value = self.value(word, split)
+            if y == mid_value:
+                return x_lo + half, depth, 2 * half
+            if y < mid_value:
+                digit = 0
+            else:
+                digit = 1
+                x_lo = x_lo + half
+            depth += 1
+            word = self.step(word, digit, depth)
+            half = half / 2
+            if half <= tol:  # x is pinned to an interval of width 2*half
+                return x_lo + half, depth, 2 * half
+        return None, depth, 2 * half
+
+    def _inverse_float(self, y, split: float, tol, max_depth: int):
+        """`_inverse_exact` in floats, with no equality exit, fused as
+        `_evaluate_float` is.  An exact y is compared as it is, not cast."""
+        (p0, q0, r0, s0), (p1, q1, r1, s1) = self.m0, self.m1
+        a, b, c, d = self.identity
+        rtol = numerics.POLE_RTOL
+        x_lo = 0.0
+        half = 0.5
+        depth = 0
+        while depth < max_depth:
+            den = c * split + d
+            # With d > 0, POLE_RTOL*(|c| + d + 1) >= POLE_RTOL*max(|c|, |d|, 1).
+            if not (d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)):
+                _check_pole(den, c, d)
+            if y < (a * split + b) / den:
+                a, b, c, d = a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0
+            else:
+                x_lo = x_lo + half
+                a, b, c, d = a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1
+            depth += 1
+            if depth % RENORM_EVERY == 0:
+                a, b, c, d = _unit_scaled((a, b, c, d))
+            half = half / 2
+            if half <= tol:  # x is pinned to an interval of width 2*half
+                return x_lo + half, depth, 2 * half
+        return None, depth, 2 * half
 
     def entry_bits(self) -> int:
         """Bit length of the largest entry of the integer factors (exact mode)."""
@@ -275,7 +400,7 @@ def _check_level_poles(zs, c: float, d: float, lo: float, hi: float) -> None:
     their least and greatest.  Rounding is monotone, so c*z + d lies between
     its values at lo and hi; only a range that reaches the pole's tolerance
     is checked value by value."""
-    tol = POLE_RTOL * max(abs(c), abs(d), 1.0)
+    tol = numerics.POLE_RTOL * max(abs(c), abs(d), 1.0)
     ends = c * lo + d, c * hi + d
     if min(ends) > tol or max(ends) < -tol:
         return

@@ -153,14 +153,14 @@ def _value_table(sys: DeRhamSystem, depth: int):
     mode, floats otherwise."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if depth > MAX_TABLE_DEPTH:
-        raise DomainError(f"depth = {depth} exceeds the cap of {MAX_TABLE_DEPTH}")
     if sys.exact and depth > _MAX_EXACT_TABLE_DEPTH:
         raise DomainError(
             f"depth = {depth} exceeds {_MAX_EXACT_TABLE_DEPTH}, the cap for exact "
             "tables (their integer words grow with the depth); "
             "use --mode approx (force_approx) or a smaller depth"
         )
+    if depth > MAX_TABLE_DEPTH:
+        raise DomainError(f"depth = {depth} exceeds the cap of {MAX_TABLE_DEPTH}")
     return sys.word_basis.table(depth)
 
 
@@ -173,7 +173,9 @@ def evaluate(
     """Value v with |v - f(x)| <= tol.
 
     Deepens the dyadic address of x until the enclosure width is at most
-    2*tol and returns the midpoint.  Exact-mode dyadic rationals take the
+    2*tol and returns the midpoint (``WordBasis.evaluate``, the descent
+    of the system's mode; float mode reads each word at 0 and 1 with
+    ``apply_mobius``'s operations).  Exact-mode dyadic rationals take the
     terminating address and return f(x) exactly (so tol = 0 is allowed
     there); x = 0 and x = 1 return exact endpoint values in both modes.
     In approx mode tol is a target, not a guarantee: the enclosure is
@@ -198,30 +200,14 @@ def evaluate(
         y = f
     else:
         y = float(x)
-
-    basis = sys.word_basis
-    word = basis.identity
-    depth = 0
-    width = sys.one()
-    while depth < max_depth:
-        y = y * 2
-        if y >= 1:
-            digit = 1
-            y = y - 1
-        else:
-            digit = 0
-        depth += 1
-        word = basis.step(word, digit, depth)
-        lower = basis.value(word, 0)
-        upper = basis.value(word, 1)
-        width = upper - lower
-        if width <= 2 * tol:
-            return (lower + upper) / 2
-    raise NonConvergenceError(
-        f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits",
-        depth=depth,
-        width=width,
-    )
+    value, depth, width = sys.word_basis.evaluate(y, tol, max_depth)
+    if value is None:
+        raise NonConvergenceError(
+            f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits",
+            depth=depth,
+            width=width,
+        )
+    return value
 
 
 def functional_equation_residual(sys: DeRhamSystem, x: Scalar) -> Scalar:
@@ -257,13 +243,15 @@ def inverse_evaluate(
 
     Descends the dyadic tree, at each node entering the child whose value
     enclosure contains y (f is strictly increasing, so the children split
-    the parent's value range at f of the interval midpoint).  In exact
-    mode a y that hits a dyadic image exactly returns g(y) exactly.  In
-    approx mode tol is not a guarantee: where f is flat, comparing y with
-    a rounded node value can send the descent into the wrong child, far
-    outside tol (force_approx(walk_system(3/7)) at its table value for
-    x = 255/256, with tol 5e-12, lands 1.9e-6 from the exact inverse of
-    that float).
+    the parent's value range at f of the interval midpoint, the node's
+    word at split_value); ``WordBasis.inverse`` is the descent of the
+    system's mode.  In exact mode a y that hits a dyadic image exactly
+    returns g(y) exactly.  An exact y on a float system is compared with
+    the float node values as it is, not cast.  In approx mode tol is not
+    a guarantee: where f is flat, comparing y with a rounded node value
+    can send the descent into the wrong child, far outside tol
+    (force_approx(walk_system(3/7)) at its table value for x = 255/256,
+    with tol 5e-12, lands 1.94e-6 from the exact inverse of that float).
     """
     if not 0 <= y <= 1:
         raise DomainError(f"y = {y} outside [0, 1]")
@@ -274,28 +262,12 @@ def inverse_evaluate(
     if y == 1:
         return sys.one()
 
-    basis = sys.word_basis
-    word = basis.identity
-    x_lo: Scalar = sys.zero()
-    half = sys.one() / 2
-    depth = 0
-    while depth < max_depth:
-        mid_value = basis.value(word, sys.split_value)
-        if sys.exact and y == mid_value:
-            return x_lo + half
-        if y < mid_value:
-            digit = 0
-        else:
-            digit = 1
-            x_lo = x_lo + half
-        depth += 1
-        word = basis.step(word, digit, depth)
-        half = half / 2
-        if half <= tol:  # x is pinned to an interval of width 2*half
-            return x_lo + half
-    raise NonConvergenceError(
-        f"no convergence to tol = {tol} in {max_depth} steps", depth=depth, width=2 * half
-    )
+    x, depth, width = sys.word_basis.inverse(y, sys.split_value, tol, max_depth)
+    if x is None:
+        raise NonConvergenceError(
+            f"no convergence to tol = {tol} in {max_depth} steps", depth=depth, width=width
+        )
+    return x
 
 
 def normal_form(sys: DeRhamSystem) -> tuple[MoebiusMatrix, MoebiusMatrix]:

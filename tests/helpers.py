@@ -9,10 +9,13 @@ import numpy as np
 from derham_lft import (
     DeRhamSystem,
     MoebiusMatrix,
+    NonConvergenceError,
     ac_conditions,
     apply_mobius,
     validate,
 )
+from derham_lft.numerics import _check_pole
+from derham_lft.solution import MAX_DEPTH
 
 
 def fraction_between(rng, lo: Fraction, hi: Fraction) -> Fraction:
@@ -93,3 +96,71 @@ def iterate_functional_equation(system: DeRhamSystem, depth: int, sweeps: int = 
                 nxt[j] = apply_mobius(a1, h[2 * j - n])
         h = nxt
     return h
+
+
+def reference_value(basis, word, z):
+    """The word's map at z, (a*z + b)/(c*z + d), with the pole check of
+    numerics.apply_mobius, in either mode: the unfused read of a word."""
+    if basis.exact:
+        return basis.value(word, z)
+    a, b, c, d = word
+    den = c * z + d
+    _check_pole(den, c, d)
+    return (a * z + b) / den
+
+
+def reference_evaluate(system, x, tol, max_depth=MAX_DEPTH):
+    """evaluate at x in (0, 1) of a float system, or at a non-dyadic x of an
+    exact one, as a loop over WordBasis.step and reference_value: the oracle
+    for the fused descents of _words."""
+    y = Fraction(x) if system.exact else float(x)
+    basis = system.word_basis
+    word = basis.identity
+    depth = 0
+    width = system.one()
+    while depth < max_depth:
+        y = y * 2
+        if y >= 1:
+            digit = 1
+            y = y - 1
+        else:
+            digit = 0
+        depth += 1
+        word = basis.step(word, digit, depth)
+        lower = reference_value(basis, word, 0)
+        upper = reference_value(basis, word, 1)
+        width = upper - lower
+        if width <= 2 * tol:
+            return (lower + upper) / 2
+    raise NonConvergenceError(
+        f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits",
+        depth=depth,
+        width=width,
+    )
+
+
+def reference_inverse_evaluate(system, y, tol, max_depth=MAX_DEPTH):
+    """inverse_evaluate at y in (0, 1) as a loop over WordBasis.step and
+    reference_value: the oracle for the fused descents of _words."""
+    basis = system.word_basis
+    word = basis.identity
+    x_lo = system.zero()
+    half = system.one() / 2
+    depth = 0
+    while depth < max_depth:
+        mid_value = reference_value(basis, word, system.split_value)
+        if system.exact and y == mid_value:
+            return x_lo + half
+        if y < mid_value:
+            digit = 0
+        else:
+            digit = 1
+            x_lo = x_lo + half
+        depth += 1
+        word = basis.step(word, digit, depth)
+        half = half / 2
+        if half <= tol:
+            return x_lo + half
+    raise NonConvergenceError(
+        f"no convergence to tol = {tol} in {max_depth} steps", depth=depth, width=2 * half
+    )

@@ -141,10 +141,18 @@ class TestGrid:
         assert code == 3
 
     def test_depth_above_cap_exit_1(self, capsys):
-        code, out, err = run_cli(capsys, "plot", "--preset", "walk:1", "--depth", "23")
+        code, out, err = run_cli(
+            capsys, "plot", "--preset", "walk:1", "--mode", "approx", "--depth", "23"
+        )
         assert code == 1
         assert out == ""
         assert err == "error: DomainError: depth = 23 exceeds the cap of 22\n"
+
+    def test_exact_depth_above_both_caps_names_the_exact_cap(self, capsys):
+        code, out, err = run_cli(capsys, "plot", "--preset", "walk:1", "--depth", "23")
+        assert code == 1 and out == ""
+        assert err.startswith("error: DomainError: depth = 23 exceeds 20, the cap for exact")
+        assert "--mode approx" in err and err.count("\n") == 1
 
     def test_exact_depth_above_exact_cap_exit_1(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"

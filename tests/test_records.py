@@ -182,6 +182,11 @@ def test_pickled_system_keeps_working():
     assert clone == system and hash(clone) == hash(system)
     assert clone.split_value == system.split_value
     assert clone.word_basis.m0 == system.word_basis.m0
+    # The basis's bound descents ride along bound to the clone's basis.
+    assert clone.word_basis.evaluate.__self__ is clone.word_basis
+    assert clone.word_basis.evaluate(Fraction(1, 3), 1e-9, 64) == system.word_basis.evaluate(
+        Fraction(1, 3), 1e-9, 64
+    )
 
 
 def test_system_cached_properties_cache():

@@ -96,6 +96,9 @@ class TestEnclosures:
 
         monkeypatch.setattr(WordBasis, "table", no_sweep)
         with pytest.raises(DomainError, match="depth = 23 exceeds the cap of 22"):
+            dyadic_value_table(force_approx(walk1), 23)
+        # An exact table past both caps names the exact one, and the fix.
+        with pytest.raises(DomainError, match="depth = 23 exceeds 20, .*--mode approx"):
             dyadic_value_table(walk1, 23)
 
     def test_exact_table_above_exact_cap_refused_before_sweeping(self, walk1, monkeypatch):
@@ -245,6 +248,20 @@ class TestInverse:
             y = rng.random()
             x = inverse_evaluate(walk1, y, 1e-14)
             assert abs(closed_form_walk1(Fraction(x)) - y) <= 1e-8
+
+    def test_documented_float_miss_where_f_is_flat(self):
+        # The rounded node values of a flat stretch send the descent into the
+        # wrong child: 1.94e-6 from the exact inverse of y (255/256 to
+        # within 1e-20), with tol 5e-12.  Outward rounding must change this
+        # knowingly.
+        exact = walk_system(Fraction(3, 7))
+        system = force_approx(exact)
+        y = dyadic_value_table(system, 8)[255]
+        assert y.hex() == "0x1.fffffb02ccea2p-1"
+        x = inverse_evaluate(system, y, 5e-12)
+        assert x.hex() == "0x1.fdffbeff88000p-1"
+        assert abs(inverse_evaluate(exact, Fraction(y), 1e-20) - Fraction(255, 256)) <= 1e-20
+        assert 1.93e-6 < 255 / 256 - x < 1.95e-6
 
     def test_bisection_oracle(self, walk05):
         for y in (0.2, 0.5, 0.83):

@@ -11,14 +11,17 @@ import numpy as np
 import pytest
 
 from derham_lft import (
+    DeRhamError,
     MoebiusMatrix,
     PoleError,
     apply_mobius,
     dyadic_enclosure,
     dyadic_value_table,
+    evaluate,
     force_approx,
     identity_matrix,
     interval_measure,
+    inverse_evaluate,
     lebesgue_system,
     mass_from_word,
     mat_mul,
@@ -28,7 +31,7 @@ from derham_lft import (
     walk_tree,
     word_matrix,
 )
-from derham_lft import stationary
+from derham_lft import numerics, stationary
 from derham_lft._words import (
     BLOCK_LEVELS,
     RENORM_EVERY,
@@ -37,7 +40,12 @@ from derham_lft._words import (
     to_floats,
     to_fractions,
 )
-from helpers import random_valid_system
+from helpers import (
+    random_valid_system,
+    reference_evaluate,
+    reference_inverse_evaluate,
+    reference_value,
+)
 
 
 def reference_word(system, bits):
@@ -142,7 +150,7 @@ def word_product_table(system, depth):
     at the depth, formed left to right, read at 0; f(1) appended."""
     basis = system.word_basis
     words = (basis.path(address(j, depth)) for j in range(1 << depth))
-    return [basis.value(word, system.zero()) for word in words] + [system.one()]
+    return [reference_value(basis, word, system.zero()) for word in words] + [system.one()]
 
 
 def exact_tables():
@@ -280,8 +288,10 @@ def test_pole_checks(exact):
         pole = MoebiusMatrix(*(float(e) for e in pole.entries))
     basis = WordBasis(pole, pole, exact)
     one = Fraction(1) if exact else 1.0
-    with pytest.raises(PoleError):
-        basis.value(basis.path((0,)), one)
+    with pytest.raises(PoleError):  # the descent reads A0 at 1
+        basis.evaluate(one / 3, 0.0, 8)
+    with pytest.raises(PoleError):  # a split value of 1
+        basis.inverse(one / 3, one, 0.0, 8)
     with pytest.raises(PoleError):
         basis.image((0,), one)
     # The quadrature's cells: a midpoint value at 1, where A0' and A1'
@@ -313,6 +323,90 @@ def test_pole_checks(exact):
     assert to_floats(basis.table(1)) == [1.0, 1.0, 1.0]  # depth 1 stops short of the pole
 
 
+def descent_systems():
+    """Float systems for the descent oracle: two float presets and the
+    force_approx twins of exact presets and of random admissible pairs."""
+    twins = [walk_system(1), walk_system(Fraction(3, 7)), lebesgue_system(Fraction(1, 3))]
+    return [walk_system(0.5), walk_system(1.5)] + [force_approx(s) for s in twins + systems(3, 22)]
+
+
+def outcome(call, *args):
+    """A descent's result as float.hex, or its error: type, message, and the
+    depth and width of a NonConvergenceError."""
+    try:
+        value = call(*args)
+    except DeRhamError as exc:
+        width = getattr(exc, "width", None)
+        width = None if width is None else bits_of(width)
+        return type(exc).__name__, str(exc), getattr(exc, "depth", None), width
+    assert type(value) is float
+    return bits_of(value)
+
+
+class TestFusedDescents:
+    """Float evaluate and inverse_evaluate equal, in float.hex, the loop over
+    WordBasis.step and the word's value at a point (helpers' reference)."""
+
+    TOLS = (1e-6, 1e-12, 1e-15, 0.0)
+
+    @staticmethod
+    def points(system, rng):
+        table = dyadic_value_table(system, 8)
+        xs = [rng.random() for _ in range(6)] + [0.5, 0.75, 1 / 3, 1 - 2.0**-53, 2.0**-60]
+        ys = [rng.random() for _ in range(6)] + [table[j] for j in (1, 85, 128, 255)]
+        return xs, ys + [system.split_value, Fraction(1, 3), Fraction(2, 7)]
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_bit_identical_to_the_reference(self, index):
+        system = descent_systems()[index]
+        assert not system.exact
+        xs, ys = self.points(system, random.Random(index))
+        for tol in self.TOLS:
+            for x in xs:
+                want = outcome(reference_evaluate, system, x, tol)
+                assert outcome(evaluate, system, x, tol) == want, (x, tol)
+            for y in ys:
+                want = outcome(reference_inverse_evaluate, system, y, tol)
+                assert outcome(inverse_evaluate, system, y, tol) == want, (y, tol)
+
+    def test_exact_y_is_compared_not_cast(self):
+        # Just below the root's node value f(1/2) as a Fraction, y goes left;
+        # cast to a float it would equal that value and go right.
+        for system in descent_systems():
+            y = Fraction(system.split_value) - Fraction(1, 10**30)
+            got = outcome(inverse_evaluate, system, y, 1e-15)
+            assert got == outcome(reference_inverse_evaluate, system, y, 1e-15)
+            assert float.fromhex(got) < 0.5 <= inverse_evaluate(system, float(y), 1e-15)
+
+    def test_nonconvergence_carries_depth_and_width(self):
+        for system in descent_systems():
+            for max_depth in (-1, 0, 1, 3, 20):
+                for call, ref in ((evaluate, reference_evaluate),
+                                  (inverse_evaluate, reference_inverse_evaluate)):
+                    got = outcome(call, system, 0.3, 1e-15, max_depth)
+                    assert got == outcome(ref, system, 0.3, 1e-15, max_depth)
+                    if max_depth < 20:
+                        assert got[0] == "NonConvergenceError"
+                        assert got[2] == max(max_depth, 0)
+
+    def test_same_pole_error_under_a_large_pole_tolerance(self, monkeypatch):
+        # A wide tolerance sends the descents past their inline bound to
+        # numerics._check_pole, at some depth or at none.
+        raised = set()
+        for rtol in (0.05, 0.2, 0.45, 0.9, 2.0, 1e3):
+            monkeypatch.setattr(numerics, "POLE_RTOL", rtol)
+            for system in descent_systems():
+                for z in (0.1, 0.3, 0.7, 0.95):
+                    for call, ref in ((evaluate, reference_evaluate),
+                                      (inverse_evaluate, reference_inverse_evaluate)):
+                        got = outcome(call, system, z, 1e-12)
+                        assert got == outcome(ref, system, z, 1e-12)
+                        if type(got) is tuple:
+                            assert got[0] == "PoleError"
+                            raised.add(rtol)
+        assert raised == {0.05, 0.2, 0.45, 0.9, 2.0, 1e3}  # every tolerance bites somewhere
+
+
 def test_level_pole_check_reads_the_extremes_then_every_value():
     # c*z + d = 1 - 2z: the extremes 0 and 1 straddle the pole at 1/2, so
     # each value is checked; only a value at the pole raises.
@@ -329,9 +423,10 @@ def test_single_path_use_does_not_load_numpy():
         "import sys; from fractions import Fraction; import derham_lft as dl; "
         "s = dl.walk_system(1); dl.evaluate(s, Fraction(1, 3), 1e-12); "
         "dl.inverse_evaluate(dl.walk_system(0.5), 0.3, 1e-12); "
+        "dl.evaluate(dl.walk_system(0.5), 0.3, 1e-12); "
         "dl.dyadic_value_table(s, 6); list(dl.walk_tree(s, 4)); "
         "dl.dyadic_value_table(dl.walk_system(0.5), 12); "
-        "print('numpy' in sys.modules)"
+        "print('numpy' in sys.modules, 'derham_lft._kernels' in sys.modules)"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"
