@@ -6,7 +6,8 @@ derived from a path is a vectorised post-pass over the states it
 returns.  Every way of running it below must agree with it bit for bit.
 
 `fill_path` runs a long path speculatively in LANES lanes.  The path
-is cut into LANES chunks of equal length.  Lane j >= 1 starts at 0.0,
+is cut into LANES chunks of equal length.  Lane 0 starts on the path's
+start state, the true state of its chunk.  Lane j >= 1 starts at 0.0,
 runs BURN_IN steps on the uniforms just before its chunk, and then all
 lanes step through their chunks together, one numpy operation per
 arithmetic operation of `path_arrays`, in the same order: IEEE +, *
@@ -32,15 +33,19 @@ whole chunks, run the Python loop on lists in blocks of BLOCK steps:
 list and bytearray indexing is several times cheaper than numpy element
 access, and blocks keep the lists small next to the path arrays.
 
-A path holds 9 bytes per step: its uniforms are drawn into the states
-array itself, and each step's uniform is read before that step's state
-is written over it.  The burn-in runs first and reads only uniforms not
-yet overwritten; the Python loop copies each block of uniforms to a
-list before it writes the block's states.  The uniform stream is
+The arrays given to `fill_path` hold 9 bytes per step: the uniforms
+are drawn into the states array itself, and each step's uniform is read
+before that step's state is written over it.  The burn-in runs first
+and reads only uniforms not yet overwritten; the Python loop copies
+each block of uniforms to a list before it writes the block's states.  The uniform stream is
 counter-based, so the repairs and the non-finite fallback draw the
 uniforms of the stretch they re-run again.  A 10^6-step walk:0.5 path
 allocates about 9.05 bytes per step in `sample_path`, against about 17
-when the uniforms were a third array.
+when the uniforms were a third array.  `fill_path` starts from any state
+and returns the state after the last step, so a path can also run in
+windows of fixed length, each from the end state of the one before: a
+report (`measure._sample_report`) holds one window, and `sample_path`
+holds the whole path as one window.
 """
 
 from __future__ import annotations
@@ -80,48 +85,53 @@ def path_arrays(a0, b0, c0, d0, a1, b1, c1, d1, gamma, t, uniforms, digits, stat
     return t
 
 
-def fill_path(params, draw, digits, states) -> None:
+def fill_path(params, draw, digits, states, t=0.0) -> float:
     """Fill the uint8 digits and float64 states arrays of a path from
-    t = 0, one step per uniform; draw(start, out) fills the float64 array
-    out with the path's uniforms start, start + 1, ....  The uniforms are
-    drawn into states and overwritten there step by step.  A path of at
-    least LANES * BURN_IN steps runs in lanes (see the module docstring),
-    a shorter one in the Python loop.  If a lane state or lane end comes
+    the start state t, one step per uniform, and return the state after
+    its last step; draw(start, out) fills the float64 array out with the
+    path's uniforms start, start + 1, ....  The uniforms are drawn into
+    states and overwritten there step by step.  A path of at least
+    LANES * BURN_IN steps runs in lanes (see the module docstring), a
+    shorter one in the Python loop.  If a lane state or lane end comes
     out non-finite, or at the pole -gamma of the digit law, where the
     Python loop could raise, the whole path runs in the Python loop
     instead."""
     draw(0, states)
     length = len(states) // LANES
     if length < BURN_IN:
-        _python_path(params, 0.0, states, digits, states)
-        return
+        return _python_path(params, t, states, digits, states)
     # (lane, step) views of the path's own arrays: no copies.  The tail
     # past `cut` still holds its uniforms.
     cut = LANES * length
     d, s = (a[:cut].reshape(LANES, length) for a in (digits, states))
     with np.errstate(all="ignore"):
-        ends = _sweep(params, d, s)
+        ends = _sweep(params, t, d, s)
         lo = min(s.min(), ends.min())
         hi = max(s.max(), ends.max())
     gamma = params[-1]
     if not -gamma < lo <= hi < np.inf:  # also false on NaN
         draw(0, states[:cut])
-        _python_path(params, 0.0, states, digits, states)
-        return
-    bits = s.view(np.int64)
-    t = ends[0]  # lane 0 started on the true state 0.0
+        return _python_path(params, t, states, digits, states)
+    # The bits of each chunk's first state and of each lane end are read
+    # off int64 views: viewing the float t anew for each lane cost about
+    # 2 ms a path, once per window of a report.
+    first_bits = s[:, 0].view(np.int64)
+    end_bits = ends.view(np.int64)
+    t, t_bits = ends[0], end_bits[0]  # lane 0 started on the true state t
     for j in range(1, LANES):
-        if bits[j, 0] != np.float64(t).view(np.int64):
+        if first_bits[j] != t_bits:
             t = _repair(params, t, d[j], s[j], ends[j], draw, j * length)
+            t_bits = np.float64(t).view(np.int64)
         else:
-            t = ends[j]
-    _python_path(params, float(t), states[cut:], digits[cut:], states[cut:])
+            t, t_bits = ends[j], end_bits[j]
+    return _python_path(params, float(t), states[cut:], digits[cut:], states[cut:])
 
 
-def _sweep(params, d, s):
+def _sweep(params, start, d, s):
     """Step every lane through its row of s, which holds the lane's
-    uniforms, writing d and overwriting s with the states; return the
-    state after each lane's last step."""
+    uniforms, writing d and overwriting s with the states; lane 0 starts
+    on the start state, the others on 0.0 before their burn-in.  Return
+    the state after each lane's last step."""
     a0, b0, c0, d0, a1, b1, c1, d1, gamma = params
     lanes, length = s.shape
 
@@ -134,6 +144,7 @@ def _sweep(params, d, s):
         return one, np.where(one, t1, t0)
 
     t = np.zeros(lanes)
+    t[0] = start
     # Lane j >= 1 burns in on the last BURN_IN uniforms of row j - 1,
     # before the sweep below overwrites any of them.
     for k in range(length - BURN_IN, length):

@@ -297,29 +297,23 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .measure import DEFAULT_SEED, _entropy_rate, sample_path
+    from .measure import DEFAULT_SEED, _sample_report
     from .system import binary_entropy
 
     system, meta = load_system(args)
     n = args.steps
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    path = sample_path(system, n, seed)
-    estimate = _entropy_rate(system, path)
-    if system.exact:
-        # Float each state object once: an affine path repeats one object.
-        states = [float(t) for t in {id(t): t for t in path.states}.values()]
-        state_min, state_max = min(states), max(states)
-    else:
-        state_min, state_max = float(path.states.min()), float(path.states.max())
+    report = _sample_report(system, n, seed)
+    estimate = report.entropy_rate
     doc = dict(meta, command="sample")
     doc.update(
         seed=seed,
         steps=n,
-        digit0_frequency=float((path.digits == 0).mean()),
+        digit0_frequency=report.zeros / n,
         entropy_rate_estimate=estimate,
         entropy_rate_dim=estimate / binary_entropy(Fraction(1, 2)),
-        state_min=state_min,
-        state_max=state_max,
+        state_min=report.state_min,
+        state_max=report.state_max,
         alpha=_scalar_repr(system.alpha),
         beta=_scalar_repr(system.beta),
     )

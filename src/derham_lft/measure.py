@@ -37,15 +37,26 @@ path is the exact sum of its terms, formed in numpy blocks
 (``_exact_sum``) and rounded once, so it equals ``math.fsum`` over the
 terms bit for bit at about 0.4 of the cost (0.025 s against 0.065 s
 per 10^6 steps, 2-core Xeon).
+
+``sample_path`` holds the whole path, about 9 bytes per step.  A report
+(``_sample_report``: ``entropy_rate_estimate`` and the CLI's ``sample``)
+needs only the count of digit 0, the least and greatest state and the
+entropy sum, so it holds one window of the path: a float path runs in
+windows of ``_WINDOW`` steps in one reused pair of buffers, each window
+drawing its own stretch of uniforms and starting from the true end
+state of the window before, and ``_exact_sum`` carries its integer sum
+across the windows; an affine pair counts digit 0 block by block and
+forms no path at all.  The report equals that of the whole path bit for
+bit; ``sample walk:0.5 -n 8000000`` peaks at about 39 MB of resident
+memory, against 112 MB for the whole path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from math import fsum
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ._words import Bits, check_bits
 from .errors import DomainError
@@ -67,9 +78,12 @@ DEFAULT_SEED = 99991
 #: steps, 2.9 s and 244 MB at 40k, on a 2-core Xeon).
 _MAX_EXACT_GROWING_STEPS = 20_000
 
-#: Longest path sample_path draws in any mode: the digits and states
-#: take about 9 bytes per step (300 MB at the cap), and the pure-Python
-#: float loop takes about 12 s at the cap on a 2-core Xeon.
+#: Longest path in any mode.  It bounds the arrays sample_path returns
+#: (digits and states, about 9 bytes per step: 300 MB at the cap), and
+#: the time a report takes, which holds one window of the path
+#: (_sample_report: about 4.2 s for float walk:0.5 at the cap, 0.2 s for
+#: an affine pair, and about 12 s where the pure-Python float loop runs,
+#: on a 2-core Xeon).
 _MAX_STEPS = 1 << 25
 
 
@@ -212,6 +226,65 @@ def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
     return (*sys.A0.entries, *sys.A1.entries, sys.gamma)
 
 
+def _check_request(sys: DeRhamSystem, n: int, seed: int) -> None:
+    """Refuse a path of n steps before anything is drawn."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    if n > _MAX_STEPS:
+        raise DomainError(
+            f"n = {n} exceeds {_MAX_STEPS}, the most steps one path runs (the cap on "
+            "the arrays sample_path returns, about 9 bytes per step, and on the time a "
+            "report takes); use a smaller n"
+        )
+    if sys.exact and not sys.affine and n > _MAX_EXACT_GROWING_STEPS:
+        raise DomainError(
+            f"n = {n} exceeds {_MAX_EXACT_GROWING_STEPS}, the cap for exact sampling "
+            "of non-affine pairs (state denominators grow about a bit per step); "
+            "use --mode approx (force_approx) or a smaller n"
+        )
+
+
+def _uniform_blocks(seed: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, uniforms start, start + 1, ...) of the seed's first n
+    uniforms, _DRAW_BLOCK at a time in one reused buffer."""
+    import numpy as np
+
+    u = np.empty(min(n, _DRAW_BLOCK))
+    for start in range(0, n, _DRAW_BLOCK):
+        block = u[: n - start]
+        _uniforms(seed, start, block)
+        yield start, block
+
+
+def _float_windows(
+    sys: DeRhamSystem, n: int, seed: int, window: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The float path of n steps, `window` steps at a time: yields each
+    window's (digits, states), views of one pair of buffers that the next
+    window overwrites.  Each window draws its own stretch of the seed's
+    uniforms and starts from the true end state of the window before,
+    so the windows hold the bits of one path of n steps."""
+    import numpy as np
+
+    from . import _kernels
+
+    params = _float_params(sys)
+    size = min(n, window)
+    digits = np.empty(size, dtype=np.uint8)
+    states = np.empty(size, dtype=np.float64)
+    t = 0.0
+    for start in range(0, n, size):
+
+        def draw(k: int, out: np.ndarray, start: int = start) -> None:
+            _uniforms(seed, start + k, out)
+
+        d, s = digits[: n - start], states[: n - start]
+        t = _kernels.fill_path(params, draw, d, s, t)
+        yield d, s
+
+
 def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePath:
     """Draw n digits with the exact conditional law, deterministically in
     the seed.  Affine pairs (c0 = c1 = 0) keep every state at 0, so their
@@ -225,41 +298,18 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     belong in approximate mode: non-affine exact systems are
     refused above _MAX_EXACT_GROWING_STEPS steps.  Any path is refused
     above _MAX_STEPS steps, before its arrays are allocated."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
-    if n > _MAX_STEPS:
-        raise DomainError(
-            f"n = {n} exceeds {_MAX_STEPS}, the most steps one path holds "
-            "(about 9 bytes per step); use a smaller n"
-        )
-    if sys.exact and not sys.affine and n > _MAX_EXACT_GROWING_STEPS:
-        raise DomainError(
-            f"n = {n} exceeds {_MAX_EXACT_GROWING_STEPS}, the cap for exact sampling "
-            "of non-affine pairs (state denominators grow about a bit per step); "
-            "use --mode approx (force_approx) or a smaller n"
-        )
+    _check_request(sys, n, seed)
     import numpy as np
 
     if sys.affine:
-        # P(0) = 1/gamma rounded to float, as the step loops below round
-        # (t + 1)/(t + gamma) at t = 0 (float of a Fraction rounds correctly).
-        p0 = float(1 / sys.gamma)
+        p0 = _affine_p0(sys)
         digits = np.empty(n, dtype=np.uint8)
-        u = np.empty(min(n, _DRAW_BLOCK))
-        for start in range(0, n, _DRAW_BLOCK):
-            block = u[: n - start]
-            _uniforms(seed, start, block)
+        for start, block in _uniform_blocks(seed, n):
             np.greater_equal(block, p0, out=digits[start : start + len(block)])
         states = [sys.zero()] * n if sys.exact else np.zeros(n)
         return SamplePath(digits, states, seed)
     if not sys.exact:
-        from . import _kernels
-
-        digits = np.empty(n, dtype=np.uint8)
-        states = np.empty(n, dtype=np.float64)
-        _kernels.fill_path(_float_params(sys), partial(_uniforms, seed), digits, states)
+        digits, states = next(_float_windows(sys, n, seed, n))
         return SamplePath(digits, states, seed)
     u = np.empty(n)
     _uniforms(seed, 0, u)
@@ -282,6 +332,12 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     return SamplePath(np.frombuffer(digit_bytes, dtype=np.uint8), states, seed)
 
 
+def _affine_p0(sys: DeRhamSystem) -> float:
+    # P(0) = 1/gamma rounded to float, as the step loops round
+    # (t + 1)/(t + gamma) at t = 0 (float of a Fraction rounds correctly).
+    return float(1 / sys.gamma)
+
+
 def entropy_rate_estimate(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> float:
     """Average binary entropy of the digit law along a sampled path.
 
@@ -289,9 +345,61 @@ def entropy_rate_estimate(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -
     correctly rounded sum of the n summands, divided by n; every summand
     lies in [entropy_min, entropy_max] of the dimension bounds, so the
     estimate can leave that interval only by the roundings of that sum
-    and of the division, a few units in the last place.
+    and of the division, a few units in the last place.  It equals
+    _entropy_rate of sample_path(sys, n, seed) bit for bit, but a float
+    path is run and summed one window at a time (_sample_report).
     """
-    return _entropy_rate(sys, sample_path(sys, n, seed))
+    return _sample_report(sys, n, seed).entropy_rate
+
+
+#: Steps per window of a streamed report (about 2.3 MB of digits and
+#: states): long next to the lanes' burn-in (LANES * 256 steps, against
+#: BURN_IN = 192 per lane), a multiple of _ENTROPY_BLOCK.
+_WINDOW = 1 << 18
+
+
+class _SampleReport(_Record):
+    """What `sample` reports of a path: the count of digit 0, the least
+    and greatest state as floats, and the entropy-rate estimate."""
+
+    _fields = ("zeros", "state_min", "state_max", "entropy_rate")
+    zeros: int
+    state_min: float
+    state_max: float
+    entropy_rate: float
+
+
+def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
+    """The report of sample_path(sys, n, seed) with its _entropy_rate, bit
+    for bit, without holding the path: affine pairs count digit 0 per
+    block of uniforms, float paths run in windows of _WINDOW steps.
+    Exact non-affine paths (at most _MAX_EXACT_GROWING_STEPS steps) are
+    sampled whole."""
+    _check_request(sys, n, seed)
+    import numpy as np
+
+    if sys.affine:  # every state is 0
+        p0 = _affine_p0(sys)
+        zeros = sum(int(np.count_nonzero(block < p0)) for _, block in _uniform_blocks(seed, n))
+        return _SampleReport(zeros, 0.0, 0.0, _affine_term(sys) * n / n)
+    if sys.exact:
+        path = sample_path(sys, n, seed)
+        states = [float(t) for t in path.states]
+        zeros = n - int(np.count_nonzero(path.digits))
+        return _SampleReport(zeros, min(states), max(states), _entropy_rate(sys, path))
+    zeros, lo, hi = 0, np.inf, -np.inf
+
+    def run() -> Iterator[np.ndarray]:
+        nonlocal zeros, lo, hi
+        zeros, lo, hi = 0, np.inf, -np.inf
+        for digits, states in _float_windows(sys, n, seed, _WINDOW):
+            zeros += len(digits) - int(np.count_nonzero(digits))
+            # np.minimum and np.maximum keep a NaN, as states.min() does.
+            lo, hi = np.minimum(lo, states.min()), np.maximum(hi, states.max())
+            yield states
+
+    total = _float_entropy_sum(sys.gamma, run)
+    return _SampleReport(zeros, float(lo), float(hi), total / n)
 
 
 #: States per numpy block of the float entropy post-pass.  Its temporaries
@@ -310,6 +418,8 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
     rounded sum of the binary entropy of the digit law at every state
     (math.fsum, or _exact_sum for float paths), divided by n."""
     n = len(path)
+    if sys.affine:  # every state is 0; fsum of n copies of h is h * n
+        return _affine_term(sys) * n / n
     if sys.exact:
         gn, gd = sys.gamma.numerator, sys.gamma.denominator
 
@@ -318,26 +428,44 @@ def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
             r, s = t.numerator, t.denominator
             return gd * (r + s) / (gd * r + gn * s)
 
-        terms = map(binary_entropy, map(prob0, path.states))
-        if sys.affine:  # every state is 0; fsum of n copies of h is h * n
-            return next(terms) * n / n
-        return fsum(terms) / n
+        return fsum(map(binary_entropy, map(prob0, path.states))) / n
+    return _float_entropy_sum(sys.gamma, lambda: [path.states]) / n
+
+
+def _affine_term(sys: DeRhamSystem) -> float:
+    """The entropy term at state 0, the one term of an affine path: exact
+    pairs take binary_entropy of the rounded P(0), float pairs the float
+    post-pass's term at 0.0."""
+    if sys.exact:
+        return binary_entropy(_affine_p0(sys))
     import numpy as np
 
-    gamma = sys.gamma
+    return float(_float_terms(sys.gamma, np.zeros(1))[0])
 
-    def block_terms(start: int) -> np.ndarray:
-        t = path.states[start : start + _ENTROPY_BLOCK]
-        p0 = (t + 1.0) / (t + gamma)
-        return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
 
-    if sys.affine:  # as in exact mode, h the term at state 0.0
-        return float(block_terms(0)[0]) * n / n
-    blocks = range(0, n, _ENTROPY_BLOCK)
-    total = _exact_sum(map(block_terms, blocks))
+def _float_terms(gamma: float, t: np.ndarray) -> np.ndarray:
+    """Binary entropy of the digit law at each float state of t."""
+    import numpy as np
+
+    p0 = (t + 1.0) / (t + gamma)
+    return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
+
+
+def _float_entropy_sum(gamma: float, run: Callable[[], Iterable[np.ndarray]]) -> float:
+    """The correctly rounded sum of the entropy terms of a float path
+    whose states run() yields in order, any number of arrays at a time:
+    _exact_sum over blocks of _ENTROPY_BLOCK states of each array, or, if
+    that returns None, math.fsum over the terms of a second run()."""
+
+    def blocks() -> Iterator[np.ndarray]:
+        for states in run():
+            for start in range(0, len(states), _ENTROPY_BLOCK):
+                yield _float_terms(gamma, states[start : start + _ENTROPY_BLOCK])
+
+    total = _exact_sum(blocks())
     if total is None:
-        total = fsum(chain.from_iterable(t.tolist() for t in map(block_terms, blocks)))
-    return total / n
+        total = fsum(chain.from_iterable(t.tolist() for t in blocks()))
+    return total
 
 
 def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:

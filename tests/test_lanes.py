@@ -1,7 +1,7 @@
 """The speculative lane sweep of fill_path against one sequential loop,
 the positioned uniform draw against numpy's own stream, the memory a
-float path holds, and the exact float sum of the entropy post-pass
-against math.fsum.
+float path and a streamed report hold, and the exact float sum of the
+entropy post-pass against math.fsum.
 
 A long float path runs in _kernels.LANES lanes that are checked and
 repaired against the Python loop; the digits and state bits must equal
@@ -17,9 +17,18 @@ from math import fsum
 import numpy as np
 import pytest
 
-from derham_lft import _kernels, force_approx, lebesgue_system, sample_path, walk_system
+from derham_lft import (
+    _kernels,
+    entropy_rate_estimate,
+    force_approx,
+    lebesgue_system,
+    sample_path,
+    walk_system,
+)
+from derham_lft.cli import main
 from derham_lft.measure import (
     _ENTROPY_BLOCK,
+    _WINDOW,
     DEFAULT_SEED,
     _entropy_rate,
     _exact_sum,
@@ -107,6 +116,27 @@ def test_forced_repairs_keep_the_bits(burn_in, repair, uniforms, repairs, monkey
         repairs.clear()
         _assert_prefix(params, u, *_oracle(params, u), lengths=(WHOLE + 7,))
         assert len(repairs) > _kernels.LANES // 2
+
+
+@pytest.mark.parametrize("split", (1, THRESHOLD - 1, THRESHOLD, WHOLE + 1))
+def test_start_state_carries_the_path_on(split, uniforms):
+    # The path of u, cut anywhere: the second part run from the end state
+    # that fill_path returns for the first is the rest of the whole path.
+    u = uniforms[:2 * WHOLE + 3]
+    for system in SYSTEMS[:4]:
+        params = _float_params(system)
+        want_digits, want_states = _oracle(params, u)
+        digits = np.empty(len(u), dtype=np.uint8)
+        states = np.empty(len(u), dtype=np.float64)
+        t = _kernels.fill_path(params, draw_from(u), digits[:split], states[:split])
+        rest = draw_from(u[split:])
+        end = _kernels.fill_path(params, rest, digits[split:], states[split:], t)
+        assert np.array_equal(digits, want_digits)
+        assert states.tobytes() == want_states.tobytes()
+        last = int(want_digits[-1])
+        a, b, c, d = params[4 * last : 4 * last + 4]
+        x = want_states[-1]
+        assert end == (a * x + c) / (b * x + d)
 
 
 def test_default_burn_in_needs_no_repair_on_walk(uniforms, repairs):
@@ -199,7 +229,7 @@ def _peak(call):
 
 class TestPathMemory:
     """A path holds its digits and states, 9 bytes per step, and no array
-    of uniforms beside them."""
+    of uniforms beside them; a streamed report holds one window of them."""
 
     @pytest.mark.parametrize(
         "system",
@@ -213,6 +243,16 @@ class TestPathMemory:
         system = SYSTEMS[0]
         path = sample_path(system, LONGEST, seed=1)
         assert _peak(lambda: _entropy_rate(system, path)) <= 1 << 21
+
+    # A path of 4 windows would hold about 9.4 MB.
+    def test_entropy_rate_estimate_holds_one_window(self):
+        system = SYSTEMS[0]
+        assert _peak(lambda: entropy_rate_estimate(system, 4 * _WINDOW, seed=1)) < 4 << 20
+
+    def test_cli_report_holds_one_window(self, capsys):
+        argv = ["sample", "--preset", "walk:0.5", "-n", str(4 * _WINDOW), "--seed", "1"]
+        assert _peak(lambda: main(argv)) < 4 << 20
+        assert capsys.readouterr().out.count('"steps"') == 2
 
 
 class TestPositionedDraw:

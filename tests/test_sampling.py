@@ -3,6 +3,8 @@
 Affine pairs (c0 = c1 = 0) are drawn in closed form, and the float loop
 of a short path runs on lists in blocks; both must reproduce, bit for
 bit, the digits and states of one sequential loop over the whole path.
+A report run in windows (`measure._sample_report`) must equal, bit for
+bit, the report read off the whole path.
 """
 
 import random
@@ -25,7 +27,7 @@ from derham_lft import (
 )
 from derham_lft import _kernels, measure
 from derham_lft.cli import main
-from derham_lft.measure import _float_params, transposed_step
+from derham_lft.measure import _DRAW_BLOCK, _float_params, transposed_step
 from helpers import draw_from, philox_uniforms, random_valid_system
 
 LENGTHS = (1, 4095, 4096, 4097, 3 * _kernels.BLOCK + 5)
@@ -239,6 +241,131 @@ class TestFloatEntropy:
                 assert got.hex() == _full_pass_rate(system, path).hex(), (system, n)
 
 
+def _held_report(system, n, seed):
+    """The four report fields read off the whole path of sample_path."""
+    path = sample_path(system, n, seed)
+    states = path.states
+    return (
+        float((path.digits == 0).mean()),
+        float(min(states)) if system.exact else float(states.min()),
+        float(max(states)) if system.exact else float(states.max()),
+        measure._entropy_rate(system, path),
+    )
+
+
+def _streamed_report(system, n, seed):
+    report = measure._sample_report(system, n, seed)
+    return (report.zeros / n, report.state_min, report.state_max, report.entropy_rate)
+
+
+def _hex(fields):
+    return [x.hex() for x in fields]
+
+
+WINDOW_SYSTEMS = [
+    walk_system(0.5),
+    walk_system(1.5),
+    force_approx(walk_system(1)),
+    *(force_approx(random_valid_system(random.Random(s))) for s in (3, 8)),
+]
+
+
+class TestStreamedReport:
+    """The report of a path run in windows against the same path held
+    whole by sample_path, in float.hex: each window starts on the true end
+    state of the window before, so the windows hold the bits of one path."""
+
+    LANE_WINDOW = _kernels.LANES * _kernels.BURN_IN  # every full window runs the lanes
+    LOOP_WINDOW = 5000  # every window runs the Python loop
+
+    @pytest.mark.parametrize("window", (LANE_WINDOW, LOOP_WINDOW), ids=("lanes", "loop"))
+    @pytest.mark.parametrize("index", range(len(WINDOW_SYSTEMS)))
+    def test_equals_the_held_path(self, index, window, monkeypatch):
+        monkeypatch.setattr(measure, "_WINDOW", window)
+        system = WINDOW_SYSTEMS[index]
+        assert not system.exact and not system.affine
+        for n in (window - 1, window, window + 1, 3 * window + 5):
+            want = _hex(_held_report(system, n, seed=index + 60))
+            assert _hex(_streamed_report(system, n, seed=index + 60)) == want, n
+            estimate = measure.entropy_rate_estimate(system, n, seed=index + 60)
+            assert estimate.hex() == want[3]
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lebesgue_system(Fraction(1, 4)),
+            force_approx(lebesgue_system(Fraction(1, 3))),
+            walk_system(1),
+            validate(*NEG_ZERO_C1),
+        ],
+        ids=["lebesgue:1/4", "lebesgue:1/3 approx", "walk:1 exact", "c1 = -0.0"],
+    )
+    def test_affine_and_exact_equal_the_held_path(self, system):
+        # Exact non-affine paths are sampled whole: short ones suffice.
+        lengths = (1, 3000) if system.exact and not system.affine else (1, 3 * _DRAW_BLOCK + 5)
+        for n in lengths:
+            assert _hex(_streamed_report(system, n, seed=n)) == _hex(_held_report(system, n, n))
+
+    def test_affine_report_builds_no_path(self, monkeypatch):
+        def no_path(*args):
+            raise AssertionError("built the path of an affine pair")
+
+        monkeypatch.setattr(measure, "sample_path", no_path)
+        monkeypatch.setattr(_kernels, "fill_path", no_path)
+        for system in (lebesgue_system(Fraction(1, 4)), force_approx(lebesgue_system(Fraction(1, 3)))):
+            assert measure._sample_report(system, 10**5, seed=1).state_max == 0.0
+
+    def test_non_finite_fallback_in_a_later_window(self, monkeypatch):
+        # A NaN written into the lanes of the second window sends that
+        # window, and only it, to the Python loop from its true start state.
+        window = self.LANE_WINDOW
+        monkeypatch.setattr(measure, "_WINDOW", window)
+        system, n = walk_system(0.5), 3 * window + 5
+        want = _hex(_held_report(system, n, seed=4))
+        sweep, python_path = _kernels._sweep, _kernels._python_path
+        starts, runs = [], []
+
+        def poisoned(params, start, d, s):
+            ends = sweep(params, start, d, s)
+            starts.append(start)
+            if len(starts) == 2:
+                s[7, 11] = np.nan
+            return ends
+
+        def recorded(params, t, u, *arrays):
+            runs.append((t, len(u)))
+            return python_path(params, t, u, *arrays)
+
+        monkeypatch.setattr(_kernels, "_sweep", poisoned)
+        monkeypatch.setattr(_kernels, "_python_path", recorded)
+        assert _hex(_streamed_report(system, n, seed=4)) == want
+        assert starts[1] != 0.0 and (starts[1], window) in runs
+        assert [r for r in runs if r[1] == window] == [(starts[1], window)]
+
+    def test_exact_sum_declined_reruns_the_windows(self, monkeypatch):
+        # _exact_sum gives up after a few blocks of the first window; the
+        # report runs every window again and sums the terms with fsum.
+        monkeypatch.setattr(measure, "_WINDOW", self.LANE_WINDOW)
+        system, n = force_approx(walk_system(1)), 3 * self.LANE_WINDOW + 5
+        want = _hex(_held_report(system, n, seed=9))
+        fills = []
+        fill_path = _kernels.fill_path
+
+        def counted(*args):
+            fills.append(len(args[2]))
+            return fill_path(*args)
+
+        def declined(blocks):
+            for _ in zip(range(3), blocks):
+                pass
+            return None
+
+        monkeypatch.setattr(_kernels, "fill_path", counted)
+        monkeypatch.setattr(measure, "_exact_sum", declined)
+        assert _hex(_streamed_report(system, n, seed=9)) == want
+        assert fills == [self.LANE_WINDOW] + [self.LANE_WINDOW] * 3 + [5]
+
+
 class TestStepCap:
     def test_refused_before_drawing(self, monkeypatch):
         def no_draw(seed, start, out):
@@ -249,6 +376,8 @@ class TestStepCap:
             for n in (measure._MAX_STEPS + 1, 10**12):
                 with pytest.raises(DomainError, match="smaller n"):
                     sample_path(system, n)
+                with pytest.raises(DomainError, match="smaller n"):
+                    measure.entropy_rate_estimate(system, n)
 
     def test_boundary(self, monkeypatch):
         monkeypatch.setattr(measure, "_MAX_STEPS", 100)
