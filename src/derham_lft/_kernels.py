@@ -37,11 +37,11 @@ The arrays given to `fill_path` hold 9 bytes per step: the uniforms
 are drawn into the states array itself, and each step's uniform is read
 before that step's state is written over it.  The burn-in runs first
 and reads only uniforms not yet overwritten; the Python loop copies
-each block of uniforms to a list before it writes the block's states.  The uniform stream is
-counter-based, so the repairs and the non-finite fallback draw the
-uniforms of the stretch they re-run again.  A 10^6-step walk:0.5 path
-allocates about 9.05 bytes per step in `sample_path`, against about 17
-when the uniforms were a third array.  `fill_path` starts from any state
+each block of uniforms to a list before it writes the block's states.
+The uniform stream is counter-based, so the repairs and the non-finite
+fallback draw the uniforms of the stretch they re-run again.  A
+10^6-step walk:0.5 path allocates about 9.05 bytes per step in
+`sample_path`.  `fill_path` starts from any state
 and returns the state after the last step, so a path can also run in
 windows of fixed length, each from the end state of the one before: a
 report (`measure._sample_report`) holds one window, and `sample_path`

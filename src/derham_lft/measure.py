@@ -15,8 +15,8 @@ needs the scalar recursion t -> tAi(t), one float (or Fraction) per step.
 When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
 alpha = beta = 0, as for the lebesgue presets): every state is 0, the
 digits are i.i.d. with P(0) = 1/gamma, and sampling draws them in one
-vectorised comparison in either mode (``DeRhamSystem.affine``).  The
-entropy post-pass of such a path forms its one term h once, in either
+vectorised comparison in either mode (``DeRhamSystem.affine``).  A
+report on such a path forms its one entropy term h once, in either
 mode, and returns h * n / n: fsum of the n equal terms is h * n.
 Otherwise exact sampling reads the state off the integer bottom row
 (r, s) of the word, the coprime integer matrices of ``_words``: each
@@ -41,22 +41,21 @@ per 10^6 steps, 2-core Xeon).
 ``sample_path`` holds the whole path, about 9 bytes per step.  A report
 (``_sample_report``: ``entropy_rate_estimate`` and the CLI's ``sample``)
 needs only the count of digit 0, the least and greatest state and the
-entropy sum, so it holds one window of the path: a float path runs in
-windows of ``_WINDOW`` steps in one reused pair of buffers, each window
-drawing its own stretch of uniforms and starting from the true end
-state of the window before, and ``_exact_sum`` carries its integer sum
-across the windows; an affine pair counts digit 0 block by block and
-forms no path at all.  The report equals that of the whole path bit for
-bit; ``sample walk:0.5 -n 8000000`` peaks at about 39 MB of resident
-memory, against 112 MB for the whole path.
+entropy sum, so it reads its path once and holds one window of it: a
+float path runs in windows of ``_WINDOW`` steps in one reused pair of
+buffers, each window drawing its own stretch of uniforms and starting
+from the true end state of the window before, and ``_exact_sum``
+carries its integer sum across the windows; an affine pair counts
+digit 0 block by block and forms no path at all.  The report equals
+that of the whole path bit for bit; ``sample walk:0.5 -n 8000000``
+peaks at about 39 MB of resident memory.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import fsum
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from math import fsum, nan
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._words import Bits, check_bits
 from .errors import DomainError
@@ -345,9 +344,9 @@ def entropy_rate_estimate(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -
     correctly rounded sum of the n summands, divided by n; every summand
     lies in [entropy_min, entropy_max] of the dimension bounds, so the
     estimate can leave that interval only by the roundings of that sum
-    and of the division, a few units in the last place.  It equals
-    _entropy_rate of sample_path(sys, n, seed) bit for bit, but a float
-    path is run and summed one window at a time (_sample_report).
+    and of the division, a few units in the last place.  The path is
+    that of sample_path(sys, n, seed), read once without being held
+    (_sample_report).
     """
     return _sample_report(sys, n, seed).entropy_rate
 
@@ -370,39 +369,57 @@ class _SampleReport(_Record):
 
 
 def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
-    """The report of sample_path(sys, n, seed) with its _entropy_rate, bit
-    for bit, without holding the path: affine pairs count digit 0 per
-    block of uniforms, float paths run in windows of _WINDOW steps.
-    Exact non-affine paths (at most _MAX_EXACT_GROWING_STEPS steps) are
-    sampled whole."""
+    """The report of sample_path(sys, n, seed), read in one pass: the
+    entropy rate is the correctly rounded sum of the binary entropy of
+    the digit law at every state, divided by n.  Affine pairs count
+    digit 0 per block of uniforms, and their n terms are one term h, so
+    the sum is h * n.  Exact non-affine paths (at most
+    _MAX_EXACT_GROWING_STEPS steps) are sampled whole and summed with
+    math.fsum.  Float paths run in windows of _WINDOW steps, whose terms
+    go to _exact_sum block by block.
+
+    _exact_sum returns None only on a NaN term, and the rate is then
+    NaN, as fsum's sum of the terms would be.  A term at a p0 in (0, 1)
+    is the negated sum of two products that are negative, or one of them
+    0, so it is positive and finite, at most log 2 up to rounding: no
+    term reaches _EXACT_SUM_LIMIT and the sum is not zero.  A p0 outside
+    (0, 1), or a non-finite one, gives NaN: the log of a negative
+    number, 0 * (-inf) at p0 = 0 or 1, or inf * NaN at p0 = inf.
+    """
     _check_request(sys, n, seed)
     import numpy as np
 
     if sys.affine:  # every state is 0
         p0 = _affine_p0(sys)
         zeros = sum(int(np.count_nonzero(block < p0)) for _, block in _uniform_blocks(seed, n))
-        return _SampleReport(zeros, 0.0, 0.0, _affine_term(sys) * n / n)
+        h = binary_entropy(p0) if sys.exact else float(_float_terms(sys.gamma, np.zeros(1))[0])
+        return _SampleReport(zeros, 0.0, 0.0, h * n / n)
     if sys.exact:
         path = sample_path(sys, n, seed)
+        gn, gd = sys.gamma.numerator, sys.gamma.denominator
+        # float(prob_digit0(sys, t)): int/int division rounds correctly.
+        ratios = (t.as_integer_ratio() for t in path.states)
+        p0 = (gd * (r + s) / (gd * r + gn * s) for r, s in ratios)
         states = [float(t) for t in path.states]
         zeros = n - int(np.count_nonzero(path.digits))
-        return _SampleReport(zeros, min(states), max(states), _entropy_rate(sys, path))
+        return _SampleReport(zeros, min(states), max(states), fsum(map(binary_entropy, p0)) / n)
     zeros, lo, hi = 0, np.inf, -np.inf
 
-    def run() -> Iterator[np.ndarray]:
+    def terms() -> Iterator[np.ndarray]:
         nonlocal zeros, lo, hi
-        zeros, lo, hi = 0, np.inf, -np.inf
         for digits, states in _float_windows(sys, n, seed, _WINDOW):
             zeros += len(digits) - int(np.count_nonzero(digits))
             # np.minimum and np.maximum keep a NaN, as states.min() does.
             lo, hi = np.minimum(lo, states.min()), np.maximum(hi, states.max())
-            yield states
+            for start in range(0, len(states), _ENTROPY_BLOCK):
+                yield _float_terms(sys.gamma, states[start : start + _ENTROPY_BLOCK])
 
-    total = _float_entropy_sum(sys.gamma, run)
-    return _SampleReport(zeros, float(lo), float(hi), total / n)
+    total = _exact_sum(terms())
+    rate = nan if total is None else total / n
+    return _SampleReport(zeros, float(lo), float(hi), rate)
 
 
-#: States per numpy block of the float entropy post-pass.  Its temporaries
+#: States per numpy block of the float entropy terms.  Its temporaries
 #: add about 1.4 MB to a float path's peak, against about 5.4 MB at 2^16
 #: states, at the same speed; the per-exponent sums of _exact_sum (at
 #: most 2^16 halves below 2^27) stay exact in float64.
@@ -413,36 +430,6 @@ _ENTROPY_BLOCK = 1 << 14
 _EXACT_SUM_LIMIT = 2.0**970
 
 
-def _entropy_rate(sys: DeRhamSystem, path: SamplePath) -> float:
-    """Entropy-rate estimate of an already sampled path: the correctly
-    rounded sum of the binary entropy of the digit law at every state
-    (math.fsum, or _exact_sum for float paths), divided by n."""
-    n = len(path)
-    if sys.affine:  # every state is 0; fsum of n copies of h is h * n
-        return _affine_term(sys) * n / n
-    if sys.exact:
-        gn, gd = sys.gamma.numerator, sys.gamma.denominator
-
-        def prob0(t: Fraction) -> float:
-            # float(prob_digit0(sys, t)): int/int division rounds correctly.
-            r, s = t.numerator, t.denominator
-            return gd * (r + s) / (gd * r + gn * s)
-
-        return fsum(map(binary_entropy, map(prob0, path.states))) / n
-    return _float_entropy_sum(sys.gamma, lambda: [path.states]) / n
-
-
-def _affine_term(sys: DeRhamSystem) -> float:
-    """The entropy term at state 0, the one term of an affine path: exact
-    pairs take binary_entropy of the rounded P(0), float pairs the float
-    post-pass's term at 0.0."""
-    if sys.exact:
-        return binary_entropy(_affine_p0(sys))
-    import numpy as np
-
-    return float(_float_terms(sys.gamma, np.zeros(1))[0])
-
-
 def _float_terms(gamma: float, t: np.ndarray) -> np.ndarray:
     """Binary entropy of the digit law at each float state of t."""
     import numpy as np
@@ -451,28 +438,12 @@ def _float_terms(gamma: float, t: np.ndarray) -> np.ndarray:
     return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
 
 
-def _float_entropy_sum(gamma: float, run: Callable[[], Iterable[np.ndarray]]) -> float:
-    """The correctly rounded sum of the entropy terms of a float path
-    whose states run() yields in order, any number of arrays at a time:
-    _exact_sum over blocks of _ENTROPY_BLOCK states of each array, or, if
-    that returns None, math.fsum over the terms of a second run()."""
-
-    def blocks() -> Iterator[np.ndarray]:
-        for states in run():
-            for start in range(0, len(states), _ENTROPY_BLOCK):
-                yield _float_terms(gamma, states[start : start + _ENTROPY_BLOCK])
-
-    total = _exact_sum(blocks())
-    if total is None:
-        total = fsum(chain.from_iterable(t.tolist() for t in blocks()))
-    return total
-
-
 def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
     """math.fsum of the float64 blocks, bit for bit, without a Python
     float per term; None if a term is non-finite or not below
     _EXACT_SUM_LIMIT, or if the sum is exactly zero (fsum's sign of zero
-    and its errors are left to fsum).
+    and its errors are left to fsum).  Every block is read, also after
+    a decline, so a caller that tallies as it yields sees the whole run.
 
     Each term is m * 2^e with a 53-bit integer m (np.frexp), cut into a
     high and a low half of 27 and 26 bits.  np.bincount sums the halves
@@ -484,10 +455,13 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
     """
     import numpy as np
 
-    total = 0
+    total: int | None = 0
     for x in blocks:
+        if total is None:
+            continue
         if not -_EXACT_SUM_LIMIT < x.min() <= x.max() < _EXACT_SUM_LIMIT:  # also NaN
-            return None
+            total = None
+            continue
         frac, exp = np.frexp(x)
         mant = np.ldexp(frac, 53).astype(np.int64)
         exp += 1126 - 53  # >= 0: frexp of the least subnormal gives 2^-1073
@@ -496,6 +470,4 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
         nonzero = np.flatnonzero((high != 0) | (low != 0))
         for k, h, lo in zip(nonzero.tolist(), high[nonzero].tolist(), low[nonzero].tolist()):
             total += ((int(h) << 26) + int(lo)) << k
-    if total == 0:
-        return None
-    return total / (1 << 1126)
+    return total / (1 << 1126) if total else None

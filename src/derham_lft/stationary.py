@@ -139,9 +139,13 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
 def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
     """Refuse a doubling_map_change_of_measure request before any sweep."""
     if depth < 1:
-        raise DomainError("depth must be >= 1")
+        raise DomainError(
+            f"shift depth = {depth} (--shift-depth) must be >= 1 and below quad_depth = {quad_depth}"
+        )
     if quad_depth <= depth:
-        raise DomainError("quad_depth must exceed depth")
+        raise DomainError(
+            f"quad_depth = {quad_depth} must exceed the shift depth = {depth} (--shift-depth)"
+        )
     if quad_depth > MAX_TABLE_DEPTH:
         raise DomainError(f"quad_depth = {quad_depth} exceeds the cap of {MAX_TABLE_DEPTH}")
     if sys.exact and not sys.affine:

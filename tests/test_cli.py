@@ -566,6 +566,27 @@ class TestStationaryCommand:
             assert (code, out) == (2, "")
             assert err == "error: --shift-depth is read only with --quad-depth\n"
 
+    def test_quad_depth_at_most_shift_depth_names_shift_depth(self, capsys):
+        # --depth 8 is the stationarity depth; the quadrature compares
+        # --quad-depth with the default --shift-depth of 4.
+        code, out, err = run_cli(
+            capsys, "stationary", "--preset", "walk:1", "--depth", "8", "--quad-depth", "3"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: DomainError: quad_depth = 3 must exceed the shift depth = 4 (--shift-depth)\n"
+        )
+
+    def test_shift_depth_below_1_names_shift_depth(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stationary", "--preset", "walk:1", "--quad-depth", "5", "--shift-depth", "0"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: DomainError: shift depth = 0 (--shift-depth) must be >= 1 "
+            "and below quad_depth = 5\n"
+        )
+
 
 class TestImports:
     def test_commands_without_float_work_skip_numpy(self):

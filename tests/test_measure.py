@@ -299,7 +299,6 @@ class TestExactBitIdentity:
         assert all(type(t) is Fraction for t in path.states)
         assert path.states == states
         expect = fsum(binary_entropy(prob_digit0(system, t)) for t in states) / n
-        assert _float_bits(measure._entropy_rate(system, path)) == _float_bits(expect)
         assert _float_bits(entropy_rate_estimate(system, n, seed)) == _float_bits(expect)
 
     def test_ratio_state_and_mass_equal_the_folds(self):

@@ -185,31 +185,21 @@ class TestAffineEntropy:
                 path = sample_path(system, n, seed=n)
                 terms = [binary_entropy(prob_digit0(system, t)) for t in path.states]
                 expect = fsum(terms) / n
-                assert measure._entropy_rate(system, path).hex() == expect.hex()
+                assert measure.entropy_rate_estimate(system, n, seed=n).hex() == expect.hex()
                 differs |= expect != terms[0]
         assert differs
 
     def test_float_counted_blocks_equal_the_full_pass(self):
-        # The full pass: the terms of every _ENTROPY_BLOCK of the path's
-        # own states, all summed with fsum (which _exact_sum equals bit for bit).
+        # The estimate of each prefix of one float affine path, against
+        # the fsum of its terms, which _exact_sum equals bit for bit.
         block = measure._ENTROPY_BLOCK
-
-        def full_pass(system, path):
-            gamma, n = system.gamma, len(path)
-            terms = []
-            for start in range(0, n, block):
-                t = path.states[start : start + block]
-                p0 = (t + 1.0) / (t + gamma)
-                terms += (-(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))).tolist()
-            return fsum(terms) / n
-
         lengths = (1, block - 1, block, block + 1, 10**6 + 3)
         for system in map(force_approx, _lebesgue_systems()):
             whole = sample_path(system, lengths[-1], seed=5)
             for n in lengths:
                 path = measure.SamplePath(whole.digits[:n], whole.states[:n], whole.seed)
-                got = measure._entropy_rate(system, path)
-                assert got.hex() == full_pass(system, path).hex(), (system.gamma, n)
+                got = measure.entropy_rate_estimate(system, n, seed=5)
+                assert got.hex() == _full_pass_rate(system, path).hex(), (system.gamma, n)
 
 
 def _full_pass_rate(system, path):
@@ -224,6 +214,14 @@ def _full_pass_rate(system, path):
     return fsum(terms) / n
 
 
+def _oracle_rate(system, path):
+    """The entropy rate of a held path: the full pass for a float path,
+    fsum of binary_entropy(prob_digit0) over the states for an exact one."""
+    if not system.exact:
+        return _full_pass_rate(system, path)
+    return fsum(binary_entropy(prob_digit0(system, t)) for t in path.states) / len(path)
+
+
 class TestFloatEntropy:
     def test_non_affine_rate_equals_the_full_pass(self):
         # _exact_sum must equal fsum bit for bit on states of the Python
@@ -236,9 +234,8 @@ class TestFloatEntropy:
         for system in systems:
             assert not system.exact and not system.affine
             for n in lengths:
-                path = sample_path(system, n, seed=11)
-                got = measure._entropy_rate(system, path)
-                assert got.hex() == _full_pass_rate(system, path).hex(), (system, n)
+                got = measure.entropy_rate_estimate(system, n, seed=11)
+                assert got.hex() == _full_pass_rate(system, sample_path(system, n, 11)).hex(), n
 
 
 def _held_report(system, n, seed):
@@ -249,7 +246,7 @@ def _held_report(system, n, seed):
         float((path.digits == 0).mean()),
         float(min(states)) if system.exact else float(states.min()),
         float(max(states)) if system.exact else float(states.max()),
-        measure._entropy_rate(system, path),
+        _oracle_rate(system, path),
     )
 
 
@@ -342,28 +339,35 @@ class TestStreamedReport:
         assert starts[1] != 0.0 and (starts[1], window) in runs
         assert [r for r in runs if r[1] == window] == [(starts[1], window)]
 
-    def test_exact_sum_declined_reruns_the_windows(self, monkeypatch):
-        # _exact_sum gives up after a few blocks of the first window; the
-        # report runs every window again and sums the terms with fsum.
-        monkeypatch.setattr(measure, "_WINDOW", self.LANE_WINDOW)
-        system, n = force_approx(walk_system(1)), 3 * self.LANE_WINDOW + 5
-        want = _hex(_held_report(system, n, seed=9))
-        fills = []
-        fill_path = _kernels.fill_path
+    @pytest.mark.parametrize("poison", (True, False), ids=("nan", "finite"))
+    def test_one_pass_over_the_windows(self, poison, monkeypatch):
+        # A NaN state written into the second window after its fill makes
+        # the rate and the state range NaN; either way every window is
+        # filled once and its digits are counted.
+        window = self.LANE_WINDOW
+        monkeypatch.setattr(measure, "_WINDOW", window)
+        system, n = walk_system(0.5), 3 * window + 5
+        held = sample_path(system, n, seed=6)
+        fill_path, fills = _kernels.fill_path, []
 
-        def counted(*args):
-            fills.append(len(args[2]))
-            return fill_path(*args)
+        def wrapped(params, draw, digits, states, t=0.0):
+            end = fill_path(params, draw, digits, states, t)
+            fills.append(len(digits))
+            if poison and len(fills) == 2:
+                states[11] = np.nan
+            return end
 
-        def declined(blocks):
-            for _ in zip(range(3), blocks):
-                pass
-            return None
-
-        monkeypatch.setattr(_kernels, "fill_path", counted)
-        monkeypatch.setattr(measure, "_exact_sum", declined)
-        assert _hex(_streamed_report(system, n, seed=9)) == want
-        assert fills == [self.LANE_WINDOW] + [self.LANE_WINDOW] * 3 + [5]
+        monkeypatch.setattr(_kernels, "fill_path", wrapped)
+        report = measure._sample_report(system, n, seed=6)
+        assert fills == [window] * 3 + [5]
+        assert len(fills) == -(-n // measure._WINDOW)
+        assert report.zeros == n - int(np.count_nonzero(held.digits))
+        fields = (report.state_min, report.state_max, report.entropy_rate)
+        if poison:
+            assert all(np.isnan(fields))
+        else:
+            want = _hex((held.states.min(), held.states.max(), _oracle_rate(system, held)))
+            assert _hex(fields) == want
 
 
 class TestStepCap:
