@@ -29,25 +29,18 @@ PoleErrors are those of the loop over `step`, bit for bit.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
-A_{i1}(A_{i2}(... A_{in}(0))), its digits applied right to left, one map
-per digit (`image`), and the values at depth k + 1 as A0 of those at
-depth k followed by A1 of them (`table`).  Exact mode maps homogeneous
-integer pairs (p, q) of p/q by the M_i, the pair W @ (0, 1) of the word,
-so the values equal the words' exactly; `to_fractions` and `to_floats`
-turn the pairs into values.  Float mode maps Python floats, or, in tables
-of more than 2**ARRAY_LEVELS values, float64 arrays with the same
-operations: IEEE +, * and / round alike in both, so the bits agree.
-
-numpy is imported only for those deep float tables, so exact-mode and
-single-path use of the package, and float tables of up to
-2**ARRAY_LEVELS values, never load it.
+A_{i1}(A_{i2}(... A_{in}(0))), one map per digit from the last (`image`),
+and the values at depth k + 1 as A0 of those at depth k followed by A1 of
+them (`table`).  Only the table classes tell their formats apart: `_Pairs`
+maps integer pairs (p, q) of p/q by the M_i, the words' W @ (0, 1), and
+`_Floats` Python floats, or `_Array`, past 2**ARRAY_LEVELS values, float64
+arrays with the same bits; numpy is imported only to build an `_Array`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import truediv
-from typing import Iterator
+from operator import add, truediv
 
 from . import numerics
 from .errors import DomainError, PoleError
@@ -84,13 +77,10 @@ def check_bits(bits: Bits) -> None:
 class WordBasis:
     """The pair (A0, A1) as the factors of word products, with the mode's
     arithmetic chosen once: the quotient `div`, the scales k_i of A_i =
-    k_i * M_i (1.0 in float mode), the table reader `table_values` and the
-    point-query descents `evaluate` and `inverse`."""
+    k_i * M_i (1.0 in float mode) and the point-query descents `evaluate`
+    and `inverse`."""
 
-    __slots__ = (
-        "exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "table_values",
-        "evaluate", "inverse",
-    )
+    __slots__ = ("exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "evaluate", "inverse")
 
     def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool):
         self.exact = exact
@@ -99,14 +89,14 @@ class WordBasis:
             self.m1, self.k1 = _integer_factor(a1)
             self.dets = tuple(m[0] * m[3] - m[1] * m[2] for m in (self.m0, self.m1))
             self.identity = (1, 0, 0, 1)
-            self.div, self.table_values = Fraction, to_fractions
+            self.div = Fraction
             self.evaluate, self.inverse = self._evaluate_exact, self._inverse_exact
         else:
             self.m0, self.m1 = a0.entries, a1.entries
             self.k0 = self.k1 = 1.0
             self.dets = (a0.det(), a1.det())
             self.identity = (1.0, 0.0, 0.0, 1.0)
-            self.div, self.table_values = truediv, to_floats
+            self.div = truediv
             self.evaluate, self.inverse = self._evaluate_float, self._inverse_float
 
     # -- one path ------------------------------------------------------
@@ -168,41 +158,26 @@ class WordBasis:
             z = (a * z + b) / den
         return z
 
-    def table(self, depth: int):
+    def table(self, depth: int) -> _Table:
         """f(j / 2**depth) for j = 0 .. 2**depth: `image` at 0 of every
         address at `depth`, in address order, then f(1) = 1.  From [0], each
-        level is A0 of the level before followed by A1 of it.
-
-        Exact mode returns the integer pairs as two lists (ps, qs), before
-        any Fraction is made (`to_fractions`, `to_floats`); float mode a list of
-        Python floats, or a float64 array above 2**ARRAY_LEVELS values.  The
-        levels share one carrier of the final length: a block of at most
-        2**BLOCK_LEVELS values of the level is mapped by A1 into the second
-        half and by A0 onto itself, so no level is copied."""
+        level is A0 of the level before followed by A1 of it, in one table of
+        the final length: a block of at most 2**BLOCK_LEVELS values of the
+        level is mapped by A1 into the second half and by A0 onto itself."""
         n, width = 1 << depth, 1 << BLOCK_LEVELS
         if self.exact:
-            (a0, b0, c0, d0), (a1, b1, c1, d1) = self.m0, self.m1
-            ps, qs = [0] * n + [1], [1] * (n + 1)
-            for k, s, e in _spans(depth, width):
-                low = ps[s:e], qs[s:e]
-                ps[k + s : k + e] = [a1 * p + b1 * q for p, q in zip(*low)]
-                qs[k + s : k + e] = [c1 * p + d1 * q for p, q in zip(*low)]
-                ps[s:e] = [a0 * p + b0 * q for p, q in zip(*low)]
-                qs[s:e] = [c0 * p + d0 * q for p, q in zip(*low)]
-            return ps, qs
-        if depth > ARRAY_LEVELS:
+            table = _Pairs(self, [0] * n + [1], [1] * (n + 1))
+        elif depth > ARRAY_LEVELS:
             import numpy as np
 
-            zs = np.zeros(n + 1)
-            zs[n] = 1.0
+            table = _Array(self, np.zeros(n + 1))
+            table.zs[n] = 1.0
         else:
-            zs = [0.0] * n + [1.0]
-        for k, s, e in _spans(depth, width):
-            low = zs[s:e]
-            check_poles(low, (self.m0, self.m1))
-            zs[k + s : k + e] = _mobius(self.m1, low)
-            zs[s:e] = _mobius(self.m0, low)
-        return zs
+            table = _Floats(self, [0.0] * n + [1.0])
+        for size in (1 << k for k in range(depth)):
+            for s in range(0, size, width):
+                table.double(size, s, min(s + width, size))
+        return table
 
     # -- point queries -------------------------------------------------
     #
@@ -321,63 +296,166 @@ class WordBasis:
         return max(abs(e).bit_length() for e in self.m0 + self.m1)
 
 
-def _spans(depth: int, width: int) -> Iterator[tuple[int, int, int]]:
-    """(n, s, e) for each block [s, e) of at most `width` values of the
-    levels of n = 2**k values, k < depth."""
-    for k in range(depth):
-        n = 1 << k
-        for s in range(0, n, width):
-            yield n, s, min(s + width, n)
+class _Table:
+    """A value table, or a cut of one, read with the maps of its `basis`."""
+
+    __slots__ = ("basis",)
+
+    def cell_sums(self, shift: int, count: int) -> list:
+        """Sums of the `cell_terms` over `count` runs of 2**shift cells, the
+        cells between even indices, each one balanced tree of pairwise sums:
+        blocks of 2**BLOCK_LEVELS cells sum their runs, and the sums join."""
+        sums, step = [], 2 << BLOCK_LEVELS
+        for s in range(0, 2 * count << shift, step):
+            terms = self.cut(slice(s, s + step + 1)).cell_terms()
+            sums += self.pair_sums(terms, max(len(terms) >> shift, 1))
+        return _Table.pair_sums(sums, count)
+
+    @classmethod
+    def pair_sums(cls, terms, count: int) -> list:
+        """Sums of adjacent pairs, until `count` balanced-tree sums remain."""
+        while len(terms) > count:
+            terms = cls.each(add, terms[::2], terms[1::2])
+        return cls.listed(terms)
+
+    @staticmethod
+    def each(f, *columns):
+        return list(map(f, *columns))  # _Array applies f to whole columns
+
+    @staticmethod
+    def listed(zs) -> list:
+        return zs
 
 
-def _mobius(m: Word, zs):
-    """(a*z + b)/(c*z + d) of every float z of a list or float64 array,
-    with the same operations on either."""
-    a, b, c, d = m
-    if type(zs) is list:
-        return [(a * z + b) / (c * z + d) for z in zs]
-    return (a * zs + b) / (c * zs + d)
+class _Pairs(_Table):
+    """An exact table: the integer pairs (p, q) of its values p/q, in two lists."""
 
+    __slots__ = ("ps", "qs")
 
-def to_fractions(pairs: tuple[list, list]) -> list:
-    """The Fractions p/q of an exact table's pairs (ps, qs), with the pole
-    check of an exact ``numerics.apply_mobius``.  They replace ps from the
-    last block of 2**BLOCK_LEVELS back, and qs is freed as they go."""
-    ps, qs = pairs
-    width = 1 << BLOCK_LEVELS
-    for s in reversed(range(0, len(ps), width)):
-        ps[s : s + width] = map(_fraction, ps[s : s + width], qs[s:])
-        del qs[s:]
-    return ps
+    def __init__(self, basis: WordBasis, ps: list, qs: list):
+        self.basis, self.ps, self.qs = basis, ps, qs
 
+    def cut(self, index: slice) -> _Pairs:
+        return _Pairs(self.basis, self.ps[index], self.qs[index])
 
-def to_floats(table) -> list:
-    """A table's values as a list of Python floats.  Exact pairs give p/q,
-    which int / int rounds correctly, so it equals float(Fraction(p, q))
-    without forming the Fraction."""
-    if type(table) is tuple:
-        ps, qs = table
-        if not all(qs):
+    def double(self, n: int, s: int, e: int) -> None:
+        """Map values [s, e) of the n-value level by A1 to [n + s, n + e), by A0 in place."""
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = self.basis.m0, self.basis.m1
+        ps, qs = self.ps, self.qs
+        low = ps[s:e], qs[s:e]
+        ps[n + s : n + e] = [a1 * p + b1 * q for p, q in zip(*low)]
+        qs[n + s : n + e] = [c1 * p + d1 * q for p, q in zip(*low)]
+        ps[s:e] = [a0 * p + b0 * q for p, q in zip(*low)]
+        qs[s:e] = [c0 * p + d0 * q for p, q in zip(*low)]
+
+    def floats(self) -> list:
+        """The floats p / q, which int / int rounds as float(Fraction(p, q))."""
+        if not all(self.qs):
             raise PoleError("exact denominator c*z + d is zero")
-        return list(map(truediv, ps, qs))
-    return table if type(table) is list else table.tolist()
+        return list(map(truediv, self.ps, self.qs))
+
+    def values(self) -> list:
+        """The Fractions p/q (`_fraction`), which replace ps from the last
+        block of 2**BLOCK_LEVELS back as qs is freed: the table is spent."""
+        ps, qs, width = self.ps, self.qs, 1 << BLOCK_LEVELS
+        for s in reversed(range(0, len(ps), width)):
+            ps[s : s + width] = map(_fraction, ps[s : s + width], qs[s:])
+            del qs[s:]
+        return ps
+
+    def cell_terms(self) -> list:
+        """(A0' + A1')(f(midpoint)) * mass of every cell, one Fraction each:
+        cell j has the pair (p1, q1) at 2j + 1, where A_i' = det_i*q1**2/den_i**2
+        with den_i = c_i*p1 + d_i*q1, and mass (p2*q0 - p0*q2)/(q0*q2)."""
+        (_, _, c0, d0), (_, _, c1, d1) = self.basis.m0, self.basis.m1
+        det0, det1 = self.basis.dets
+        ps, qs = self.ps, self.qs
+        cells = zip(ps[:-1:2], qs[:-1:2], ps[1::2], qs[1::2], ps[2::2], qs[2::2])
+        terms = []
+        for p0, q0, p1, q1, p2, q2 in cells:
+            den0, den1 = c0 * p1 + d0 * q1, c1 * p1 + d1 * q1
+            sq0, sq1 = den0 * den0, den1 * den1
+            bottom = sq0 * sq1 * q0 * q2
+            if not (q1 and bottom):
+                raise PoleError("exact denominator c*z + d is zero")
+            top = q1 * q1 * (det0 * sq1 + det1 * sq0) * (p2 * q0 - p0 * q2)
+            terms.append(Fraction(top, bottom))
+        return terms
 
 
-def cut(table, index: slice):
-    """table[index], of both lists of an exact table's pairs."""
-    if type(table) is tuple:
-        return tuple(column[index] for column in table)
-    return table[index]
+class _Floats(_Table):
+    """A float table as a list of Python floats zs."""
+
+    __slots__ = ("zs",)
+
+    def __init__(self, basis: WordBasis, zs):
+        self.basis, self.zs = basis, zs
+
+    def cut(self, index: slice) -> _Floats:
+        return type(self)(self.basis, self.zs[index])
+
+    def double(self, n: int, s: int, e: int) -> None:
+        """`_Pairs.double` with ``apply_mobius``'s operations and pole checks."""
+        low = self.cut(slice(s, e))
+        low.check_poles(*low.extremes())
+        self.zs[n + s : n + e] = low.mobius(self.basis.m1)
+        self.zs[s:e] = low.mobius(self.basis.m0)
+
+    def mobius(self, m: Word) -> list:
+        a, b, c, d = m
+        return [(a * z + b) / (c * z + d) for z in self.zs]
+
+    def floats(self) -> list:
+        return self.listed(self.zs)
+
+    values = floats
+
+    def extremes(self) -> tuple[float, float]:
+        return min(self.zs), max(self.zs)
+
+    def check_poles(self, lo: float, hi: float) -> None:
+        """``numerics._check_pole`` of c*z + d for every z and both maps; as rounding is
+        monotone, z by z only where it nears the tolerance at lo or hi, the extreme z."""
+        for _, _, c, d in (self.basis.m0, self.basis.m1):
+            tol = numerics.POLE_RTOL * max(abs(c), abs(d), 1.0)
+            ends = c * lo + d, c * hi + d
+            if not (min(ends) > tol or max(ends) < -tol):
+                for z in self.floats():
+                    _check_pole(c * z + d, c, d)
+
+    def cell_terms(self):
+        """`_Pairs.cell_terms` as one float formula of the table's values."""
+        (_, _, c0, d0), (_, _, c1, d1) = self.basis.m0, self.basis.m1
+        det0, det1 = self.basis.dets
+        mids = self.cut(slice(1, None, 2))
+        mids.check_poles(*mids.extremes())
+
+        def term(low, mid, high):
+            den0, den1 = c0 * mid + d0, c1 * mid + d1
+            return (det0 / (den0 * den0) + det1 / (den1 * den1)) * (high - low)
+
+        return self.each(term, self.zs[:-1:2], mids.zs, self.zs[2::2])
 
 
-def cell_blocks(table) -> Iterator:
-    """A table of 2n + 1 values as its n cells between even indices, in
-    blocks of at most 2**BLOCK_LEVELS cells, in order: each block is the
-    table from its first cell's left end to its last cell's right end."""
-    size = len(table[0] if type(table) is tuple else table)
-    step = 2 << BLOCK_LEVELS
-    for s in range(0, size - 1, step):
-        yield cut(table, slice(s, s + step + 1))
+class _Array(_Floats):
+    """A float table as a float64 array zs: IEEE +, * and / give the list's bits."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def each(f, *columns):
+        return f(*columns)
+
+    @staticmethod
+    def listed(zs) -> list:
+        return zs.tolist()
+
+    def extremes(self) -> tuple[float, float]:
+        return self.zs.min(), self.zs.max()
+
+    def mobius(self, m: Word):
+        a, b, c, d = m
+        return (a * self.zs + b) / (c * self.zs + d)
 
 
 def _fraction(p: int, q: int) -> Fraction:
@@ -385,27 +463,6 @@ def _fraction(p: int, q: int) -> Fraction:
     if not q:
         raise PoleError("exact denominator c*z + d is zero")
     return Fraction(p, q)
-
-
-def check_poles(zs, maps) -> None:
-    """``numerics._check_pole`` of c*z + d for every float z of a list or
-    float64 array and every map (a, b, c, d) of `maps`."""
-    lo, hi = (min(zs), max(zs)) if type(zs) is list else (zs.min(), zs.max())
-    for _, _, c, d in maps:
-        _check_level_poles(zs, c, d, lo, hi)
-
-
-def _check_level_poles(zs, c: float, d: float, lo: float, hi: float) -> None:
-    """``numerics._check_pole`` of c*z + d for every float z in zs, lo and hi
-    their least and greatest.  Rounding is monotone, so c*z + d lies between
-    its values at lo and hi; only a range that reaches the pole's tolerance
-    is checked value by value."""
-    tol = numerics.POLE_RTOL * max(abs(c), abs(d), 1.0)
-    ends = c * lo + d, c * hi + d
-    if min(ends) > tol or max(ends) < -tol:
-        return
-    for z in zs if type(zs) is list else zs.tolist():
-        _check_pole(c * z + d, c, d)
 
 
 def _integer_factor(m: MoebiusMatrix) -> tuple[Word, Fraction]:

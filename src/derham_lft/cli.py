@@ -236,7 +236,6 @@ def _grid_xs(start: int, stop: int, depth: int) -> list[str]:
 
 
 def cmd_grid(args) -> int:
-    from ._words import cut, to_floats
     from .solution import _value_table
 
     system, _ = load_system(args)
@@ -244,7 +243,7 @@ def cmd_grid(args) -> int:
     with _writer(args.out) as write:
         write("x,f_lower,f_upper\n")
         for start in range(0, (1 << args.depth) + 1, _CSV_BLOCK):
-            fs = _reprs(to_floats(cut(table, slice(start, start + _CSV_BLOCK))))
+            fs = _reprs(table.cut(slice(start, start + _CSV_BLOCK)).floats())
             xs = _grid_xs(start, start + len(fs), args.depth)
             write("\n".join(map(",".join, zip(xs, fs, fs))) + "\n")
     return 0

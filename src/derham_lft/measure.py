@@ -71,10 +71,10 @@ STATE_ATOL = 1e-10
 
 DEFAULT_SEED = 99991
 
-#: Longest exact path sample_path draws for a non-affine pair: the state
-#: denominators grow by about a bit per step there, so time and memory
-#: grow quadratically in n (exact walk:1 took 0.85 s and 88 MB at 20k
-#: steps, 2.9 s and 244 MB at 40k, on a 2-core Xeon).
+#: Longest exact path sample_path draws for a non-affine pair: state
+#: denominators grow by bits per step that depend on the pair (1.00 on walk:1,
+#: 3.01 on walk:3/7), so time and memory grow quadratically in n.  Timed on
+#: walk:1 only: 0.85 s, 88 MB at 20k steps; 2.9 s, 244 MB at 40k (2-core Xeon).
 _MAX_EXACT_GROWING_STEPS = 20_000
 
 #: Longest path in any mode.  It bounds the arrays sample_path returns
@@ -240,8 +240,8 @@ def _check_request(sys: DeRhamSystem, n: int, seed: int) -> None:
     if sys.exact and not sys.affine and n > _MAX_EXACT_GROWING_STEPS:
         raise DomainError(
             f"n = {n} exceeds {_MAX_EXACT_GROWING_STEPS}, the cap for exact sampling "
-            "of non-affine pairs (state denominators grow about a bit per step); "
-            "use --mode approx (force_approx) or a smaller n"
+            "of non-affine pairs (state denominators grow by bits per step that depend "
+            "on the pair; timed on walk:1); use --mode approx (force_approx) or a smaller n"
         )
 
 

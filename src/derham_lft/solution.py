@@ -145,12 +145,11 @@ def dyadic_value_table(sys: DeRhamSystem, depth: int) -> list[Scalar]:
 
     Exact tables are refused above depth _MAX_EXACT_TABLE_DEPTH, float
     tables above MAX_TABLE_DEPTH, before anything is swept."""
-    return sys.word_basis.table_values(_value_table(sys, depth))
+    return _value_table(sys, depth).values()
 
 
 def _value_table(sys: DeRhamSystem, depth: int):
-    """dyadic_value_table's ``WordBasis.table``: integer pairs in exact
-    mode, floats otherwise."""
+    """dyadic_value_table's ``WordBasis.table``, before its `values`."""
     if depth < 0:
         raise DomainError("depth must be >= 0")
     if sys.exact and depth > _MAX_EXACT_TABLE_DEPTH:

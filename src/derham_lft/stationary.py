@@ -20,11 +20,10 @@ masses, so the only error is the integrand's variation within a cell.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import add, lt
+from operator import lt
 
-from ._words import MAX_TABLE_DEPTH, cell_blocks, check_poles, cut
-from .errors import DomainError, PoleError
+from ._words import MAX_TABLE_DEPTH
+from .errors import DomainError
 from .numerics import Scalar, _Record, mobius_derivative
 from .solution import dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
@@ -159,51 +158,6 @@ def _check_quadrature(sys: DeRhamSystem, depth: int, quad_depth: int) -> None:
             )
 
 
-def _pair_sums(terms, count: int) -> list:
-    """Add adjacent pairs until `count` sums remain, each the balanced-tree
-    sum of a run of len(terms) // count terms, in a list of Fractions or
-    floats or in a float64 array; return them as a list."""
-    while len(terms) > count:
-        pairs = terms[::2], terms[1::2]
-        terms = list(map(add, *pairs)) if type(terms) is list else add(*pairs)
-    return terms if type(terms) is list else terms.tolist()
-
-
-def _cell_terms(basis, table):
-    """(A0' + A1')(f(midpoint)) * mass of every cell of a table block
-    (``cell_blocks``): cell j has f at its midpoint t[2j + 1] and mass
-    t[2j + 2] - t[2j].  Exact terms are one Fraction each, from the
-    integer pairs (p, q) of t: A_i'(p1/q1) = det_i*q1**2/den_i**2 with
-    den_i = c_i*p1 + d_i*q1 for the integer factors, and the mass is
-    (p2*q0 - p0*q2)/(q0*q2).  Float terms are one formula on the floats
-    or on the float64 array, which gives the same bits."""
-    (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
-    det0, det1 = basis.dets
-    if basis.exact:
-        ps, qs = table
-        cells = zip(ps[:-1:2], qs[:-1:2], ps[1::2], qs[1::2], ps[2::2], qs[2::2])
-        terms = []
-        for p0, q0, p1, q1, p2, q2 in cells:
-            den0, den1 = c0 * p1 + d0 * q1, c1 * p1 + d1 * q1
-            sq0, sq1 = den0 * den0, den1 * den1
-            bottom = sq0 * sq1 * q0 * q2
-            if not (q1 and bottom):
-                raise PoleError("exact denominator c*z + d is zero")
-            top = q1 * q1 * (det0 * sq1 + det1 * sq0) * (p2 * q0 - p0 * q2)
-            terms.append(Fraction(top, bottom))
-        return terms
-    lows, mids, highs = table[:-1:2], table[1::2], table[2::2]
-    check_poles(mids, (basis.m0, basis.m1))
-
-    def term(low, mid, high):
-        den0, den1 = c0 * mid + d0, c1 * mid + d1
-        return (det0 / (den0 * den0) + det1 / (den1 * den1)) * (high - low)
-
-    if type(table) is list:
-        return list(map(term, lows, mids, highs))
-    return term(lows, mids, highs)
-
-
 def doubling_map_change_of_measure(
     sys: DeRhamSystem, depth: int, quad_depth: int
 ) -> Scalar:
@@ -220,25 +174,23 @@ def doubling_map_change_of_measure(
     lower, by the size of their integer entries (_check_quadrature).
 
     Both modes read everything off one table t of f at depth
-    quad_depth + 1 (``WordBasis.table``, a float64 array past
-    2**ARRAY_LEVELS values): cell j's midpoint value is t[2j + 1] and its
-    mass t[2j + 2] - t[2j] (_cell_terms), and the preimage masses are
-    differences of t at a stride.  Each interval's cells are summed in
-    one balanced tree of pairwise sums: in exact mode this equals the
-    left-to-right sum in value and type; in float mode its rounding
+    quad_depth + 1 (``WordBasis.table``): cell j's midpoint value is
+    t[2j + 1] and its mass t[2j + 2] - t[2j], and the preimage masses are
+    differences of t at a stride.  Each interval's cells are summed in one
+    balanced tree of pairwise sums (`cell_sums`): in exact mode this equals
+    the left-to-right sum in value and type; in float mode its rounding
     error grows with the tree's depth, not with the number of cells.
     For affine pairs (c0 = c1 = 0) the integrand is the constant
     det0/d0**2 + det1/d1**2, so in either mode the right side is that
     constant times the mass of A, and the table stops at depth + 1.
     """
     _check_quadrature(sys, depth, quad_depth)
-    basis = sys.word_basis
     n_intervals = 1 << depth
     top = depth + 1 if sys.affine else quad_depth + 1
-    table = basis.table(top)
+    table = sys.word_basis.table(top)
 
     # Preimage masses: the addresses 0A and 1A lie 2**depth apart at depth + 1.
-    grid = basis.table_values(cut(table, slice(None, None, 1 << (top - depth - 1))))
+    grid = table.cut(slice(None, None, 1 << (top - depth - 1))).values()
     masses = [b - a for a, b in zip(grid, grid[1:])]
 
     if sys.affine:
@@ -248,14 +200,7 @@ def doubling_map_change_of_measure(
         slope = mobius_derivative(sys.A0, 0) + mobius_derivative(sys.A1, 0)
         rhs = [slope * (a + b) for a, b in zip(masses[::2], masses[1::2])]
     else:
-        # A block holds whole intervals, or a part of one when 2**shift is
-        # wider; its sums are joined across blocks in the same tree.
-        shift = quad_depth - depth
-        rhs = []
-        for block in cell_blocks(table):
-            terms = _cell_terms(basis, block)
-            rhs += _pair_sums(terms, max(len(terms) >> shift, 1))
-        rhs = _pair_sums(rhs, n_intervals)
+        rhs = table.cell_sums(quad_depth - depth, n_intervals)
 
     return max(
         (abs(a + b - r) for a, b, r in zip(masses, masses[n_intervals:], rhs)),

@@ -199,11 +199,25 @@ class TestGridBytes:
                     got += cli._grid_xs(start, min(start + width, n + 1), depth)
                 assert got == want, (depth, width)
 
-    @pytest.mark.parametrize("preset, mode", list(SYSTEMS))
-    def test_streamed_csv_equals_per_row_render(self, capsys, tmp_path, preset, mode):
+    # Float presets once more with float64 array tables past depth 4: the
+    # same bytes as the Python float tables they are checked against.
+    CASES = [pytest.param(*key, None, id="-".join(key)) for key in SYSTEMS] + [
+        pytest.param(*key, 4, id="-".join(key) + "-array") for key in SYSTEMS if key[1] == "approx"
+    ]
+
+    @pytest.mark.parametrize("preset, mode, array_levels", CASES)
+    def test_streamed_csv_equals_per_row_render(
+        self, capsys, tmp_path, monkeypatch, preset, mode, array_levels
+    ):
+        from derham_lft import _words
+
         system = self.SYSTEMS[preset, mode]()
-        for depth in (0, 1, 11, 12, 13, 16, 17):
-            expect = _per_row_csv(dyadic_value_table(system, depth), depth)
+        depths = (0, 1, 11, 12, 13, 16, 17)
+        expects = [_per_row_csv(dyadic_value_table(system, depth), depth) for depth in depths]
+        if array_levels is not None:
+            monkeypatch.setattr(_words, "ARRAY_LEVELS", array_levels)
+            assert type(system.word_basis.table(5)) is _words._Array
+        for depth, expect in zip(depths, expects):
             argv = ("plot", "--preset", preset, "--mode", mode, "--depth", str(depth))
             code, out, err = run_cli(capsys, *argv)
             assert (code, err) == (0, "") and out == expect, depth

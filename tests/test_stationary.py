@@ -434,14 +434,14 @@ class TestDoublingChangeOfMeasure:
         pairs = [(1, 9), (4, 9), (8, 9), (2, 12), (5, 11)]
         want = [[doubling_map_change_of_measure(s, *p) for p in pairs] for s in floats]
         monkeypatch.setattr(_words, "ARRAY_LEVELS", 5)
-        assert isinstance(walk05.word_basis.table(6), np.ndarray)
+        assert isinstance(walk05.word_basis.table(6).zs, np.ndarray)
         for system, residuals in zip(floats, want):
             got = [doubling_map_change_of_measure(system, *p) for p in pairs]
             assert all(type(r) is float for r in got)
             assert [r.hex() for r in got] == [r.hex() for r in residuals]
 
     def test_exact_zero_denominator_raises_pole_error(self, walk1):
-        from derham_lft import stationary
+        from derham_lft._words import _Pairs
 
         basis = walk1.word_basis
         (_, _, c0, d0), (_, _, c1, d1) = basis.m0, basis.m1
@@ -459,9 +459,9 @@ class TestDoublingChangeOfMeasure:
                 mobius_derivative(walk1.A1, z)
             # One cell whose midpoint pair is the word's pair at the split.
             p, q = split.numerator, split.denominator
-            table = ([0, a * p + b * q, 1], [1, c * p + d * q, 1])
+            table = _Pairs(basis, [0, a * p + b * q, 1], [1, c * p + d * q, 1])
             with pytest.raises(PoleError, match="^exact denominator c\\*z \\+ d is zero$"):
-                stationary._cell_terms(basis, table)
+                table.cell_terms()
 
     @pytest.mark.parametrize("index", range(8))
     def test_affine_closed_form_equals_cell_sum(self, index):

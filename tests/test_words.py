@@ -31,15 +31,8 @@ from derham_lft import (
     walk_tree,
     word_matrix,
 )
-from derham_lft import numerics, stationary
-from derham_lft._words import (
-    BLOCK_LEVELS,
-    RENORM_EVERY,
-    WordBasis,
-    _check_level_poles,
-    to_floats,
-    to_fractions,
-)
+from derham_lft import numerics
+from derham_lft._words import BLOCK_LEVELS, RENORM_EVERY, WordBasis, _Array, _Floats, _Pairs
 from helpers import (
     random_valid_system,
     reference_evaluate,
@@ -128,7 +121,7 @@ class TestFloatSweep:
         twins = [force_approx(s) for s in systems(2, 16)]
         twins += [force_approx(walk_system(1)), walk_system(0.5), walk_system(0.3)]
         for system in twins:
-            assert isinstance(system.word_basis.table(depth), np.ndarray)
+            assert isinstance(system.word_basis.table(depth).zs, np.ndarray)
             table = dyadic_value_table(system, depth)
             for j in sorted(picks):
                 bits = address(j, depth)
@@ -229,11 +222,11 @@ class TestValueTable:
             monkeypatch.setattr(_words, "ARRAY_LEVELS", 4)
             for system, tables in zip(cases, want):
                 for depth, values in enumerate(tables):
-                    assert isinstance(system.word_basis.table(depth), np.ndarray) == (depth > 4)
+                    assert isinstance(system.word_basis.table(depth).zs, np.ndarray) == (depth > 4)
                     got = dyadic_value_table(system, depth)
                     assert all(type(v) is float for v in got)
                     assert list(map(bits_of, got)) == list(map(bits_of, values))
-            assert type(walk_system(1).word_basis.table(8)) is tuple  # exact pairs
+            assert isinstance(walk_system(1).word_basis.table(8), _Pairs)  # exact pairs
             monkeypatch.setattr(_words, "ARRAY_LEVELS", 1)
             with pytest.raises(PoleError) as got:
                 WordBasis(hop, hop, False).table(2)
@@ -296,12 +289,12 @@ def test_pole_checks(exact):
         basis.image((0,), one)
     # The quadrature's cells: a midpoint value at 1, where A0' and A1'
     # have the pole, and (exact pairs) a midpoint value that is a pole.
-    tables = [[0.0, 1.0, 1.0], np.array([0.0, 1.0, 1.0])]
+    tables = [_Floats(basis, [0.0, 1.0, 1.0]), _Array(basis, np.array([0.0, 1.0, 1.0]))]
     if exact:
-        tables = [([0, 1, 1], [1, 1, 1]), ([0, 1, 1], [1, 0, 1])]
+        tables = [_Pairs(basis, [0, 1, 1], [1, 1, 1]), _Pairs(basis, [0, 1, 1], [1, 0, 1])]
     for table in tables:
         with pytest.raises(PoleError):
-            stationary._cell_terms(basis, table)
+            table.cell_terms()
     # z -> (z + 1)/(1 - z) maps 0 to 1, its pole: the table and the
     # one-path read of depth 2 raise as apply_mobius does.
     hop = MoebiusMatrix(1, 1, -1, 1)
@@ -313,14 +306,14 @@ def test_pole_checks(exact):
     # Exact tables hold pairs, so the pole shows where their values are formed.
     reads = [lambda: basis.image((0, 1), 0 * one)]
     if exact:
-        reads += [lambda: to_fractions(basis.table(2)), lambda: to_floats(basis.table(2))]
+        reads += [lambda: basis.table(2).values(), lambda: basis.table(2).floats()]
     else:
         reads += [lambda: basis.table(2)]
     for read in reads:
         with pytest.raises(PoleError) as got:
             read()
         assert str(got.value) == str(want.value)
-    assert to_floats(basis.table(1)) == [1.0, 1.0, 1.0]  # depth 1 stops short of the pole
+    assert basis.table(1).floats() == [1.0, 1.0, 1.0]  # depth 1 stops short of the pole
 
 
 def descent_systems():
@@ -410,12 +403,14 @@ class TestFusedDescents:
 def test_level_pole_check_reads_the_extremes_then_every_value():
     # c*z + d = 1 - 2z: the extremes 0 and 1 straddle the pole at 1/2, so
     # each value is checked; only a value at the pole raises.
-    _check_level_poles([0.0, 0.25, 1.0], -2.0, 1.0, 0.0, 1.0)
+    m = MoebiusMatrix(1.0, 0.0, -2.0, 1.0)
+    basis = WordBasis(m, m, False)
+    _Floats(basis, [0.0, 0.25, 1.0]).check_poles(0.0, 1.0)
     with pytest.raises(PoleError, match="^denominator 0.0 within pole tolerance 2e-15$"):
-        _check_level_poles([0.0, 0.5, 1.0], -2.0, 1.0, 0.0, 1.0)
+        _Floats(basis, [0.0, 0.5, 1.0]).check_poles(0.0, 1.0)
     # Extremes on one side of the pole, beyond its tolerance, vouch for
     # every value: the value at the pole is not read.
-    _check_level_poles([0.5], -2.0, 1.0, 0.0, 0.25)
+    _Floats(basis, [0.5]).check_poles(0.0, 0.25)
 
 
 def test_single_path_use_does_not_load_numpy():
