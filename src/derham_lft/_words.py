@@ -22,10 +22,20 @@ the last (`image`, `table`).  This module owns all of these, and
 The descents (`WordBasis.evaluate`, `WordBasis.inverse`) are one loop per
 mode.  The exact loops step integer words and read each node as a
 Fraction.  The float loops keep the word in four local floats, multiply
-and rescale them as `step` does, and read each node with
-``numerics.apply_mobius``'s operations; ``numerics._check_pole`` runs
-only where a cheap bound cannot rule the pole out, so results and
-PoleErrors are those of the loop over `step`, bit for bit.
+and rescale them as `step` and ``numerics._unit_scaled`` do, and read
+each node with ``numerics.apply_mobius``'s operations;
+``numerics._check_pole`` runs only where a cheap bound cannot rule the
+pole out, so results and PoleErrors are those of the loop over `step`,
+bit for bit.  The top PREFIX_LEVELS levels of the tree are the same for
+every query, so a float basis builds them once, with the loops' own
+operations, on its first descent below them (`_Prefix`).  A float
+descent then starts at depth PREFIX_LEVELS from the leaf of its first
+digits: `evaluate` where no enclosure on that leaf's path is within
+2*tol, `inverse` where tol < 2**-(PREFIX_LEVELS + 1), at the leaf that
+bisecting the in-order node values at `split` gives.  The loops run from
+the root instead while a top node fails their pole bound, while the
+node values ever decrease (float f can be flat), or when `split` or
+``numerics.POLE_RTOL`` is not the one the prefix was built with.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -39,8 +49,11 @@ arrays with the same bits; numpy is imported only to build an `_Array`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from operator import add, truediv
+from itertools import islice
+from math import inf
+from operator import add, le, lt, mul, truediv
 
 from . import numerics
 from .errors import DomainError, PoleError
@@ -49,6 +62,12 @@ from .numerics import MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormal
 #: Float word products are rescaled after this many multiplications;
 #: entries otherwise grow or shrink geometrically.
 RENORM_EVERY = 16
+
+#: Float descents jump the top PREFIX_LEVELS levels of the word tree, read
+#: from the basis's `_Prefix` of 2**PREFIX_LEVELS leaves (1.3 MB per basis).
+PREFIX_LEVELS = 12
+
+LEAVES = 1 << PREFIX_LEVELS
 
 #: Table levels wider than 2**BLOCK_LEVELS values are mapped block by block.
 BLOCK_LEVELS = 16
@@ -78,12 +97,16 @@ class WordBasis:
     """The pair (A0, A1) as the factors of word products, with the mode's
     arithmetic chosen once: the quotient `div`, the scales k_i of A_i =
     k_i * M_i (1.0 in float mode) and the point-query descents `evaluate`
-    and `inverse`."""
+    and `inverse`.  A float basis keeps the `_Prefix` of its descents,
+    which pickles and copies leave out."""
 
-    __slots__ = ("exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "evaluate", "inverse")
+    __slots__ = (
+        "exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "evaluate", "inverse", "_prefix"
+    )
 
     def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool):
         self.exact = exact
+        self._prefix = None
         if exact:
             self.m0, self.k0 = _integer_factor(a0)
             self.m1, self.k1 = _integer_factor(a1)
@@ -98,6 +121,14 @@ class WordBasis:
             self.identity = (1.0, 0.0, 0.0, 1.0)
             self.div = truediv
             self.evaluate, self.inverse = self._evaluate_float, self._inverse_float
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_prefix"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._prefix = None
 
     # -- one path ------------------------------------------------------
 
@@ -215,6 +246,13 @@ class WordBasis:
         two_tol, two_rtol = 2 * tol, 2 * numerics.POLE_RTOL
         depth = 0
         width = 1.0
+        if 0 < y < 1 and max_depth > PREFIX_LEVELS:
+            prefix = self._prefix or self._build_prefix()
+            widths = prefix.leaf_widths(self)
+            i = int(y * LEAVES)  # the first PREFIX_LEVELS digits of y, exactly
+            if widths and widths[i] > two_tol:
+                a, b, c, d = prefix.words[i]
+                y, depth = y * LEAVES - i, PREFIX_LEVELS
         while depth < max_depth:
             y = y * 2
             if y >= 1:
@@ -223,8 +261,11 @@ class WordBasis:
             else:
                 a, b, c, d = a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0
             depth += 1
-            if depth % RENORM_EVERY == 0:
-                a, b, c, d = _unit_scaled((a, b, c, d))
+            if depth % RENORM_EVERY == 0:  # _unit_scaled, which also raises its errors
+                scale = max(abs(a), abs(b), abs(c), abs(d))
+                if not 0.0 < scale < inf:
+                    _unit_scaled((a, b, c, d))
+                a, b, c, d = a / scale, b / scale, c / scale, d / scale
             den0, den1 = c * 0.0 + d, c + d
             # Both above 2*POLE_RTOL*(den0 + den1 + 1): then d = den0 > 0,
             # |c| <= den1 + den0 up to rounding, so neither is within
@@ -273,6 +314,13 @@ class WordBasis:
         x_lo = 0.0
         half = 0.5
         depth = 0
+        if max_depth > PREFIX_LEVELS and tol < 0.5 / LEAVES:
+            prefix = self._prefix or self._build_prefix()
+            values = prefix.values_at(self, split)
+            if values:  # bisect tests the loop's `y < value`
+                i = bisect_right(values, y)
+                a, b, c, d = prefix.words[i]
+                x_lo, half, depth = i / LEAVES, 0.5 / LEAVES, PREFIX_LEVELS
         while depth < max_depth:
             den = c * split + d
             # With d > 0, POLE_RTOL*(|c| + d + 1) >= POLE_RTOL*max(|c|, |d|, 1).
@@ -284,16 +332,105 @@ class WordBasis:
                 x_lo = x_lo + half
                 a, b, c, d = a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1
             depth += 1
-            if depth % RENORM_EVERY == 0:
-                a, b, c, d = _unit_scaled((a, b, c, d))
+            if depth % RENORM_EVERY == 0:  # _unit_scaled, which also raises its errors
+                scale = max(abs(a), abs(b), abs(c), abs(d))
+                if not 0.0 < scale < inf:
+                    _unit_scaled((a, b, c, d))
+                a, b, c, d = a / scale, b / scale, c / scale, d / scale
             half = half / 2
             if half <= tol:  # x is pinned to an interval of width 2*half
                 return x_lo + half, depth, 2 * half
         return None, depth, 2 * half
 
+    def _build_prefix(self) -> _Prefix:
+        self._prefix = _Prefix()
+        return self._prefix
+
     def entry_bits(self) -> int:
         """Bit length of the largest entry of the integer factors (exact mode)."""
         return max(abs(e).bit_length() for e in self.m0 + self.m1)
+
+
+class _Prefix:
+    """The top PREFIX_LEVELS levels of a float basis's word tree, formed with
+    the float descents' operations in their order (`_levels`), each part on
+    its first use: the words of the 2**PREFIX_LEVELS leaves in address
+    order; each leaf's smallest enclosure width on its path
+    (`leaf_widths`); and the node values at the first split asked for, in
+    in-order (`values_at`).  A part that cannot stand in for its loop is
+    kept as [], and neither is given out once POLE_RTOL has changed."""
+
+    __slots__ = ("rtol", "words", "widths", "split", "values")
+
+    def __init__(self):
+        self.rtol = numerics.POLE_RTOL
+        self.words = self.widths = self.split = self.values = None
+
+    def leaf_widths(self, basis: WordBasis) -> list | None:
+        """The widths `_evaluate_float` reads, the smallest per leaf; [] if
+        a node fails that loop's pole bound."""
+        if self.widths is None:
+            two_rtol, widths = 2 * self.rtol, [inf]
+            for words in islice(_levels(basis), 1, None):
+                if widths:
+                    dens = [(c * 0.0 + d, c + d) for _, _, c, d in words]
+                    if all([lo > two_rtol * (lo + hi + 1.0) < hi for lo, hi in dens]):
+                        # Each parent's smallest width, once per child.  min
+                        # keeps it against a NaN width, which the loop does
+                        # not return at either.
+                        doubled = [w for w in widths for w in (w, w)]
+                        widths = [
+                            min(least, (a + b) / hi - (a * 0.0 + b) / lo)
+                            for least, (a, b, _, _), (lo, hi) in zip(doubled, words, dens)
+                        ]
+                    else:
+                        widths = []
+            self.words, self.widths = self.words or words, widths
+        return self.widths if self.rtol == numerics.POLE_RTOL else None
+
+    def values_at(self, basis: WordBasis, split: float) -> list | None:
+        """The node values `_inverse_float` reads at split; [] if a node
+        fails that loop's pole bound or the values ever decrease, and None
+        at a split other than the first one asked for."""
+        if self.values is None:
+            rtol, values = self.rtol, [0.0] * (LEAVES - 1)
+            levels = islice(_levels(basis), PREFIX_LEVELS + (self.words is None))
+            for k, words in enumerate(levels):
+                if values and k < PREFIX_LEVELS:
+                    dens = [c * split + d for _, _, c, d in words]
+                    bounds = [d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)
+                              for (_, _, c, d), den in zip(words, dens)]
+                    if all(bounds):
+                        # Node j of level k is in-order value
+                        # (2j + 1) * 2**(PREFIX_LEVELS - 1 - k) - 1.
+                        values[(LEAVES >> k + 1) - 1 :: LEAVES >> k] = [
+                            (a * split + b) / den for (a, b, _, _), den in zip(words, dens)
+                        ]
+                    else:
+                        values = []
+            self.words, self.split = self.words or words, split
+            self.values = values if all(map(le, values, values[1:])) else []
+        if split == self.split and self.rtol == numerics.POLE_RTOL:
+            return self.values
+        return None
+
+
+def _levels(basis: WordBasis):
+    """The words of levels 0 .. PREFIX_LEVELS of the tree, each in address
+    order, formed as the float descents form them (no level is rescaled)."""
+    (p0, q0, r0, s0), (p1, q1, r1, s1) = basis.m0, basis.m1
+    level = [basis.identity]
+    for _ in range(PREFIX_LEVELS):
+        yield level
+        level = [
+            word
+            for a, b, c, d in level
+            for word in (
+                (a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0),
+                (a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1),
+            )
+        ]
+    yield level
 
 
 class _Table:
@@ -362,6 +499,16 @@ class _Pairs(_Table):
             ps[s : s + width] = map(_fraction, ps[s : s + width], qs[s:])
             del qs[s:]
         return ps
+
+    def increasing(self) -> bool:
+        """Whether the values p/q strictly increase: with every q positive, by
+        p_i*q_{i+1} < p_{i+1}*q_i; else as the Fractions of `values`, which
+        raise its PoleError at a zero q."""
+        ps, qs = self.ps, self.qs
+        if min(qs) <= 0:
+            values = self.values()
+            return all(map(lt, values, values[1:]))
+        return all(map(lt, map(mul, ps, qs[1:]), map(mul, ps[1:], qs)))
 
     def cell_terms(self) -> list:
         """(A0' + A1')(f(midpoint)) * mass of every cell, one Fraction each:

@@ -35,8 +35,9 @@ MAX_DEPTH = 4096
 #: its integer pairs and Fractions, and so the time and memory per value,
 #: grow with the depth.  As CLI runs at depth 20 on a 2-core Xeon, exact
 #: `plot walk:1` took 7.0 s (147 MB), of which the table took about
-#: 2.8 s; `stationary walk:1` 2.8-3.8 s (150 MB), and on a pair with
-#: 18-bit integer entries 6.9-8.4 s (220 MB).
+#: 2.8 s; `stationary walk:1`, which compares the pairs and forms no
+#: Fraction, 0.65-0.72 s (123 MB), and on a pair with 18-bit integer
+#: entries 1.8 s (215 MB).
 _MAX_EXACT_TABLE_DEPTH = 20
 
 

@@ -20,20 +20,19 @@ masses, so the only error is the integrand's variation within a cell.
 
 from __future__ import annotations
 
-from operator import lt
-
 from ._words import MAX_TABLE_DEPTH
 from .errors import DomainError
 from .numerics import Scalar, _Record, mobius_derivative
-from .solution import dyadic_value_table, inverse_evaluate
+from .solution import _value_table, dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
 
 #: Deepest float stationarity check, refused above before any table is
 #: swept: every grid value is inverted, about four times the work per two
-#: levels.  As CLI runs on a 2-core Xeon, approx walk:0.5 took 21.6 s at
-#: depth 18 and 93 s (112 MB) at 20.  Exact checks invert nothing and
-#: share the exact table cap (solution._MAX_EXACT_TABLE_DEPTH).
+#: levels.  On a 2-core Xeon, approx walk:0.5 took 3.5 s (61 MB) at depth
+#: 18 as a CLI run, and 12.5 s (151 MB) at 20 in process.  Exact checks
+#: invert nothing and share the exact table cap
+#: (solution._MAX_EXACT_TABLE_DEPTH).
 _MAX_FLOAT_CHECK_DEPTH = 18
 
 #: Smallest tol of a float stationarity check: below it the float
@@ -89,7 +88,8 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
     for any increasing f, as mu_g(f([a, b])) = b - a, so neither tests
     that mu_g is stationary (the doubling-map identity is the one that
     uses A0' and A1').  Exact mode certifies that the table of f strictly
-    increases (else ArithmeticError), so g(f(j / 2**depth)) = j / 2**depth
+    increases (else ArithmeticError), by cross products of its integer
+    pairs (``_Pairs.increasing``), so g(f(j / 2**depth)) = j / 2**depth
     and both residuals are exactly zero at any tol, which is only
     validated.  Float mode inverts every table value at tol/2, so its
     residuals are not certified and can exceed tol by orders of
@@ -115,12 +115,11 @@ def stationarity_check(sys: DeRhamSystem, depth: int, tol: float) -> Stationarit
             "checks (smaller tols cost more and give the same residuals); "
             "use a larger tol (--tol)"
         )
-    values = dyadic_value_table(sys, depth)
     if sys.exact:
-        if not all(map(lt, values, values[1:])):
+        if not _value_table(sys, depth).increasing():
             raise ArithmeticError(f"exact value table at depth {depth} is not strictly increasing")
         return StationarityReport(depth, sys.zero(), sys.zero(), True)
-    g = [inverse_evaluate(sys, v, tol / 2) for v in values]
+    g = [inverse_evaluate(sys, v, tol / 2) for v in dyadic_value_table(sys, depth)]
     max_mass = max_rec = sys.zero()
     parent = [g[-1] - g[0]]  # the depth-0 interval is all of [0, 1]
     for k in range(1, depth + 1):

@@ -139,16 +139,18 @@ def reference_evaluate(system, x, tol, max_depth=MAX_DEPTH):
     )
 
 
-def reference_inverse_evaluate(system, y, tol, max_depth=MAX_DEPTH):
+def reference_inverse_evaluate(system, y, tol, max_depth=MAX_DEPTH, split=None):
     """inverse_evaluate at y in (0, 1) as a loop over WordBasis.step and
-    reference_value: the oracle for the fused descents of _words."""
+    reference_value, splitting each node at `split` (default f(1/2)): the
+    oracle for the fused descents of _words."""
+    split = system.split_value if split is None else split
     basis = system.word_basis
     word = basis.identity
     x_lo = system.zero()
     half = system.one() / 2
     depth = 0
     while depth < max_depth:
-        mid_value = reference_value(basis, word, system.split_value)
+        mid_value = reference_value(basis, word, split)
         if system.exact and y == mid_value:
             return x_lo + half
         if y < mid_value:

@@ -17,7 +17,9 @@ from derham_lft import (
     StationarityReport,
     classify,
     dimension_bounds,
+    evaluate,
     force_approx,
+    inverse_evaluate,
     lebesgue_system,
     sample_path,
     stationarity_check,
@@ -187,6 +189,30 @@ def test_pickled_system_keeps_working():
     assert clone.word_basis.evaluate(Fraction(1, 3), 1e-9, 64) == system.word_basis.evaluate(
         Fraction(1, 3), 1e-9, 64
     )
+
+
+def test_pickled_float_system_leaves_its_prefix_behind():
+    # Float queries build the basis's prefix of the top word-tree levels;
+    # a pickle or copy carries the basis without it, and the clone builds
+    # its own on its first query, with the same results bit for bit.
+    system = walk_system(0.5)
+    points = (0.1, 1 / 3, 0.7, 0.999)
+
+    def queries(sys):
+        return [
+            (evaluate(sys, z, 1e-12).hex(), inverse_evaluate(sys, z, 1e-12).hex())
+            for z in points
+        ]
+
+    want = queries(system)
+    assert system.word_basis._prefix is not None
+    data = pickle.dumps(system)
+    assert b"_Prefix" not in data and len(data) < 4096
+    for clone in (pickle.loads(data), copy.deepcopy(system)):
+        assert clone.word_basis._prefix is None
+        assert queries(clone) == want
+        assert clone.word_basis._prefix is not None
+    assert copy.copy(system.word_basis)._prefix is None
 
 
 def test_system_cached_properties_cache():

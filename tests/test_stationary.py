@@ -22,6 +22,7 @@ from derham_lft import (
     validate,
     walk_system,
 )
+from derham_lft._words import _Pairs
 from helpers import random_valid_system
 
 
@@ -50,6 +51,28 @@ def nested_residuals(system, depth, tol):
             parent = mass(k - 1, j_shift) if k > 1 else g_at[-1] - g_at[0]
             max_rec = max(max_rec, abs(m - parent / 2))
     return max_rec, max_mass
+
+
+def _tampered_pairs(table) -> dict:
+    """The exact table and copies with pairs 0 and 1 swapped, pair 0 repeated,
+    a zero q, a negative q, and the pair (-p, -q) in place of one (p, q)."""
+
+    def changed(index, p, q):
+        ps, qs = list(table.ps), list(table.qs)
+        ps[index], qs[index] = p, q
+        return _Pairs(table.basis, ps, qs)
+
+    ps, qs = table.ps, table.qs
+    swapped = changed(0, ps[1], qs[1])
+    swapped.ps[1], swapped.qs[1] = ps[0], qs[0]
+    return {
+        "intact": table,
+        "swapped": swapped,
+        "equal": changed(1, ps[0], qs[0]),
+        "zero q": changed(1, ps[1], 0),
+        "negative q": changed(1, ps[1], -qs[1]),
+        "negated": changed(1, -ps[1], -qs[1]),
+    }
 
 
 def _exact_systems():
@@ -216,6 +239,7 @@ class TestStationarityCheck:
 
         assert stationary._MIN_FLOAT_CHECK_TOL == 2.0**-53
         monkeypatch.setattr(stationary, "dyadic_value_table", no_sweep)
+        monkeypatch.setattr(stationary, "_value_table", no_sweep)  # the exact table
         below = float.fromhex("0x1.fffffffffffffp-54")
         for system in (walk05, force_approx(walk1)):
             for tol in (below, 1e-30, 0.0):
@@ -265,13 +289,39 @@ class TestStationarityCheck:
     def test_exact_table_not_strictly_increasing_raises(self, walk1, monkeypatch):
         from derham_lft import stationary
 
-        table = dyadic_value_table(walk1, 6)
-        swapped = table[:20] + [table[21], table[20]] + table[22:]
-        equal = table[:20] + [table[20], table[20]] + table[22:]
-        for bad in (swapped, equal):
-            monkeypatch.setattr(stationary, "dyadic_value_table", lambda sys, depth: bad)
+        # The check reads the table's integer pairs: swap two, or repeat one.
+        cases = _tampered_pairs(walk1.word_basis.table(6))
+        for name in ("swapped", "equal"):
+            monkeypatch.setattr(stationary, "_value_table", lambda sys, depth: cases[name])
             with pytest.raises(ArithmeticError, match="not strictly increasing"):
                 stationarity_check(walk1, 6, 1e-11)
+
+    def test_exact_increase_check_answers_as_the_fractions(self, walk1, monkeypatch):
+        # Cross products of the pairs (every q > 0) or, past a sign check,
+        # the Fraction path: the same answer or the same PoleError.
+        from derham_lft import stationary
+
+        def strictly_increasing(values):
+            return all(a < b for a, b in zip(values, values[1:]))
+
+        def outcome(read):
+            try:
+                return read()
+            except PoleError as exc:
+                return str(exc)
+
+        for depth in (1, 6, 11):
+            for name, bad in _tampered_pairs(walk1.word_basis.table(depth)).items():
+                copy = _Pairs(bad.basis, list(bad.ps), list(bad.qs))
+                want = outcome(lambda: strictly_increasing(copy.values()))
+                assert outcome(bad.increasing) == want, (depth, name)
+                assert want == {"zero q": "exact denominator c*z + d is zero"}.get(
+                    name, name in ("intact", "negated")
+                )
+        cases = _tampered_pairs(walk1.word_basis.table(6))
+        monkeypatch.setattr(stationary, "_value_table", lambda sys, depth: cases["zero q"])
+        with pytest.raises(PoleError, match="^exact denominator c\\*z \\+ d is zero$"):
+            stationarity_check(walk1, 6, 0.0)
 
     def test_exact_walk1_depth_16_residuals_are_fraction_zero(self, walk1):
         report = stationarity_check(walk1, 16, 1e-11)

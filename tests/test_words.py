@@ -2,9 +2,11 @@
 mat_mul / renormalize primitives."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +33,17 @@ from derham_lft import (
     walk_tree,
     word_matrix,
 )
-from derham_lft import numerics
-from derham_lft._words import BLOCK_LEVELS, RENORM_EVERY, WordBasis, _Array, _Floats, _Pairs
+from derham_lft import NonConvergenceError, _words, numerics
+from derham_lft._words import (
+    BLOCK_LEVELS,
+    LEAVES,
+    PREFIX_LEVELS,
+    RENORM_EVERY,
+    WordBasis,
+    _Array,
+    _Floats,
+    _Pairs,
+)
 from helpers import (
     random_valid_system,
     reference_evaluate,
@@ -398,6 +409,195 @@ class TestFusedDescents:
                             assert got[0] == "PoleError"
                             raised.add(rtol)
         assert raised == {0.05, 0.2, 0.45, 0.9, 2.0, 1e3}  # every tolerance bites somewhere
+
+    # -- the prefix: the top PREFIX_LEVELS levels, formed once per basis ---
+
+    DEPTHS = (PREFIX_LEVELS - 1, PREFIX_LEVELS, PREFIX_LEVELS + 1, 60)
+    PREFIX_TOLS = (2.0**-PREFIX_LEVELS, 2.0**-13, 2.0**-14, 1e-12, 0.0)
+
+    @staticmethod
+    def edge_points(system, rng):
+        """Points at and around the prefix's edges: NaN, infinities, a
+        subnormal, 1 - 2**-53, dyadic points and table values at and below
+        the leaves (some equal node values), and exact values for inverse."""
+        table = dyadic_value_table(system, PREFIX_LEVELS + 1)
+        edges = [math.nan, math.inf, -math.inf, 5e-324, 1 - 2.0**-53, 2.0**-13, 0.5]
+        xs = edges + [rng.random() for _ in range(4)]
+        ys = edges + [rng.random() for _ in range(4)]
+        ys += [table[j] for j in (1, 2, 3, 2048, 4095, 4096, 4097, 8191)]
+        return xs, ys + [Fraction(1, 3), Fraction(table[4096]) - Fraction(1, 10**30)]
+
+    @pytest.mark.parametrize("inverse_first", [False, True])
+    @pytest.mark.parametrize("index", range(8))
+    def test_prefix_jump_bit_identical_to_the_reference(self, index, inverse_first):
+        system = descent_systems()[index]
+        xs, ys = self.edge_points(system, random.Random(index))
+        (evaluations, ref_e), (inversions, ref_i) = REFERENCES
+        calls = [(evaluations, ref_e, x) for x in xs] + [(inversions, ref_i, y) for y in ys]
+        for op, ref, z in reversed(calls) if inverse_first else calls:
+            for max_depth in self.DEPTHS:
+                for tol in self.PREFIX_TOLS:
+                    want = outcome(ref, system, z, tol, max_depth)
+                    assert basis_outcome(system, op, z, tol, max_depth) == want, (op, z, tol)
+        prefix = system.word_basis._prefix
+        assert prefix.leaf_widths(system.word_basis) and prefix.split == system.split_value
+        assert prefix.values_at(system.word_basis, system.split_value)
+
+    def test_prefix_holds_the_reference_words_widths_and_node_values(self):
+        for system in descent_systems()[:4]:
+            basis = system.word_basis
+            assert basis._prefix is None
+            # Descents that cannot jump build nothing.
+            evaluate(system, 0.3, 0.01, PREFIX_LEVELS)
+            inverse_evaluate(system, 0.3, 2.0**-13)
+            assert basis._prefix is None
+            inverse_evaluate(system, 0.3, 2.0**-14)  # the inverse's part only
+            prefix = basis._prefix
+            assert prefix.widths is None and len(prefix.values) == LEAVES - 1
+            evaluate(system, 0.3, 1e-12)
+            assert len(prefix.widths) == len(prefix.words) == LEAVES
+            for i in (0, 1, 1234, 2047, 2048, LEAVES - 1):
+                bits = tuple(int(b) for b in format(i, f"0{PREFIX_LEVELS}b"))
+                assert prefix.words[i] == basis.path(bits)
+                reads = [
+                    reference_value(basis, basis.path(bits[:k]), 1)
+                    - reference_value(basis, basis.path(bits[:k]), 0)
+                    for k in range(1, PREFIX_LEVELS + 1)
+                ]
+                assert bits_of(prefix.widths[i]) == bits_of(min(reads))
+                # Node i >> k of level PREFIX_LEVELS - k, the k-th ancestor of
+                # leaf i, is in-order value ((i >> k) * 2 + 1) * 2**(k - 1) - 1.
+                for k in range(1, PREFIX_LEVELS + 1):
+                    node = basis.path(bits[: PREFIX_LEVELS - k])
+                    value = reference_value(basis, node, system.split_value)
+                    assert bits_of(prefix.values[((i >> k) * 2 + 1 << k - 1) - 1]) == bits_of(value)
+
+    def test_stale_pole_tolerance_is_not_used(self, monkeypatch):
+        # Built at one POLE_RTOL, the prefix is never read at another: its
+        # pole bounds were checked at the first, and wide tolerances raise
+        # PoleErrors in the top levels that a jump would skip.
+        raised = 0
+        for built in (numerics.POLE_RTOL, 0.2):
+            for system in descent_systems()[:5]:
+                basis = system.word_basis
+                with monkeypatch.context() as patch:
+                    patch.setattr(numerics, "POLE_RTOL", built)
+                    for op, _ in REFERENCES:  # may raise a PoleError below the build
+                        basis_outcome(system, op, 0.3, 1e-12, 60)
+                prefix = basis._prefix
+                for rtol in {0.05, 0.2, 0.45, 1e-15, 1e-14} - {built}:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(numerics, "POLE_RTOL", rtol)
+                        assert prefix.leaf_widths(basis) is None
+                        assert prefix.values_at(basis, system.split_value) is None
+                        for z in (0.1, 0.3, 0.7, 0.95):
+                            for op, ref in REFERENCES:
+                                got = basis_outcome(system, op, z, 1e-12, 60)
+                                assert got == outcome(ref, system, z, 1e-12, 60)
+                                raised += type(got) is tuple and got[0] == "PoleError"
+        assert raised
+
+    def test_other_split_runs_the_loop(self):
+        for system in descent_systems()[:4]:
+            split = system.split_value
+            splits = (split, math.nextafter(split, 1.0), 0.25)
+            for first in (0, 1):  # the prefix reads its values at the first split
+                basis = WordBasis(system.A0, system.A1, False)
+                for other in splits[first:] + splits[:first]:
+                    for y in (0.1, 0.3, split, 0.7, 0.95):
+                        got = outcome(basis_descent(basis, "inverse", other), y, 1e-12, 60)
+                        want = outcome(reference_inverse_evaluate, system, y, 1e-12, 60, other)
+                        assert got == want, (other, y)
+                assert basis._prefix.split == splits[first]
+
+    def test_prefix_falls_back_where_it_cannot_stand_in(self, monkeypatch):
+        # A top node at the pole: each part is kept as [], and the loop
+        # raises as a descent too short to jump does.
+        pole = MoebiusMatrix(1.0, 0.0, -1.0, 1.0)
+        basis = WordBasis(pole, pole, False)
+        for op, split in (("evaluate", None), ("inverse", 1.0)):
+            descend = basis_descent(basis, op, split)
+            assert outcome(descend, 1 / 3, 0.0, 20) == outcome(descend, 1 / 3, 0.0, 8)
+            assert outcome(descend, 1 / 3, 0.0, 20)[0] == "PoleError"
+        assert basis._prefix.widths == basis._prefix.values == []
+        # Node values out of order (float f can be flat): level
+        # PREFIX_LEVELS - 1 read backwards makes them decrease.
+        levels = _words._levels
+
+        def reversed_level(basis):
+            for k, level in enumerate(levels(basis)):
+                yield level[::-1] if k == PREFIX_LEVELS - 1 else level
+
+        monkeypatch.setattr(_words, "_levels", reversed_level)
+        for system in descent_systems()[:4]:
+            xs, ys = self.edge_points(system, random.Random(7))
+            for y in ys:
+                want = outcome(reference_inverse_evaluate, system, y, 1e-12, 60)
+                assert basis_outcome(system, "inverse", y, 1e-12, 60) == want, y
+            assert system.word_basis._prefix.values == []
+
+    def test_jump_edge_at_a_leaf_width(self):
+        # evaluate jumps only where every width on the leaf's path is above
+        # 2*tol: at 2*tol equal to the smallest, the loop returns in the top.
+        for system in descent_systems()[:4]:
+            basis = system.word_basis
+            evaluate(system, 0.3, 1e-12)
+            widths = basis._prefix.widths
+            for i in (0, 5, 2048, 3000, LEAVES - 1):
+                x = (i + 0.5) / LEAVES
+                for two_tol in (widths[i], math.nextafter(widths[i], 0.0)):
+                    tol = two_tol / 2
+                    want = outcome(reference_evaluate, system, x, tol, 60)
+                    assert basis_outcome(system, "evaluate", x, tol, 60) == want, (i, tol)
+
+    def test_rescaling_raises_as_unit_scaled(self):
+        # Entries past float range by depth 16: the rescaling raises
+        # _unit_scaled's ZeroMatrixError, after a jump or without one.
+        grow = MoebiusMatrix(1e25, 0.0, 0.0, 1.0)
+        system = types.SimpleNamespace(
+            exact=False, word_basis=WordBasis(grow, grow, False), split_value=0.5,
+            zero=lambda: 0.0, one=lambda: 1.0,
+        )
+        for op, ref in REFERENCES:
+            for max_depth in (PREFIX_LEVELS, 20):
+                want = outcome(ref, system, 0.3, 1e-12, max_depth)
+                assert basis_outcome(system, op, 0.3, 1e-12, max_depth) == want
+            assert want[:2] == ("ZeroMatrixError", "cannot renormalize a non-finite matrix")
+
+    def test_exact_basis_never_builds_the_prefix(self):
+        for system in (walk_system(1), walk_system(Fraction(3, 7))) + tuple(systems(2, 9)):
+            for z in (Fraction(1, 3), Fraction(5, 7)):
+                evaluate(system, z, 1e-12)
+                inverse_evaluate(system, z, 1e-12)
+            assert system.word_basis._prefix is None
+
+
+REFERENCES = (("evaluate", reference_evaluate), ("inverse", reference_inverse_evaluate))
+
+
+def basis_descent(basis, op, split=None):
+    """A basis's descent as a function of (z, tol, max_depth) that returns
+    the result or raises what the public call raises."""
+
+    def descend(z, tol, max_depth):
+        if op == "evaluate":
+            value, depth, width = basis.evaluate(z, tol, max_depth)
+            message = f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits"
+        else:
+            value, depth, width = basis.inverse(z, split, tol, max_depth)
+            message = f"no convergence to tol = {tol} in {max_depth} steps"
+        if value is None:
+            raise NonConvergenceError(message, depth=depth, width=width)
+        return value
+
+    return descend
+
+
+def basis_outcome(system, op, z, tol, max_depth):
+    """outcome() of the system's own descent at z, also where the public
+    calls refuse z (NaN, infinities) or answer without descending."""
+    descend = basis_descent(system.word_basis, op, system.split_value)
+    return outcome(descend, z, tol, max_depth)
 
 
 def test_level_pole_check_reads_the_extremes_then_every_value():
