@@ -22,20 +22,21 @@ the last (`image`, `table`).  This module owns all of these, and
 The descents (`WordBasis.evaluate`, `WordBasis.inverse`) are one loop per
 mode.  The exact loops step integer words and read each node as a
 Fraction.  The float loops keep the word in four local floats, multiply
-and rescale them as `step` and ``numerics._unit_scaled`` do, and read
-each node with ``numerics.apply_mobius``'s operations;
-``numerics._check_pole`` runs only where a cheap bound cannot rule the
-pole out, so results and PoleErrors are those of the loop over `step`,
-bit for bit.  The top PREFIX_LEVELS levels of the tree are the same for
-every query, so a float basis builds them once, with the loops' own
-operations, on its first descent below them (`_Prefix`).  A float
-descent then starts at depth PREFIX_LEVELS from the leaf of its first
-digits: `evaluate` where no enclosure on that leaf's path is within
-2*tol, `inverse` where tol < 2**-(PREFIX_LEVELS + 1), at the leaf that
-bisecting the in-order node values at `split` gives.  The loops run from
-the root instead while a top node fails their pole bound, while the
-node values ever decrease (float f can be flat), or when `split` or
-``numerics.POLE_RTOL`` is not the one the prefix was built with.
+and rescale them as `step` does, and read each node with
+``numerics.apply_mobius``'s operations; ``numerics._check_pole`` runs
+only where a cheap bound cannot rule the pole out, so results and
+PoleErrors are those of the loop over `step`, bit for bit.
+
+The top PREFIX_LEVELS levels of the tree are the same for every query,
+so a float basis builds them once, with the loops' own operations, on
+its first descent below them at tol < 2**-(PREFIX_LEVELS + 1)
+(`_Prefix`).  A float descent at such a tol then starts at depth
+PREFIX_LEVELS from the leaf of its first digits: `evaluate` where no
+enclosure on that leaf's path is within 2*tol, `inverse` at the leaf
+that bisecting the in-order node values at `split` gives.  The loops run from the root instead while a top node fails
+their pole bound, while the node values ever decrease (float f can be
+flat), or when `split` or ``numerics.POLE_RTOL`` is not the one the
+prefix was built with.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -64,7 +65,7 @@ from .numerics import MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormal
 RENORM_EVERY = 16
 
 #: Float descents jump the top PREFIX_LEVELS levels of the word tree, read
-#: from the basis's `_Prefix` of 2**PREFIX_LEVELS leaves (1.3 MB per basis).
+#: from the basis's `_Prefix` of 2**PREFIX_LEVELS leaves (1.1 MB per basis).
 PREFIX_LEVELS = 12
 
 LEAVES = 1 << PREFIX_LEVELS
@@ -246,7 +247,9 @@ class WordBasis:
         two_tol, two_rtol = 2 * tol, 2 * numerics.POLE_RTOL
         depth = 0
         width = 1.0
-        if 0 < y < 1 and max_depth > PREFIX_LEVELS:
+        # The leaf widths of an increasing f sum to 1, so at 2*tol below
+        # 1/LEAVES some leaf is wider; a coarser tol builds nothing.
+        if 0 < y < 1 and max_depth > PREFIX_LEVELS and two_tol < 1 / LEAVES:
             prefix = self._prefix or self._build_prefix()
             widths = prefix.leaf_widths(self)
             i = int(y * LEAVES)  # the first PREFIX_LEVELS digits of y, exactly
@@ -261,11 +264,8 @@ class WordBasis:
             else:
                 a, b, c, d = a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0
             depth += 1
-            if depth % RENORM_EVERY == 0:  # _unit_scaled, which also raises its errors
-                scale = max(abs(a), abs(b), abs(c), abs(d))
-                if not 0.0 < scale < inf:
-                    _unit_scaled((a, b, c, d))
-                a, b, c, d = a / scale, b / scale, c / scale, d / scale
+            if depth % RENORM_EVERY == 0:
+                a, b, c, d = _unit_scaled((a, b, c, d))
             den0, den1 = c * 0.0 + d, c + d
             # Both above 2*POLE_RTOL*(den0 + den1 + 1): then d = den0 > 0,
             # |c| <= den1 + den0 up to rounding, so neither is within
@@ -332,11 +332,8 @@ class WordBasis:
                 x_lo = x_lo + half
                 a, b, c, d = a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1
             depth += 1
-            if depth % RENORM_EVERY == 0:  # _unit_scaled, which also raises its errors
-                scale = max(abs(a), abs(b), abs(c), abs(d))
-                if not 0.0 < scale < inf:
-                    _unit_scaled((a, b, c, d))
-                a, b, c, d = a / scale, b / scale, c / scale, d / scale
+            if depth % RENORM_EVERY == 0:
+                a, b, c, d = _unit_scaled((a, b, c, d))
             half = half / 2
             if half <= tol:  # x is pinned to an interval of width 2*half
                 return x_lo + half, depth, 2 * half

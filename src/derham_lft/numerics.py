@@ -212,10 +212,11 @@ def renormalize(m: MoebiusMatrix) -> MoebiusMatrix:
 
 
 def _unit_scaled(entries: tuple[float, ...]) -> tuple[float, ...]:
-    """Float entries divided by their largest magnitude."""
-    top = max([abs(e) for e in entries])
+    """The four float entries divided by their largest magnitude."""
+    a, b, c, d = entries
+    top = max(abs(a), abs(b), abs(c), abs(d))
     if top == 0.0:
         raise ZeroMatrixError("cannot renormalize the zero matrix")
     if not math.isfinite(top):
         raise ZeroMatrixError("cannot renormalize a non-finite matrix")
-    return tuple(e / top for e in entries)
+    return a / top, b / top, c / top, d / top

@@ -29,8 +29,8 @@ from .system import DeRhamSystem
 
 #: Deepest float stationarity check, refused above before any table is
 #: swept: every grid value is inverted, about four times the work per two
-#: levels.  On a 2-core Xeon, approx walk:0.5 took 3.5 s (61 MB) at depth
-#: 18 as a CLI run, and 12.5 s (151 MB) at 20 in process.  Exact checks
+#: levels.  On a 2-core Xeon, approx walk:0.5 took 3.6 s (60 MB) at depth
+#: 18 as a CLI run, and 13.6 s (151 MB) at 20 in process.  Exact checks
 #: invert nothing and share the exact table cap
 #: (solution._MAX_EXACT_TABLE_DEPTH).
 _MAX_FLOAT_CHECK_DEPTH = 18

@@ -53,25 +53,27 @@ def nested_residuals(system, depth, tol):
     return max_rec, max_mass
 
 
-def _tampered_pairs(table) -> dict:
-    """The exact table and copies with pairs 0 and 1 swapped, pair 0 repeated,
-    a zero q, a negative q, and the pair (-p, -q) in place of one (p, q)."""
+def _tampered_pairs(table, index) -> dict:
+    """The exact table and copies with pairs index and index + 1 swapped,
+    pair index repeated, and at index + 1 a zero q, a negative q, or the
+    pair (-p, -q) in place of (p, q)."""
 
-    def changed(index, p, q):
+    def changed(at, p, q):
         ps, qs = list(table.ps), list(table.qs)
-        ps[index], qs[index] = p, q
+        ps[at], qs[at] = p, q
         return _Pairs(table.basis, ps, qs)
 
     ps, qs = table.ps, table.qs
-    swapped = changed(0, ps[1], qs[1])
-    swapped.ps[1], swapped.qs[1] = ps[0], qs[0]
+    nxt = index + 1
+    swapped = changed(index, ps[nxt], qs[nxt])
+    swapped.ps[nxt], swapped.qs[nxt] = ps[index], qs[index]
     return {
         "intact": table,
         "swapped": swapped,
-        "equal": changed(1, ps[0], qs[0]),
-        "zero q": changed(1, ps[1], 0),
-        "negative q": changed(1, ps[1], -qs[1]),
-        "negated": changed(1, -ps[1], -qs[1]),
+        "equal": changed(nxt, ps[index], qs[index]),
+        "zero q": changed(nxt, ps[nxt], 0),
+        "negative q": changed(nxt, ps[nxt], -qs[nxt]),
+        "negated": changed(nxt, -ps[nxt], -qs[nxt]),
     }
 
 
@@ -289,12 +291,15 @@ class TestStationarityCheck:
     def test_exact_table_not_strictly_increasing_raises(self, walk1, monkeypatch):
         from derham_lft import stationary
 
-        # The check reads the table's integer pairs: swap two, or repeat one.
-        cases = _tampered_pairs(walk1.word_basis.table(6))
-        for name in ("swapped", "equal"):
-            monkeypatch.setattr(stationary, "_value_table", lambda sys, depth: cases[name])
-            with pytest.raises(ArithmeticError, match="not strictly increasing"):
-                stationarity_check(walk1, 6, 1e-11)
+        # The check reads the table's integer pairs: swap two, or repeat one,
+        # in the middle of the depth-6 table and at its end.
+        table = walk1.word_basis.table(6)
+        for index in (20, len(table.ps) - 2):
+            cases = _tampered_pairs(table, index)
+            for name in ("swapped", "equal"):
+                monkeypatch.setattr(stationary, "_value_table", lambda sys, depth: cases[name])
+                with pytest.raises(ArithmeticError, match="not strictly increasing"):
+                    stationarity_check(walk1, 6, 1e-11)
 
     def test_exact_increase_check_answers_as_the_fractions(self, walk1, monkeypatch):
         # Cross products of the pairs (every q > 0) or, past a sign check,
@@ -311,14 +316,17 @@ class TestStationarityCheck:
                 return str(exc)
 
         for depth in (1, 6, 11):
-            for name, bad in _tampered_pairs(walk1.word_basis.table(depth)).items():
-                copy = _Pairs(bad.basis, list(bad.ps), list(bad.qs))
-                want = outcome(lambda: strictly_increasing(copy.values()))
-                assert outcome(bad.increasing) == want, (depth, name)
-                assert want == {"zero q": "exact denominator c*z + d is zero"}.get(
-                    name, name in ("intact", "negated")
-                )
-        cases = _tampered_pairs(walk1.word_basis.table(6))
+            table = walk1.word_basis.table(depth)
+            last = len(table.ps) - 2
+            for index in sorted({0, min(20, last), last // 2 + 1, last}):
+                for name, bad in _tampered_pairs(table, index).items():
+                    copy = _Pairs(bad.basis, list(bad.ps), list(bad.qs))
+                    want = outcome(lambda: strictly_increasing(copy.values()))
+                    assert outcome(bad.increasing) == want, (depth, index, name)
+                    assert want == {"zero q": "exact denominator c*z + d is zero"}.get(
+                        name, name in ("intact", "negated")
+                    )
+        cases = _tampered_pairs(walk1.word_basis.table(6), 20)
         monkeypatch.setattr(stationary, "_value_table", lambda sys, depth: cases["zero q"])
         with pytest.raises(PoleError, match="^exact denominator c\\*z \\+ d is zero$"):
             stationarity_check(walk1, 6, 0.0)

@@ -447,8 +447,10 @@ class TestFusedDescents:
         for system in descent_systems()[:4]:
             basis = system.word_basis
             assert basis._prefix is None
-            # Descents that cannot jump build nothing.
+            # Descents that cannot jump, or tols too coarse to, build nothing.
             evaluate(system, 0.3, 0.01, PREFIX_LEVELS)
+            evaluate(system, 0.3, 2.0**-13)
+            evaluate(system, 0.3, 1e-3)
             inverse_evaluate(system, 0.3, 2.0**-13)
             assert basis._prefix is None
             inverse_evaluate(system, 0.3, 2.0**-14)  # the inverse's part only
@@ -537,13 +539,16 @@ class TestFusedDescents:
             assert system.word_basis._prefix.values == []
 
     def test_jump_edge_at_a_leaf_width(self):
-        # evaluate jumps only where every width on the leaf's path is above
-        # 2*tol: at 2*tol equal to the smallest, the loop returns in the top.
+        # evaluate jumps only at 2*tol < 1/LEAVES and where every width on
+        # the leaf's path is above 2*tol: at 2*tol equal to the smallest,
+        # the loop returns in the top.  The narrowest leaf is below 1/LEAVES.
         for system in descent_systems()[:4]:
             basis = system.word_basis
             evaluate(system, 0.3, 1e-12)
             widths = basis._prefix.widths
-            for i in (0, 5, 2048, 3000, LEAVES - 1):
+            narrowest = widths.index(min(widths))
+            assert widths[narrowest] < 1 / LEAVES
+            for i in (0, 5, 2048, 3000, LEAVES - 1, narrowest):
                 x = (i + 0.5) / LEAVES
                 for two_tol in (widths[i], math.nextafter(widths[i], 0.0)):
                     tol = two_tol / 2
