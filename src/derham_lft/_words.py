@@ -28,15 +28,16 @@ only where a cheap bound cannot rule the pole out, so results and
 PoleErrors are those of the loop over `step`, bit for bit.
 
 The top PREFIX_LEVELS levels of the tree are the same for every query,
-so a float basis builds them once, with the loops' own operations, on
-its first descent below them at tol < 2**-(PREFIX_LEVELS + 1)
-(`_Prefix`).  A float descent at such a tol then starts at depth
-PREFIX_LEVELS from the leaf of its first digits: `evaluate` where no
-enclosure on that leaf's path is within 2*tol, `inverse` at the leaf
-that bisecting the in-order node values at `split` gives.  The loops run from the root instead while a top node fails
+so a float basis forms them once, in one pass, with the loops' own
+operations and at its split f(1/2), on its first descent below them at
+tol < 2**-(PREFIX_LEVELS + 1) (`_Prefix`).  A float descent at such a
+tol then starts at depth PREFIX_LEVELS from the leaf of its first
+digits: `evaluate` where no enclosure on that leaf's path is within
+2*tol, `inverse` at the leaf that bisecting the in-order node values
+gives.  The loops run from the root instead while a top node fails
 their pole bound, while the node values ever decrease (float f can be
-flat), or when `split` or ``numerics.POLE_RTOL`` is not the one the
-prefix was built with.
+flat), or when ``numerics.POLE_RTOL`` is not the one the prefix was
+built with.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
 from math import inf
 from operator import add, le, lt, mul, truediv
 
@@ -95,18 +95,20 @@ def check_bits(bits: Bits) -> None:
 
 
 class WordBasis:
-    """The pair (A0, A1) as the factors of word products, with the mode's
-    arithmetic chosen once: the quotient `div`, the scales k_i of A_i =
-    k_i * M_i (1.0 in float mode) and the point-query descents `evaluate`
-    and `inverse`.  A float basis keeps the `_Prefix` of its descents,
-    which pickles and copies leave out."""
+    """The pair (A0, A1) as the factors of word products, with its `split`,
+    the point f(1/2) = A0(1) at which `inverse` reads each node's word, and
+    the mode's arithmetic chosen once: the quotient `div`, the scales k_i
+    of A_i = k_i * M_i (1.0 in float mode) and the point-query descents
+    `evaluate` and `inverse`.  A float basis keeps the `_Prefix` of its
+    descents, which pickles and copies leave out."""
 
     __slots__ = (
-        "exact", "m0", "m1", "k0", "k1", "dets", "identity", "div", "evaluate", "inverse", "_prefix"
+        "exact", "split", "m0", "m1", "k0", "k1", "dets", "identity", "div", "evaluate", "inverse",
+        "_prefix",
     )
 
-    def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool):
-        self.exact = exact
+    def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool, split: Scalar):
+        self.exact, self.split = exact, split
         self._prefix = None
         if exact:
             self.m0, self.k0 = _integer_factor(a0)
@@ -251,9 +253,8 @@ class WordBasis:
         # 1/LEAVES some leaf is wider; a coarser tol builds nothing.
         if 0 < y < 1 and max_depth > PREFIX_LEVELS and two_tol < 1 / LEAVES:
             prefix = self._prefix or self._build_prefix()
-            widths = prefix.leaf_widths(self)
             i = int(y * LEAVES)  # the first PREFIX_LEVELS digits of y, exactly
-            if widths and widths[i] > two_tol:
+            if prefix.rtol == numerics.POLE_RTOL and prefix.widths and prefix.widths[i] > two_tol:
                 a, b, c, d = prefix.words[i]
                 y, depth = y * LEAVES - i, PREFIX_LEVELS
         while depth < max_depth:
@@ -281,10 +282,11 @@ class WordBasis:
                 return (lower + upper) / 2, depth, width
         return None, depth, width
 
-    def _inverse_exact(self, y: Fraction, split: Fraction, tol, max_depth: int):
+    def _inverse_exact(self, y: Fraction, tol, max_depth: int):
         """``solution.inverse_evaluate``'s descent: at each node, the child
         whose value range holds y, split at the word's value at `split`,
         f(1/2); a y equal to that value returns its dyadic point."""
+        split = self.split
         word = self.identity
         x_lo = Fraction(0)
         half = Fraction(1, 2)
@@ -305,20 +307,19 @@ class WordBasis:
                 return x_lo + half, depth, 2 * half
         return None, depth, 2 * half
 
-    def _inverse_float(self, y, split: float, tol, max_depth: int):
+    def _inverse_float(self, y, tol, max_depth: int):
         """`_inverse_exact` in floats, with no equality exit, fused as
         `_evaluate_float` is.  An exact y is compared as it is, not cast."""
         (p0, q0, r0, s0), (p1, q1, r1, s1) = self.m0, self.m1
         a, b, c, d = self.identity
-        rtol = numerics.POLE_RTOL
+        split, rtol = self.split, numerics.POLE_RTOL
         x_lo = 0.0
         half = 0.5
         depth = 0
         if max_depth > PREFIX_LEVELS and tol < 0.5 / LEAVES:
             prefix = self._prefix or self._build_prefix()
-            values = prefix.values_at(self, split)
-            if values:  # bisect tests the loop's `y < value`
-                i = bisect_right(values, y)
+            if prefix.rtol == rtol and prefix.values:  # bisect tests the loop's `y < value`
+                i = bisect_right(prefix.values, y)
                 a, b, c, d = prefix.words[i]
                 x_lo, half, depth = i / LEAVES, 0.5 / LEAVES, PREFIX_LEVELS
         while depth < max_depth:
@@ -340,7 +341,7 @@ class WordBasis:
         return None, depth, 2 * half
 
     def _build_prefix(self) -> _Prefix:
-        self._prefix = _Prefix()
+        self._prefix = _Prefix(self)
         return self._prefix
 
     def entry_bits(self) -> int:
@@ -349,85 +350,57 @@ class WordBasis:
 
 
 class _Prefix:
-    """The top PREFIX_LEVELS levels of a float basis's word tree, formed with
-    the float descents' operations in their order (`_levels`), each part on
-    its first use: the words of the 2**PREFIX_LEVELS leaves in address
-    order; each leaf's smallest enclosure width on its path
-    (`leaf_widths`); and the node values at the first split asked for, in
-    in-order (`values_at`).  A part that cannot stand in for its loop is
-    kept as [], and neither is given out once POLE_RTOL has changed."""
+    """The top PREFIX_LEVELS levels of a float basis's word tree, formed in
+    one pass with the float descents' operations in their order (no level
+    is rescaled): the `words` of the 2**PREFIX_LEVELS leaves in address
+    order; each leaf's smallest enclosure width on its path, the `widths`
+    `_evaluate_float` reads; and the node values at the basis's split in
+    in-order, the `values` `_inverse_float` reads.  A part that cannot
+    stand in for its loop is kept as []: where a node fails that loop's
+    pole bound at POLE_RTOL as built (`rtol`), or where the values ever
+    decrease."""
 
-    __slots__ = ("rtol", "words", "widths", "split", "values")
+    __slots__ = ("rtol", "words", "widths", "values")
 
-    def __init__(self):
-        self.rtol = numerics.POLE_RTOL
-        self.words = self.widths = self.split = self.values = None
-
-    def leaf_widths(self, basis: WordBasis) -> list | None:
-        """The widths `_evaluate_float` reads, the smallest per leaf; [] if
-        a node fails that loop's pole bound."""
-        if self.widths is None:
-            two_rtol, widths = 2 * self.rtol, [inf]
-            for words in islice(_levels(basis), 1, None):
-                if widths:
-                    dens = [(c * 0.0 + d, c + d) for _, _, c, d in words]
-                    if all([lo > two_rtol * (lo + hi + 1.0) < hi for lo, hi in dens]):
-                        # Each parent's smallest width, once per child.  min
-                        # keeps it against a NaN width, which the loop does
-                        # not return at either.
-                        doubled = [w for w in widths for w in (w, w)]
-                        widths = [
-                            min(least, (a + b) / hi - (a * 0.0 + b) / lo)
-                            for least, (a, b, _, _), (lo, hi) in zip(doubled, words, dens)
-                        ]
-                    else:
-                        widths = []
-            self.words, self.widths = self.words or words, widths
-        return self.widths if self.rtol == numerics.POLE_RTOL else None
-
-    def values_at(self, basis: WordBasis, split: float) -> list | None:
-        """The node values `_inverse_float` reads at split; [] if a node
-        fails that loop's pole bound or the values ever decrease, and None
-        at a split other than the first one asked for."""
-        if self.values is None:
-            rtol, values = self.rtol, [0.0] * (LEAVES - 1)
-            levels = islice(_levels(basis), PREFIX_LEVELS + (self.words is None))
-            for k, words in enumerate(levels):
-                if values and k < PREFIX_LEVELS:
-                    dens = [c * split + d for _, _, c, d in words]
-                    bounds = [d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)
-                              for (_, _, c, d), den in zip(words, dens)]
-                    if all(bounds):
-                        # Node j of level k is in-order value
-                        # (2j + 1) * 2**(PREFIX_LEVELS - 1 - k) - 1.
-                        values[(LEAVES >> k + 1) - 1 :: LEAVES >> k] = [
-                            (a * split + b) / den for (a, b, _, _), den in zip(words, dens)
-                        ]
-                    else:
-                        values = []
-            self.words, self.split = self.words or words, split
-            self.values = values if all(map(le, values, values[1:])) else []
-        if split == self.split and self.rtol == numerics.POLE_RTOL:
-            return self.values
-        return None
-
-
-def _levels(basis: WordBasis):
-    """The words of levels 0 .. PREFIX_LEVELS of the tree, each in address
-    order, formed as the float descents form them (no level is rescaled)."""
-    (p0, q0, r0, s0), (p1, q1, r1, s1) = basis.m0, basis.m1
-    level = [basis.identity]
-    for _ in range(PREFIX_LEVELS):
-        yield level
-        level = [
-            word
-            for a, b, c, d in level
-            for word in (
-                (a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0),
-                (a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1),
-            )
-        ]
-    yield level
+    def __init__(self, basis: WordBasis):
+        (p0, q0, r0, s0), (p1, q1, r1, s1) = basis.m0, basis.m1
+        split, rtol = basis.split, numerics.POLE_RTOL
+        words, widths, values = [basis.identity], [inf], [0.0] * (LEAVES - 1)
+        for k in range(PREFIX_LEVELS):
+            if values:
+                dens = [c * split + d for _, _, c, d in words]
+                if all([d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)
+                        for (_, _, c, d), den in zip(words, dens)]):
+                    # Node j of level k is in-order value
+                    # (2j + 1) * 2**(PREFIX_LEVELS - 1 - k) - 1.
+                    values[(LEAVES >> k + 1) - 1 :: LEAVES >> k] = [
+                        (a * split + b) / den for (a, b, _, _), den in zip(words, dens)
+                    ]
+                else:
+                    values = []
+            words = [
+                word
+                for a, b, c, d in words
+                for word in (
+                    (a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0),
+                    (a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1),
+                )
+            ]
+            if widths:
+                dens = [(c * 0.0 + d, c + d) for _, _, c, d in words]
+                if all([lo > 2 * rtol * (lo + hi + 1.0) < hi for lo, hi in dens]):
+                    # Each parent's smallest width, once per child.  min
+                    # keeps it against a NaN width, which the loop does
+                    # not return at either.
+                    doubled = [w for w in widths for w in (w, w)]
+                    widths = [
+                        min(least, (a + b) / hi - (a * 0.0 + b) / lo)
+                        for least, (a, b, _, _), (lo, hi) in zip(doubled, words, dens)
+                    ]
+                else:
+                    widths = []
+        self.rtol, self.words, self.widths = rtol, words, widths
+        self.values = values if all(map(le, values, values[1:])) else []
 
 
 class _Table:

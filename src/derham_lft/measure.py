@@ -57,13 +57,14 @@ from fractions import Fraction
 from math import fsum, nan
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ._words import Bits, check_bits
 from .errors import DomainError
 from .numerics import MoebiusMatrix, Scalar, _Record
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
 if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
     import numpy as np
+
+    from ._words import Bits
 
 #: Containment of ratio states in [alpha, beta] is exact in exact mode;
 #: float orbits are allowed to spill by this much.
@@ -121,6 +122,8 @@ def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
     width of the value enclosure of the same address; in (0, 1] in exact
     mode.  Float masses lose relative accuracy with the depth and can be
     0 (walk:0.5 at (1,) * 30, not 6.1e-23) or negative (ROADMAP.md item 3)."""
+    from ._words import check_bits
+
     check_bits(bits)
     basis = sys.word_basis
     return basis.mass(basis.path(bits))
@@ -136,6 +139,8 @@ def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
     """Bottom-row ratio r/s of the address word, in either mode; the orbit
     of t = 0 under transposed_step, up to float rounding.  Inside
     [alpha, beta], float states within STATE_ATOL of it."""
+    from ._words import check_bits
+
     check_bits(bits)
     basis = sys.word_basis
     return basis.state(basis.path(bits))

@@ -244,14 +244,15 @@ def inverse_evaluate(
     Descends the dyadic tree, at each node entering the child whose value
     enclosure contains y (f is strictly increasing, so the children split
     the parent's value range at f of the interval midpoint, the node's
-    word at split_value); ``WordBasis.inverse`` is the descent of the
-    system's mode.  In exact mode a y that hits a dyadic image exactly
-    returns g(y) exactly.  An exact y on a float system is compared with
-    the float node values as it is, not cast.  In approx mode tol is not
-    a guarantee: where f is flat, comparing y with a rounded node value
-    can send the descent into the wrong child, far outside tol
-    (force_approx(walk_system(3/7)) at its table value for x = 255/256,
-    with tol 5e-12, lands 1.94e-6 from the exact inverse of that float).
+    word at the basis's split f(1/2) = A0(1), ``split_value``);
+    ``WordBasis.inverse`` is the descent of the system's mode.  In exact
+    mode a y that hits a dyadic image exactly returns g(y) exactly.  An
+    exact y on a float system is compared with the float node values as
+    it is, not cast.  In approx mode tol is not a guarantee: where f is
+    flat, comparing y with a rounded node value can send the descent into
+    the wrong child, far outside tol (force_approx(walk_system(3/7)) at
+    its table value for x = 255/256, with tol 5e-12, lands 1.94e-6 from
+    the exact inverse of that float).
     """
     if not 0 <= y <= 1:
         raise DomainError(f"y = {y} outside [0, 1]")
@@ -262,7 +263,7 @@ def inverse_evaluate(
     if y == 1:
         return sys.one()
 
-    x, depth, width = sys.word_basis.inverse(y, sys.split_value, tol, max_depth)
+    x, depth, width = sys.word_basis.inverse(y, tol, max_depth)
     if x is None:
         raise NonConvergenceError(
             f"no convergence to tol = {tol} in {max_depth} steps", depth=depth, width=width

@@ -88,10 +88,11 @@ class DeRhamSystem(_Record):
 
     @cached_property
     def word_basis(self) -> WordBasis:
-        """A0 and A1 as the factors of word products (see _words)."""
+        """A0 and A1 as the factors of word products, split at `split_value`
+        (see _words)."""
         from ._words import WordBasis
 
-        return WordBasis(self.A0, self.A1, self.exact)
+        return WordBasis(self.A0, self.A1, self.exact, self.split_value)
 
     @cached_property
     def split_value(self) -> Scalar:

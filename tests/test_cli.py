@@ -679,9 +679,11 @@ class TestImports:
             ["stationary", "--preset", "walk:1", "--depth", "4", "--quad-depth", "6"],
             WORDS | {"solution", "stationary"},
         ),
-        # Only float paths that are not affine run, and import, the lanes.
-        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], WORDS | {"measure"}),
-        (["sample", "--preset", "walk:0.5", "-n", "100"], WORDS | {"measure", "_kernels"}),
+        # Only float paths that are not affine run, and import, the lanes;
+        # only exact paths that are not affine read the integer words.
+        (["sample", "--preset", "lebesgue:1/4", "-n", "100"], COMMON | {"measure"}),
+        (["sample", "--preset", "walk:0.5", "-n", "100"], COMMON | {"measure", "_kernels"}),
+        (["sample", "--preset", "walk:1", "-n", "100"], WORDS | {"measure"}),
     )
 
     @pytest.mark.parametrize("argv, modules", GRAPH, ids=[" ".join(a) for a, _ in GRAPH])

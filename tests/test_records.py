@@ -15,6 +15,7 @@ from derham_lft import (
     MoebiusMatrix,
     SamplePath,
     StationarityReport,
+    apply_mobius,
     classify,
     dimension_bounds,
     evaluate,
@@ -184,6 +185,7 @@ def test_pickled_system_keeps_working():
     assert clone == system and hash(clone) == hash(system)
     assert clone.split_value == system.split_value
     assert clone.word_basis.m0 == system.word_basis.m0
+    assert clone.word_basis.split == system.split_value
     # The basis's bound descents ride along bound to the clone's basis.
     assert clone.word_basis.evaluate.__self__ is clone.word_basis
     assert clone.word_basis.evaluate(Fraction(1, 3), 1e-9, 64) == system.word_basis.evaluate(
@@ -217,11 +219,15 @@ def test_pickled_float_system_leaves_its_prefix_behind():
 
 def test_system_cached_properties_cache():
     system = walk_system(Fraction(3, 7))
-    for name in ("tA0", "tA1", "word_basis", "split_value", "balanced_state"):
+    assert "split_value" not in vars(system)
+    for name in ("tA0", "tA1", "word_basis", "balanced_state"):
         assert name not in vars(system)
         first = getattr(system, name)
         assert vars(system)[name] is first
         assert getattr(system, name) is first
+    # The basis is built at the system's split, which its read caches.
+    assert vars(system)["split_value"] is system.word_basis.split
+    assert system.split_value == apply_mobius(system.A0, 1)
     # Cached values are not fields: equality and hash ignore them.
     assert system == walk_system(Fraction(3, 7))
     assert hash(system) == hash(walk_system(Fraction(3, 7)))

@@ -240,7 +240,7 @@ class TestValueTable:
             assert isinstance(walk_system(1).word_basis.table(8), _Pairs)  # exact pairs
             monkeypatch.setattr(_words, "ARRAY_LEVELS", 1)
             with pytest.raises(PoleError) as got:
-                WordBasis(hop, hop, False).table(2)
+                WordBasis(hop, hop, False, 0.5).table(2)
             assert str(got.value) == str(pole.value)
 
     @pytest.mark.parametrize("index", range(13))
@@ -290,12 +290,12 @@ def test_pole_checks(exact):
     pole = MoebiusMatrix(1, 0, -1, 1)  # c*z + d vanishes at z = 1
     if not exact:
         pole = MoebiusMatrix(*(float(e) for e in pole.entries))
-    basis = WordBasis(pole, pole, exact)
     one = Fraction(1) if exact else 1.0
+    basis = WordBasis(pole, pole, exact, one)
     with pytest.raises(PoleError):  # the descent reads A0 at 1
         basis.evaluate(one / 3, 0.0, 8)
     with pytest.raises(PoleError):  # a split value of 1
-        basis.inverse(one / 3, one, 0.0, 8)
+        basis.inverse(one / 3, 0.0, 8)
     with pytest.raises(PoleError):
         basis.image((0,), one)
     # The quadrature's cells: a midpoint value at 1, where A0' and A1'
@@ -311,7 +311,7 @@ def test_pole_checks(exact):
     hop = MoebiusMatrix(1, 1, -1, 1)
     if not exact:
         hop = MoebiusMatrix(*(float(e) for e in hop.entries))
-    basis = WordBasis(hop, hop, exact)
+    basis = WordBasis(hop, hop, exact, one / 2)
     with pytest.raises(PoleError) as want:
         apply_mobius(hop, apply_mobius(hop, 0 * one))
     # Exact tables hold pairs, so the pole shows where their values are formed.
@@ -440,8 +440,7 @@ class TestFusedDescents:
                     want = outcome(ref, system, z, tol, max_depth)
                     assert basis_outcome(system, op, z, tol, max_depth) == want, (op, z, tol)
         prefix = system.word_basis._prefix
-        assert prefix.leaf_widths(system.word_basis) and prefix.split == system.split_value
-        assert prefix.values_at(system.word_basis, system.split_value)
+        assert prefix.rtol == numerics.POLE_RTOL and prefix.widths and prefix.values
 
     def test_prefix_holds_the_reference_words_widths_and_node_values(self):
         for system in descent_systems()[:4]:
@@ -453,11 +452,12 @@ class TestFusedDescents:
             evaluate(system, 0.3, 1e-3)
             inverse_evaluate(system, 0.3, 2.0**-13)
             assert basis._prefix is None
-            inverse_evaluate(system, 0.3, 2.0**-14)  # the inverse's part only
+            inverse_evaluate(system, 0.3, 2.0**-14)
             prefix = basis._prefix
-            assert prefix.widths is None and len(prefix.values) == LEAVES - 1
             evaluate(system, 0.3, 1e-12)
+            assert basis._prefix is prefix  # built once, for both descents
             assert len(prefix.widths) == len(prefix.words) == LEAVES
+            assert len(prefix.values) == LEAVES - 1
             for i in (0, 1, 1234, 2047, 2048, LEAVES - 1):
                 bits = tuple(int(b) for b in format(i, f"0{PREFIX_LEVELS}b"))
                 assert prefix.words[i] == basis.path(bits)
@@ -471,8 +471,29 @@ class TestFusedDescents:
                 # leaf i, is in-order value ((i >> k) * 2 + 1) * 2**(k - 1) - 1.
                 for k in range(1, PREFIX_LEVELS + 1):
                     node = basis.path(bits[: PREFIX_LEVELS - k])
-                    value = reference_value(basis, node, system.split_value)
+                    value = reference_value(basis, node, basis.split)
                     assert bits_of(prefix.values[((i >> k) * 2 + 1 << k - 1) - 1]) == bits_of(value)
+        # Float f of walk:0.1 is flat enough that rounding makes some leaf's
+        # enclosure wider than an ancestor's: the width kept is the least.
+        system = walk_system(0.1)
+        basis = system.word_basis
+        evaluate(system, 0.3, 1e-12)
+        level, least = [basis.identity], [math.inf]
+        for depth in range(1, PREFIX_LEVELS + 1):
+            level = [basis.step(word, digit, depth) for word in level for digit in (0, 1)]
+            reads = [reference_value(basis, w, 1) - reference_value(basis, w, 0) for w in level]
+            least = [min(m, r) for m, r in zip((m for m in least for _ in (0, 1)), reads)]
+        assert list(map(bits_of, basis._prefix.widths)) == list(map(bits_of, least)) != reads
+
+    @pytest.mark.parametrize("op", ["evaluate", "inverse"])
+    def test_first_descent_of_either_kind_builds_both_parts(self, op):
+        for system in descent_systems()[:4]:
+            assert basis_outcome(system, op, 0.3, 1e-12, 60) == outcome(
+                dict(REFERENCES)[op], system, 0.3, 1e-12, 60
+            )
+            prefix = system.word_basis._prefix
+            assert len(prefix.widths) == len(prefix.words) == LEAVES
+            assert len(prefix.values) == LEAVES - 1
 
     def test_stale_pole_tolerance_is_not_used(self, monkeypatch):
         # Built at one POLE_RTOL, the prefix is never read at another: its
@@ -487,11 +508,10 @@ class TestFusedDescents:
                     for op, _ in REFERENCES:  # may raise a PoleError below the build
                         basis_outcome(system, op, 0.3, 1e-12, 60)
                 prefix = basis._prefix
+                assert prefix.rtol == built
                 for rtol in {0.05, 0.2, 0.45, 1e-15, 1e-14} - {built}:
                     with monkeypatch.context() as patch:
                         patch.setattr(numerics, "POLE_RTOL", rtol)
-                        assert prefix.leaf_widths(basis) is None
-                        assert prefix.values_at(basis, system.split_value) is None
                         for z in (0.1, 0.3, 0.7, 0.95):
                             for op, ref in REFERENCES:
                                 got = basis_outcome(system, op, z, 1e-12, 60)
@@ -499,44 +519,48 @@ class TestFusedDescents:
                                 raised += type(got) is tuple and got[0] == "PoleError"
         assert raised
 
-    def test_other_split_runs_the_loop(self):
+    def test_bases_at_other_splits_match_the_reference(self):
+        # The prefix holds node values at its basis's split; a basis built
+        # at another split descends as the loop that splits there.  One ulp
+        # off f(1/2) the node values still increase and the descent jumps;
+        # at 0.25 or 0.75 they do not, and it runs from the root.
         for system in descent_systems()[:4]:
             split = system.split_value
-            splits = (split, math.nextafter(split, 1.0), 0.25)
-            for first in (0, 1):  # the prefix reads its values at the first split
-                basis = WordBasis(system.A0, system.A1, False)
-                for other in splits[first:] + splits[:first]:
-                    for y in (0.1, 0.3, split, 0.7, 0.95):
-                        got = outcome(basis_descent(basis, "inverse", other), y, 1e-12, 60)
-                        want = outcome(reference_inverse_evaluate, system, y, 1e-12, 60, other)
-                        assert got == want, (other, y)
-                assert basis._prefix.split == splits[first]
+            sizes = []
+            for other in (math.nextafter(split, 1.0), math.nextafter(split, 0.0), 0.25, 0.75):
+                basis = WordBasis(system.A0, system.A1, False, other)
+                for y in (0.1, 0.3, split, other, 0.7, 0.95):
+                    for tol in (1e-12, 0.0):
+                        got = outcome(basis_descent(basis, "inverse"), y, tol, 60)
+                        want = outcome(reference_inverse_evaluate, system, y, tol, 60, other)
+                        assert got == want, (other, y, tol)
+                sizes.append(len(basis._prefix.values))
+            assert sizes == [LEAVES - 1, LEAVES - 1, 0, 0]
 
-    def test_prefix_falls_back_where_it_cannot_stand_in(self, monkeypatch):
+    def test_prefix_falls_back_where_it_cannot_stand_in(self):
         # A top node at the pole: each part is kept as [], and the loop
         # raises as a descent too short to jump does.
         pole = MoebiusMatrix(1.0, 0.0, -1.0, 1.0)
-        basis = WordBasis(pole, pole, False)
-        for op, split in (("evaluate", None), ("inverse", 1.0)):
-            descend = basis_descent(basis, op, split)
+        basis = WordBasis(pole, pole, False, 1.0)
+        for op in ("evaluate", "inverse"):
+            descend = basis_descent(basis, op)
             assert outcome(descend, 1 / 3, 0.0, 20) == outcome(descend, 1 / 3, 0.0, 8)
             assert outcome(descend, 1 / 3, 0.0, 20)[0] == "PoleError"
         assert basis._prefix.widths == basis._prefix.values == []
-        # Node values out of order (float f can be flat): level
-        # PREFIX_LEVELS - 1 read backwards makes them decrease.
-        levels = _words._levels
-
-        def reversed_level(basis):
-            for k, level in enumerate(levels(basis)):
-                yield level[::-1] if k == PREFIX_LEVELS - 1 else level
-
-        monkeypatch.setattr(_words, "_levels", reversed_level)
-        for system in descent_systems()[:4]:
-            xs, ys = self.edge_points(system, random.Random(7))
-            for y in ys:
-                want = outcome(reference_inverse_evaluate, system, y, 1e-12, 60)
-                assert basis_outcome(system, "inverse", y, 1e-12, 60) == want, y
-            assert system.word_basis._prefix.values == []
+        # Node values out of order: float f of lebesgue(0.99) is flat enough
+        # in the top levels that rounded node values decrease (at in-order
+        # 254 first).  The inverse runs its loop; evaluate still jumps.
+        system = lebesgue_system(0.99)
+        table = dyadic_value_table(system, PREFIX_LEVELS)
+        xs, ys = self.edge_points(system, random.Random(7))
+        for y in ys + table[250:260] + table[380:390]:
+            want = outcome(reference_inverse_evaluate, system, y, 1e-12, 60)
+            assert basis_outcome(system, "inverse", y, 1e-12, 60) == want, y
+        for x in xs:
+            want = outcome(reference_evaluate, system, x, 1e-12, 60)
+            assert basis_outcome(system, "evaluate", x, 1e-12, 60) == want, x
+        prefix = system.word_basis._prefix
+        assert prefix.values == [] and len(prefix.widths) == LEAVES
 
     def test_jump_edge_at_a_leaf_width(self):
         # evaluate jumps only at 2*tol < 1/LEAVES and where every width on
@@ -560,7 +584,7 @@ class TestFusedDescents:
         # _unit_scaled's ZeroMatrixError, after a jump or without one.
         grow = MoebiusMatrix(1e25, 0.0, 0.0, 1.0)
         system = types.SimpleNamespace(
-            exact=False, word_basis=WordBasis(grow, grow, False), split_value=0.5,
+            exact=False, word_basis=WordBasis(grow, grow, False, 0.5), split_value=0.5,
             zero=lambda: 0.0, one=lambda: 1.0,
         )
         for op, ref in REFERENCES:
@@ -580,7 +604,7 @@ class TestFusedDescents:
 REFERENCES = (("evaluate", reference_evaluate), ("inverse", reference_inverse_evaluate))
 
 
-def basis_descent(basis, op, split=None):
+def basis_descent(basis, op):
     """A basis's descent as a function of (z, tol, max_depth) that returns
     the result or raises what the public call raises."""
 
@@ -589,7 +613,7 @@ def basis_descent(basis, op, split=None):
             value, depth, width = basis.evaluate(z, tol, max_depth)
             message = f"enclosure width above 2*tol = {2 * tol} after {max_depth} digits"
         else:
-            value, depth, width = basis.inverse(z, split, tol, max_depth)
+            value, depth, width = basis.inverse(z, tol, max_depth)
             message = f"no convergence to tol = {tol} in {max_depth} steps"
         if value is None:
             raise NonConvergenceError(message, depth=depth, width=width)
@@ -601,7 +625,7 @@ def basis_descent(basis, op, split=None):
 def basis_outcome(system, op, z, tol, max_depth):
     """outcome() of the system's own descent at z, also where the public
     calls refuse z (NaN, infinities) or answer without descending."""
-    descend = basis_descent(system.word_basis, op, system.split_value)
+    descend = basis_descent(system.word_basis, op)
     return outcome(descend, z, tol, max_depth)
 
 
@@ -609,7 +633,7 @@ def test_level_pole_check_reads_the_extremes_then_every_value():
     # c*z + d = 1 - 2z: the extremes 0 and 1 straddle the pole at 1/2, so
     # each value is checked; only a value at the pole raises.
     m = MoebiusMatrix(1.0, 0.0, -2.0, 1.0)
-    basis = WordBasis(m, m, False)
+    basis = WordBasis(m, m, False, 0.5)
     _Floats(basis, [0.0, 0.25, 1.0]).check_poles(0.0, 1.0)
     with pytest.raises(PoleError, match="^denominator 0.0 within pole tolerance 2e-15$"):
         _Floats(basis, [0.0, 0.5, 1.0]).check_poles(0.0, 1.0)
