@@ -34,10 +34,10 @@ tol < 2**-(PREFIX_LEVELS + 1) (`_Prefix`).  A float descent at such a
 tol then starts at depth PREFIX_LEVELS from the leaf of its first
 digits: `evaluate` where no enclosure on that leaf's path is within
 2*tol, `inverse` at the leaf that bisecting the in-order node values
-gives.  The loops run from the root instead while a top node fails
-their pole bound, while the node values ever decrease (float f can be
-flat), or when ``numerics.POLE_RTOL`` is not the one the prefix was
-built with.
+gives, each stored clamped between its nearest ancestors' so that none
+decreases (float f can be flat).  Both run from the root instead where
+a top node fails either loop's pole bound, or when ``numerics.POLE_RTOL``
+is not the one the prefix was built with.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -54,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import inf
-from operator import add, le, lt, mul, truediv
+from operator import add, lt, mul, truediv
 
 from . import numerics
 from .errors import DomainError, PoleError
@@ -254,7 +254,7 @@ class WordBasis:
         if 0 < y < 1 and max_depth > PREFIX_LEVELS and two_tol < 1 / LEAVES:
             prefix = self._prefix or self._build_prefix()
             i = int(y * LEAVES)  # the first PREFIX_LEVELS digits of y, exactly
-            if prefix.rtol == numerics.POLE_RTOL and prefix.widths and prefix.widths[i] > two_tol:
+            if prefix.rtol == numerics.POLE_RTOL and prefix.words and prefix.widths[i] > two_tol:
                 a, b, c, d = prefix.words[i]
                 y, depth = y * LEAVES - i, PREFIX_LEVELS
         while depth < max_depth:
@@ -318,7 +318,7 @@ class WordBasis:
         depth = 0
         if max_depth > PREFIX_LEVELS and tol < 0.5 / LEAVES:
             prefix = self._prefix or self._build_prefix()
-            if prefix.rtol == rtol and prefix.values:  # bisect tests the loop's `y < value`
+            if prefix.rtol == rtol and prefix.words:  # bisect tests the loop's `y < value`
                 i = bisect_right(prefix.values, y)
                 a, b, c, d = prefix.words[i]
                 x_lo, half, depth = i / LEAVES, 0.5 / LEAVES, PREFIX_LEVELS
@@ -354,30 +354,34 @@ class _Prefix:
     one pass with the float descents' operations in their order (no level
     is rescaled): the `words` of the 2**PREFIX_LEVELS leaves in address
     order; each leaf's smallest enclosure width on its path, the `widths`
-    `_evaluate_float` reads; and the node values at the basis's split in
-    in-order, the `values` `_inverse_float` reads.  A part that cannot
-    stand in for its loop is kept as []: where a node fails that loop's
-    pole bound at POLE_RTOL as built (`rtol`), or where the values ever
-    decrease."""
+    `_evaluate_float` reads; and the in-order node values at the basis's
+    split, each clamped between its nearest ancestors', the `values`
+    `_inverse_float` bisects.  A top node that fails either loop's pole
+    bound at POLE_RTOL as built (`rtol`) leaves all three parts []."""
 
     __slots__ = ("rtol", "words", "widths", "values")
 
     def __init__(self, basis: WordBasis):
         (p0, q0, r0, s0), (p1, q1, r1, s1) = basis.m0, basis.m1
         split, rtol = basis.split, numerics.POLE_RTOL
+        self.rtol, self.words, self.widths, self.values = rtol, [], [], []
         words, widths, values = [basis.identity], [inf], [0.0] * (LEAVES - 1)
         for k in range(PREFIX_LEVELS):
-            if values:
-                dens = [c * split + d for _, _, c, d in words]
-                if all([d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)
+            dens = [c * split + d for _, _, c, d in words]
+            if not all([d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)
                         for (_, _, c, d), den in zip(words, dens)]):
-                    # Node j of level k is in-order value
-                    # (2j + 1) * 2**(PREFIX_LEVELS - 1 - k) - 1.
-                    values[(LEAVES >> k + 1) - 1 :: LEAVES >> k] = [
-                        (a * split + b) / den for (a, b, _, _), den in zip(words, dens)
-                    ]
-                else:
-                    values = []
+                return
+            # Node j of level k is in-order value (2j + 1) * s - 1, between its
+            # nearest ancestors at -s and +s (-inf, inf past the ends): each y
+            # that reaches it lies between their values, so clamped it turns
+            # y as the loop does, and a NaN, which sends y right, goes to lo.
+            s = LEAVES >> k + 1
+            bounds = [-inf, *values[2 * s - 1 :: 2 * s], inf]
+            values[s - 1 :: 2 * s] = [
+                hi if v > hi else v if v >= lo else lo
+                for (a, b, _, _), den, lo, hi in zip(words, dens, bounds, bounds[1:])
+                for v in ((a * split + b) / den,)
+            ]
             words = [
                 word
                 for a, b, c, d in words
@@ -386,21 +390,17 @@ class _Prefix:
                     (a * p1 + b * r1, a * q1 + b * s1, c * p1 + d * r1, c * q1 + d * s1),
                 )
             ]
-            if widths:
-                dens = [(c * 0.0 + d, c + d) for _, _, c, d in words]
-                if all([lo > 2 * rtol * (lo + hi + 1.0) < hi for lo, hi in dens]):
-                    # Each parent's smallest width, once per child.  min
-                    # keeps it against a NaN width, which the loop does
-                    # not return at either.
-                    doubled = [w for w in widths for w in (w, w)]
-                    widths = [
-                        min(least, (a + b) / hi - (a * 0.0 + b) / lo)
-                        for least, (a, b, _, _), (lo, hi) in zip(doubled, words, dens)
-                    ]
-                else:
-                    widths = []
-        self.rtol, self.words, self.widths = rtol, words, widths
-        self.values = values if all(map(le, values, values[1:])) else []
+            dens = [(c * 0.0 + d, c + d) for _, _, c, d in words]
+            if not all([lo > 2 * rtol * (lo + hi + 1.0) < hi for lo, hi in dens]):
+                return
+            # Each parent's smallest width, once per child.  min keeps it
+            # against a NaN width, which the loop does not return at either.
+            doubled = [w for w in widths for w in (w, w)]
+            widths = [
+                min(least, (a + b) / hi - (a * 0.0 + b) / lo)
+                for least, (a, b, _, _), (lo, hi) in zip(doubled, words, dens)
+            ]
+        self.words, self.widths, self.values = words, widths, values
 
 
 class _Table:

@@ -38,15 +38,17 @@ path is the exact sum of its terms, formed in numpy blocks
 terms bit for bit at about 0.4 of the cost (0.025 s against 0.065 s
 per 10^6 steps, 2-core Xeon).
 
-``sample_path`` holds the whole path, about 9 bytes per step.  A report
-(``_sample_report``: ``entropy_rate_estimate`` and the CLI's ``sample``)
-needs only the count of digit 0, the least and greatest state and the
-entropy sum, so it reads its path once and holds one window of it: a
-float path runs in windows of ``_WINDOW`` steps in one reused pair of
-buffers, each window drawing its own stretch of uniforms and starting
-from the true end state of the window before, and ``_exact_sum``
-carries its integer sum across the windows; an affine pair counts
-digit 0 block by block and forms no path at all.  The report equals
+``sample_path`` holds the whole path, about 9 bytes per step (more for
+the Fraction states of an exact path).  A report (``_sample_report``:
+``entropy_rate_estimate`` and the CLI's ``sample``) needs only the count
+of digit 0, the least and greatest state and the entropy sum, so it
+reads its path once and does not hold it: a float path runs in windows
+of ``_WINDOW`` steps in one reused pair of buffers, each window drawing
+its own stretch of uniforms and starting from the true end state of the
+window before, and ``_exact_sum`` carries its integer sum across the
+windows; an affine pair counts digit 0 block by block and forms no path
+at all; an exact non-affine path is read step by step (``_exact_steps``),
+keeping a float per state and the float P(0) at each.  The report equals
 that of the whole path bit for bit; ``sample walk:0.5 -n 8000000``
 peaks at about 39 MB of resident memory.
 """
@@ -72,10 +74,13 @@ STATE_ATOL = 1e-10
 
 DEFAULT_SEED = 99991
 
-#: Longest exact path sample_path draws for a non-affine pair: state
-#: denominators grow by bits per step that depend on the pair (1.00 on walk:1,
-#: 3.01 on walk:3/7), so time and memory grow quadratically in n.  Timed on
-#: walk:1 only: 0.85 s, 88 MB at 20k steps; 2.9 s, 244 MB at 40k (2-core Xeon).
+#: Longest exact path drawn for a non-affine pair: state denominators grow
+#: by bits per step that depend on the pair (1.00 on walk:1, 3.01 on
+#: walk:3/7), so time grows quadratically in n, and so does the memory of
+#: sample_path, which holds the Fraction states; a report holds a float per
+#: state.  Timed on walk:1 only, as a report that held the path: 0.85 s,
+#: 88 MB at 20k steps (40 MB since it holds floats); 2.9 s, 244 MB at 40k
+#: (2-core Xeon).
 _MAX_EXACT_GROWING_STEPS = 20_000
 
 #: Longest path in any mode.  It bounds the arrays sample_path returns
@@ -315,25 +320,33 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     if not sys.exact:
         digits, states = next(_float_windows(sys, n, seed, n))
         return SamplePath(digits, states, seed)
+    states, _, digits = zip(*_exact_steps(sys, n, seed))
+    return SamplePath(np.array(digits, dtype=np.uint8), list(states), seed)
+
+
+def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fraction, float, int]]:
+    """(state, P(0) at it as a float, digit) of each step of the exact
+    path of a non-affine pair, yielded one step at a time, so a reader
+    holds only what it keeps of each step (sample_path keeps the states)."""
+    import numpy as np
+
     u = np.empty(n)
     _uniforms(seed, 0, u)
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
     (a0, b0, c0, d0), (a1, b1, c1, d1) = sys.word_basis.m0, sys.word_basis.m1
     gn, gd = sys.gamma.numerator, sys.gamma.denominator
-    digit_bytes = bytearray(n)
-    states: list[Scalar] = []
     t = sys.zero()
-    for i, x in enumerate(u.tolist()):
-        states.append(t)
+    for x in u.tolist():
         r, s = t.numerator, t.denominator
         # float((t + 1)/(t + gamma)): int/int division rounds correctly.
-        if x < gd * (r + s) / (gd * r + gn * s):
+        p0 = gd * (r + s) / (gd * r + gn * s)
+        if x < p0:
+            yield t, p0, 0
             t = Fraction(a0 * r + c0 * s, b0 * r + d0 * s)
         else:
-            digit_bytes[i] = 1
+            yield t, p0, 1
             t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
-    return SamplePath(np.frombuffer(digit_bytes, dtype=np.uint8), states, seed)
 
 
 def _affine_p0(sys: DeRhamSystem) -> float:
@@ -379,9 +392,11 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
     the digit law at every state, divided by n.  Affine pairs count
     digit 0 per block of uniforms, and their n terms are one term h, so
     the sum is h * n.  Exact non-affine paths (at most
-    _MAX_EXACT_GROWING_STEPS steps) are sampled whole and summed with
-    math.fsum.  Float paths run in windows of _WINDOW steps, whose terms
-    go to _exact_sum block by block.
+    _MAX_EXACT_GROWING_STEPS steps) are read step by step from
+    _exact_steps, which sample_path holds whole and the report does not:
+    it keeps a float per state and the float P(0) at each, and sums the
+    terms with math.fsum.  Float paths run in windows of _WINDOW steps,
+    whose terms go to _exact_sum block by block.
 
     _exact_sum returns None only on a NaN term, and the rate is then
     NaN, as fsum's sum of the terms would be.  A term at a p0 in (0, 1)
@@ -400,14 +415,10 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
         h = binary_entropy(p0) if sys.exact else float(_float_terms(sys.gamma, np.zeros(1))[0])
         return _SampleReport(zeros, 0.0, 0.0, h * n / n)
     if sys.exact:
-        path = sample_path(sys, n, seed)
-        gn, gd = sys.gamma.numerator, sys.gamma.denominator
-        # float(prob_digit0(sys, t)): int/int division rounds correctly.
-        ratios = (t.as_integer_ratio() for t in path.states)
-        p0 = (gd * (r + s) / (gd * r + gn * s) for r, s in ratios)
-        states = [float(t) for t in path.states]
-        zeros = n - int(np.count_nonzero(path.digits))
-        return _SampleReport(zeros, min(states), max(states), fsum(map(binary_entropy, p0)) / n)
+        steps = ((float(t), p0, digit) for t, p0, digit in _exact_steps(sys, n, seed))
+        states, p0s, digits = zip(*steps)
+        rate = fsum(map(binary_entropy, p0s)) / n
+        return _SampleReport(n - sum(digits), min(states), max(states), rate)
     zeros, lo, hi = 0, np.inf, -np.inf
 
     def terms() -> Iterator[np.ndarray]:
@@ -446,9 +457,10 @@ def _float_terms(gamma: float, t: np.ndarray) -> np.ndarray:
 def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
     """math.fsum of the float64 blocks, bit for bit, without a Python
     float per term; None if a term is non-finite or not below
-    _EXACT_SUM_LIMIT, or if the sum is exactly zero (fsum's sign of zero
-    and its errors are left to fsum).  Every block is read, also after
-    a decline, so a caller that tallies as it yields sees the whole run.
+    _EXACT_SUM_LIMIT, or if the sum is exactly zero, and the caller's
+    rate is then NaN (_sample_report says why only a NaN term declines).
+    Every block is read, also after a decline, so a caller that tallies
+    as it yields sees the whole run.
 
     Each term is m * 2^e with a 53-bit integer m (np.frexp), cut into a
     high and a low half of 27 and 26 bits.  np.bincount sums the halves

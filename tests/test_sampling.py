@@ -301,7 +301,7 @@ class TestStreamedReport:
         ids=["lebesgue:1/4", "lebesgue:1/3 approx", "walk:1 exact", "c1 = -0.0"],
     )
     def test_affine_and_exact_equal_the_held_path(self, system):
-        # Exact non-affine paths are sampled whole: short ones suffice.
+        # Exact non-affine paths are not run in windows: short ones suffice.
         lengths = (1, 3000) if system.exact and not system.affine else (1, 3 * _DRAW_BLOCK + 5)
         for n in lengths:
             assert _hex(_streamed_report(system, n, seed=n)) == _hex(_held_report(system, n, n))
@@ -314,6 +314,18 @@ class TestStreamedReport:
         monkeypatch.setattr(_kernels, "fill_path", no_path)
         for system in (lebesgue_system(Fraction(1, 4)), force_approx(lebesgue_system(Fraction(1, 3)))):
             assert measure._sample_report(system, 10**5, seed=1).state_max == 0.0
+
+    def test_exact_report_holds_no_path(self, monkeypatch):
+        # The report reads the exact steps one at a time, keeping a float
+        # per state, and equals the report of the Fraction path held whole.
+        want = {n: _hex(_held_report(walk_system(1), n, n)) for n in (1, 2000)}
+
+        def no_path(*args):
+            raise AssertionError("held the exact path")
+
+        monkeypatch.setattr(measure, "sample_path", no_path)
+        for n, fields in want.items():
+            assert _hex(_streamed_report(walk_system(1), n, seed=n)) == fields
 
     def test_non_finite_fallback_in_a_later_window(self, monkeypatch):
         # A NaN written into the lanes of the second window sends that

@@ -3,6 +3,7 @@ mat_mul / renormalize primitives."""
 
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -328,10 +329,18 @@ def test_pole_checks(exact):
 
 
 def descent_systems():
-    """Float systems for the descent oracle: two float presets and the
-    force_approx twins of exact presets and of random admissible pairs."""
+    """Float systems for the descent oracle: two float presets, the
+    force_approx twins of exact presets and of random admissible pairs,
+    and two float presets whose f is flat enough that rounded node values
+    of the top levels decrease (lebesgue:0.99 at 97 in-order neighbour
+    pairs, walk:0.1 at 159)."""
     twins = [walk_system(1), walk_system(Fraction(3, 7)), lebesgue_system(Fraction(1, 3))]
-    return [walk_system(0.5), walk_system(1.5)] + [force_approx(s) for s in twins + systems(3, 22)]
+    floats = [walk_system(0.5), walk_system(1.5)]
+    flat = [lebesgue_system(0.99), walk_system(0.1)]
+    return floats + [force_approx(s) for s in twins + systems(3, 22)] + flat
+
+
+DESCENT_INDICES = range(len(descent_systems()))
 
 
 def outcome(call, *args):
@@ -360,7 +369,7 @@ class TestFusedDescents:
         ys = [rng.random() for _ in range(6)] + [table[j] for j in (1, 85, 128, 255)]
         return xs, ys + [system.split_value, Fraction(1, 3), Fraction(2, 7)]
 
-    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("index", DESCENT_INDICES)
     def test_bit_identical_to_the_reference(self, index):
         system = descent_systems()[index]
         assert not system.exact
@@ -428,7 +437,7 @@ class TestFusedDescents:
         return xs, ys + [Fraction(1, 3), Fraction(table[4096]) - Fraction(1, 10**30)]
 
     @pytest.mark.parametrize("inverse_first", [False, True])
-    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("index", DESCENT_INDICES)
     def test_prefix_jump_bit_identical_to_the_reference(self, index, inverse_first):
         system = descent_systems()[index]
         xs, ys = self.edge_points(system, random.Random(index))
@@ -443,6 +452,9 @@ class TestFusedDescents:
         assert prefix.rtol == numerics.POLE_RTOL and prefix.widths and prefix.values
 
     def test_prefix_holds_the_reference_words_widths_and_node_values(self):
+        # Systems whose node values increase store them as they are; the
+        # flat ones store them clamped, as
+        # test_node_values_are_clamped_between_their_ancestors checks.
         for system in descent_systems()[:4]:
             basis = system.word_basis
             assert basis._prefix is None
@@ -487,7 +499,7 @@ class TestFusedDescents:
 
     @pytest.mark.parametrize("op", ["evaluate", "inverse"])
     def test_first_descent_of_either_kind_builds_both_parts(self, op):
-        for system in descent_systems()[:4]:
+        for system in descent_systems():
             assert basis_outcome(system, op, 0.3, 1e-12, 60) == outcome(
                 dict(REFERENCES)[op], system, 0.3, 1e-12, 60
             )
@@ -501,7 +513,7 @@ class TestFusedDescents:
         # PoleErrors in the top levels that a jump would skip.
         raised = 0
         for built in (numerics.POLE_RTOL, 0.2):
-            for system in descent_systems()[:5]:
+            for system in descent_systems():
                 basis = system.word_basis
                 with monkeypatch.context() as patch:
                     patch.setattr(numerics, "POLE_RTOL", built)
@@ -522,9 +534,9 @@ class TestFusedDescents:
     def test_bases_at_other_splits_match_the_reference(self):
         # The prefix holds node values at its basis's split; a basis built
         # at another split descends as the loop that splits there.  One ulp
-        # off f(1/2) the node values still increase and the descent jumps;
-        # at 0.25 or 0.75 they do not, and it runs from the root.
-        for system in descent_systems()[:4]:
+        # off f(1/2) the node values still increase; at 0.25 or 0.75 they do
+        # not, and are clamped.  The descent jumps at every split.
+        for system in descent_systems():
             split = system.split_value
             sizes = []
             for other in (math.nextafter(split, 1.0), math.nextafter(split, 0.0), 0.25, 0.75):
@@ -535,38 +547,106 @@ class TestFusedDescents:
                         want = outcome(reference_inverse_evaluate, system, y, tol, 60, other)
                         assert got == want, (other, y, tol)
                 sizes.append(len(basis._prefix.values))
-            assert sizes == [LEAVES - 1, LEAVES - 1, 0, 0]
+            assert sizes == [LEAVES - 1] * 4
 
     def test_prefix_falls_back_where_it_cannot_stand_in(self):
-        # A top node at the pole: each part is kept as [], and the loop
-        # raises as a descent too short to jump does.
-        pole = MoebiusMatrix(1.0, 0.0, -1.0, 1.0)
-        basis = WordBasis(pole, pole, False, 1.0)
-        for op in ("evaluate", "inverse"):
-            descend = basis_descent(basis, op)
-            assert outcome(descend, 1 / 3, 0.0, 20) == outcome(descend, 1 / 3, 0.0, 8)
-            assert outcome(descend, 1 / 3, 0.0, 20)[0] == "PoleError"
-        assert basis._prefix.widths == basis._prefix.values == []
-        # Node values out of order: float f of lebesgue(0.99) is flat enough
-        # in the top levels that rounded node values decrease (at in-order
-        # 254 first).  The inverse runs its loop; evaluate still jumps.
+        # Top nodes at the pole: level-k words are (1, 0, -k/4, 1), so at
+        # split 2.0 level 2 fails the inverse's bound first, and at split 0.0
+        # level 4 fails evaluate's.  Either way all three parts are kept as
+        # [], and both descents run their loops from the root, raising as
+        # the reference does.
+        pole = MoebiusMatrix(1.0, 0.0, -0.25, 1.0)
+        for split in (2.0, 0.0):
+            system = types.SimpleNamespace(
+                exact=False, word_basis=WordBasis(pole, pole, False, split), split_value=split,
+                zero=lambda: 0.0, one=lambda: 1.0,
+            )
+            for op, ref in REFERENCES:
+                for z in (1 / 3, 0.7):
+                    want = outcome(ref, system, z, 0.0, 20)
+                    assert basis_outcome(system, op, z, 0.0, 20) == want, (split, op, z)
+                    raises = "PoleError" if op == "evaluate" or split else "NonConvergenceError"
+                    assert want[0] == raises
+            prefix = system.word_basis._prefix
+            assert prefix.words == prefix.widths == prefix.values == []
+        # Flat float f: rounded node values of lebesgue(0.99) decrease (at
+        # in-order 254 first), yet it keeps its 4095 values, clamped, and
+        # every inverse jumps: one read of the leaf words per query.
         system = lebesgue_system(0.99)
         table = dyadic_value_table(system, PREFIX_LEVELS)
         xs, ys = self.edge_points(system, random.Random(7))
-        for y in ys + table[250:260] + table[380:390]:
+        ys += table[250:260] + table[380:390]
+        basis_outcome(system, "inverse", 0.3, 1e-12, 60)
+        prefix = system.word_basis._prefix
+        assert len(prefix.values) == LEAVES - 1
+        assert len(prefix.widths) == len(prefix.words) == LEAVES
+        reads = []
+
+        class ReadWords(list):
+            def __getitem__(self, i):
+                reads.append(i)
+                return list.__getitem__(self, i)
+
+        prefix.words = ReadWords(prefix.words)
+        for y in ys:
             want = outcome(reference_inverse_evaluate, system, y, 1e-12, 60)
             assert basis_outcome(system, "inverse", y, 1e-12, 60) == want, y
+        assert len(reads) == len(ys)
         for x in xs:
             want = outcome(reference_evaluate, system, x, 1e-12, 60)
             assert basis_outcome(system, "evaluate", x, 1e-12, 60) == want, x
-        prefix = system.word_basis._prefix
-        assert prefix.values == [] and len(prefix.widths) == LEAVES
+
+    def test_nan_node_values_send_y_right(self):
+        # Entries overflow to inf and -inf by level 11, where the node values
+        # are NaN (inf - inf): the loop sends every y right there, and the
+        # values stored clamped to their lower bound send it right too.
+        grow = MoebiusMatrix(1e30, -1e30, 0.0, 1.0)
+        system = types.SimpleNamespace(
+            exact=False, word_basis=WordBasis(grow, grow, False, 0.5), split_value=0.5,
+            zero=lambda: 0.0, one=lambda: 1.0,
+        )
+        word = system.word_basis.path((0,) * (PREFIX_LEVELS - 1))
+        assert math.isnan(reference_value(system.word_basis, word, 0.5))
+        for y in (0.3, 0.5, 0.7, -1e300, 1e300, math.nan):
+            for max_depth in (PREFIX_LEVELS + 1, 20):
+                want = outcome(reference_inverse_evaluate, system, y, 2.0**-14, max_depth)
+                assert basis_outcome(system, "inverse", y, 2.0**-14, max_depth) == want, y
+        assert len(system.word_basis._prefix.values) == LEAVES - 1
+
+    @pytest.mark.parametrize("flat", descent_systems()[-2:], ids=["lebesgue:0.99", "walk:0.1"])
+    def test_node_values_are_clamped_between_their_ancestors(self, flat):
+        # Node values of the reference loop, clamped top-down between the
+        # stored values of each node's nearest ancestors (-inf and inf past
+        # the ends; a NaN to the lower), never decrease and are the values
+        # stored, though the reference values themselves decrease.
+        basis = flat.word_basis
+        inverse_evaluate(flat, 0.3, 1e-12)
+        raw, level = {}, [basis.identity]
+        for k in range(PREFIX_LEVELS):
+            s = LEAVES >> k + 1
+            for j, word in enumerate(level):
+                raw[(2 * j + 1) * s - 1] = reference_value(basis, word, basis.split)
+            level = [basis.step(word, digit, k + 1) for word in level for digit in (0, 1)]
+        want = [None] * (LEAVES - 1)
+
+        def store(index, s, lo, hi):
+            v = raw[index]
+            want[index] = lo if math.isnan(v) else min(max(v, lo), hi)
+            if s > 1:
+                store(index - s // 2, s // 2, lo, want[index])
+                store(index + s // 2, s // 2, want[index], hi)
+
+        store(LEAVES // 2 - 1, LEAVES // 2, -math.inf, math.inf)
+        values = [raw[i] for i in range(LEAVES - 1)]
+        assert any(map(operator.gt, values, values[1:]))
+        assert not any(map(operator.gt, want, want[1:]))
+        assert list(map(bits_of, flat.word_basis._prefix.values)) == list(map(bits_of, want))
 
     def test_jump_edge_at_a_leaf_width(self):
         # evaluate jumps only at 2*tol < 1/LEAVES and where every width on
         # the leaf's path is above 2*tol: at 2*tol equal to the smallest,
         # the loop returns in the top.  The narrowest leaf is below 1/LEAVES.
-        for system in descent_systems()[:4]:
+        for system in descent_systems():
             basis = system.word_basis
             evaluate(system, 0.3, 1e-12)
             widths = basis._prefix.widths
