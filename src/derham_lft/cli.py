@@ -181,27 +181,27 @@ def _writer(out: Optional[str]) -> Iterator[Callable[[str], object]]:
         raise _IOFailure(f"cannot write {out!r}: {exc}") from exc
 
 
-def _emit_json(doc: dict, out: Optional[str]) -> None:
-    with _writer(out) as write:
+def _report(args: argparse.Namespace, meta: dict, code: int = 0, **fields) -> int:
+    """Write meta, the command and the fields as one JSON report to
+    --out or stdout, and return the exit code."""
+    doc = dict(meta, command=args.command, **fields)
+    with _writer(args.out) as write:
         write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 def cmd_validate(args) -> int:
     from .system import transpose_fixed_points
 
-    meta: dict = {"schema": SCHEMA_VERSION, "command": "validate"}
     try:
-        system, meta_sys = load_system(args)
+        system, meta = load_system(args)
     except ValidationError as exc:
-        meta["valid"] = False
-        meta["violations"] = [
-            {"condition": cond, "detail": detail} for cond, detail in exc.violations
-        ]
-        _emit_json(meta, args.out)
-        return 1
-    meta.update(meta_sys)
+        violations = [{"condition": cond, "detail": detail} for cond, detail in exc.violations]
+        return _report(args, {"schema": SCHEMA_VERSION}, 1, valid=False, violations=violations)
     fp0, (fp_minus1, fp1) = transpose_fixed_points(system)
-    meta.update(
+    return _report(
+        args,
+        meta,
         valid=True,
         conditions={"A1": True, "A2": True, "A3": True},
         alpha=_scalar_repr(system.alpha),
@@ -212,8 +212,6 @@ def cmd_validate(args) -> int:
             "transposed_A1": [_scalar_repr(fp_minus1), _scalar_repr(fp1)],
         },
     )
-    _emit_json(meta, args.out)
-    return 0
 
 
 def _reprs(floats: list[float]) -> list[str]:
@@ -264,35 +262,31 @@ def cmd_classify(args) -> int:
 
     system, meta = load_system(args)
     report = classify(system)
-    doc = dict(meta, command="classify")
-    doc.update(
-        verdict=report.verdict,
-        ac_condition_0=report.ac_condition_0,
-        ac_condition_1=report.ac_condition_1,
-        exactness=report.exactness,
-    )
     if report.verdict == ABSOLUTELY_CONTINUOUS:
-        doc["c0"] = _scalar_repr(report.c0)
+        fields = {"c0": _scalar_repr(report.c0)}
         if report.exactness == "approx":
             _sys.stderr.write(
                 "warning: absolute continuity decided from floating-point input "
                 "is not certifiable\n"
             )
     else:
-        doc.update(_bounds_fields(report.bounds))
-        doc["defect_bound"] = report.defect_bound
-    _emit_json(doc, args.out)
-    return 0
+        fields = dict(_bounds_fields(report.bounds), defect_bound=report.defect_bound)
+    return _report(
+        args,
+        meta,
+        verdict=report.verdict,
+        ac_condition_0=report.ac_condition_0,
+        ac_condition_1=report.ac_condition_1,
+        exactness=report.exactness,
+        **fields,
+    )
 
 
 def cmd_dimension(args) -> int:
     from .analysis import dimension_bounds
 
     system, meta = load_system(args)
-    doc = dict(meta, command="dimension")
-    doc.update(_bounds_fields(dimension_bounds(system)))
-    _emit_json(doc, args.out)
-    return 0
+    return _report(args, meta, **_bounds_fields(dimension_bounds(system)))
 
 
 def cmd_sample(args) -> int:
@@ -304,8 +298,9 @@ def cmd_sample(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     report = _sample_report(system, n, seed)
     estimate = report.entropy_rate
-    doc = dict(meta, command="sample")
-    doc.update(
+    return _report(
+        args,
+        meta,
         seed=seed,
         steps=n,
         digit0_frequency=report.zeros / n,
@@ -316,8 +311,6 @@ def cmd_sample(args) -> int:
         alpha=_scalar_repr(system.alpha),
         beta=_scalar_repr(system.beta),
     )
-    _emit_json(doc, args.out)
-    return 0
 
 
 def cmd_stationary(args) -> int:
@@ -332,23 +325,24 @@ def cmd_stationary(args) -> int:
     if args.quad_depth is not None:  # refused before the stationarity sweep
         _check_quadrature(system, shift_depth, args.quad_depth)
     report = stationarity_check(system, args.depth, args.tol)
-    doc = dict(meta, command="stationary")
-    doc.update(
+    quadrature = {}
+    if args.quad_depth is not None:
+        residual = doubling_map_change_of_measure(system, shift_depth, args.quad_depth)
+        quadrature = dict(
+            doubling_residual=float(residual),
+            shift_depth=shift_depth,
+            quad_depth=args.quad_depth,
+        )
+    return _report(
+        args,
+        meta,
         depth=report.depth,
         tol=args.tol,
         max_residual_recursion=float(report.max_residual_recursion),
         max_residual_mass=float(report.max_residual_mass),
         verdict_transfer=report.verdict_transfer,
+        **quadrature,
     )
-    if args.quad_depth is not None:
-        residual = doubling_map_change_of_measure(system, shift_depth, args.quad_depth)
-        doc.update(
-            doubling_residual=float(residual),
-            shift_depth=shift_depth,
-            quad_depth=args.quad_depth,
-        )
-    _emit_json(doc, args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,12 +31,12 @@ short one in that loop.  Every path takes its uniforms from one Philox
 stream per seed, entered at any position (``_uniforms``), so no path
 holds an array of uniforms beside its digits and states: float paths
 draw them into the state array, which the loop overwrites step by
-step, and repairs draw the stretch they re-run again; affine paths
-compare blocks of 2^16 uniforms with P(0).  The entropy rate of a float
-path is the exact sum of its terms, formed in numpy blocks
-(``_exact_sum``) and rounded once, so it equals ``math.fsum`` over the
-terms bit for bit at about 0.4 of the cost (0.025 s against 0.065 s
-per 10^6 steps, 2-core Xeon).
+step, and repairs draw the stretch they re-run again; affine and
+exact paths read blocks of 2^16 uniforms (``_uniform_blocks``).  The
+entropy rate of a float path is the exact sum of its terms, an integer
+total per numpy block of terms (``_exact_total``), summed and rounded
+once, so it equals ``math.fsum`` over the terms bit for bit at about
+0.4 of the cost (0.025 s against 0.065 s per 10^6 steps, 2-core Xeon).
 
 ``sample_path`` holds the whole path, about 9 bytes per step (more for
 the Fraction states of an exact path).  A report (``_sample_report``:
@@ -45,19 +45,20 @@ of digit 0, the least and greatest state and the entropy sum, so it
 reads its path once and does not hold it: a float path runs in windows
 of ``_WINDOW`` steps in one reused pair of buffers, each window drawing
 its own stretch of uniforms and starting from the true end state of the
-window before, and ``_exact_sum`` carries its integer sum across the
-windows; an affine pair counts digit 0 block by block and forms no path
-at all; an exact non-affine path is read step by step (``_exact_steps``),
-keeping a float per state and the float P(0) at each.  The report equals
-that of the whole path bit for bit; ``sample walk:0.5 -n 8000000``
-peaks at about 39 MB of resident memory.
+window before, and the report adds the integer totals of
+``_exact_total`` across the windows; an affine pair counts digit 0
+block by block and forms no path at all; an exact non-affine path is
+read step by step (``_exact_steps``), keeping a float per state and
+the float P(0) at each.  The report equals that of the whole path bit
+for bit; ``sample walk:0.5 -n 8000000`` peaks at about 39 MB of
+resident memory.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import fsum, nan
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError
 from .numerics import MoebiusMatrix, Scalar, _Record
@@ -134,16 +135,11 @@ def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
     return basis.mass(basis.path(bits))
 
 
-def transposed_step(sys: DeRhamSystem, t: Scalar, digit: int) -> Scalar:
-    """One ratio-state update t -> (a*t + c)/(b*t + d) for the digit's matrix."""
-    a, b, c, d = sys.matrix(digit).entries
-    return (a * t + c) / (b * t + d)
-
-
 def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
     """Bottom-row ratio r/s of the address word, in either mode; the orbit
-    of t = 0 under transposed_step, up to float rounding.  Inside
-    [alpha, beta], float states within STATE_ATOL of it."""
+    of t = 0 under the transposed maps t -> (a*t + c)/(b*t + d), up to
+    float rounding.  Inside [alpha, beta], float states within STATE_ATOL
+    of it."""
     from ._words import check_bits
 
     check_bits(bits)
@@ -328,25 +324,22 @@ def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fractio
     """(state, P(0) at it as a float, digit) of each step of the exact
     path of a non-affine pair, yielded one step at a time, so a reader
     holds only what it keeps of each step (sample_path keeps the states)."""
-    import numpy as np
-
-    u = np.empty(n)
-    _uniforms(seed, 0, u)
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
     (a0, b0, c0, d0), (a1, b1, c1, d1) = sys.word_basis.m0, sys.word_basis.m1
     gn, gd = sys.gamma.numerator, sys.gamma.denominator
     t = sys.zero()
-    for x in u.tolist():
-        r, s = t.numerator, t.denominator
-        # float((t + 1)/(t + gamma)): int/int division rounds correctly.
-        p0 = gd * (r + s) / (gd * r + gn * s)
-        if x < p0:
-            yield t, p0, 0
-            t = Fraction(a0 * r + c0 * s, b0 * r + d0 * s)
-        else:
-            yield t, p0, 1
-            t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
+    for _, block in _uniform_blocks(seed, n):
+        for x in block.tolist():
+            r, s = t.numerator, t.denominator
+            # float((t + 1)/(t + gamma)): int/int division rounds correctly.
+            p0 = gd * (r + s) / (gd * r + gn * s)
+            if x < p0:
+                yield t, p0, 0
+                t = Fraction(a0 * r + c0 * s, b0 * r + d0 * s)
+            else:
+                yield t, p0, 1
+                t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
 
 
 def _affine_p0(sys: DeRhamSystem) -> float:
@@ -396,9 +389,10 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
     _exact_steps, which sample_path holds whole and the report does not:
     it keeps a float per state and the float P(0) at each, and sums the
     terms with math.fsum.  Float paths run in windows of _WINDOW steps,
-    whose terms go to _exact_sum block by block.
+    in one loop that tallies digit 0 and the state range and adds the
+    integer total of each block of terms (_exact_total).
 
-    _exact_sum returns None only on a NaN term, and the rate is then
+    _exact_total returns None only on a NaN term, and the rate is then
     NaN, as fsum's sum of the terms would be.  A term at a p0 in (0, 1)
     is the negated sum of two products that are negative, or one of them
     0, so it is positive and finite, at most log 2 up to rounding: no
@@ -419,25 +413,21 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
         states, p0s, digits = zip(*steps)
         rate = fsum(map(binary_entropy, p0s)) / n
         return _SampleReport(n - sum(digits), min(states), max(states), rate)
-    zeros, lo, hi = 0, np.inf, -np.inf
-
-    def terms() -> Iterator[np.ndarray]:
-        nonlocal zeros, lo, hi
-        for digits, states in _float_windows(sys, n, seed, _WINDOW):
-            zeros += len(digits) - int(np.count_nonzero(digits))
-            # np.minimum and np.maximum keep a NaN, as states.min() does.
-            lo, hi = np.minimum(lo, states.min()), np.maximum(hi, states.max())
-            for start in range(0, len(states), _ENTROPY_BLOCK):
-                yield _float_terms(sys.gamma, states[start : start + _ENTROPY_BLOCK])
-
-    total = _exact_sum(terms())
-    rate = nan if total is None else total / n
+    zeros, lo, hi, total = 0, np.inf, -np.inf, 0
+    for digits, states in _float_windows(sys, n, seed, _WINDOW):
+        zeros += len(digits) - int(np.count_nonzero(digits))
+        # np.minimum and np.maximum keep a NaN, as states.min() does.
+        lo, hi = np.minimum(lo, states.min()), np.maximum(hi, states.max())
+        for start in range(0, len(states), _ENTROPY_BLOCK):
+            block = _exact_total(_float_terms(sys.gamma, states[start : start + _ENTROPY_BLOCK]))
+            total = None if total is None or block is None else total + block
+    rate = total / (1 << 1126) / n if total else nan
     return _SampleReport(zeros, float(lo), float(hi), rate)
 
 
 #: States per numpy block of the float entropy terms.  Its temporaries
 #: add about 1.4 MB to a float path's peak, against about 5.4 MB at 2^16
-#: states, at the same speed; the per-exponent sums of _exact_sum (at
+#: states, at the same speed; the per-exponent sums of _exact_total (at
 #: most 2^16 halves below 2^27) stay exact in float64.
 _ENTROPY_BLOCK = 1 << 14
 
@@ -454,37 +444,34 @@ def _float_terms(gamma: float, t: np.ndarray) -> np.ndarray:
     return -(p0 * np.log(p0) + (1.0 - p0) * np.log(1.0 - p0))
 
 
-def _exact_sum(blocks: Iterable[np.ndarray]) -> float | None:
-    """math.fsum of the float64 blocks, bit for bit, without a Python
-    float per term; None if a term is non-finite or not below
-    _EXACT_SUM_LIMIT, or if the sum is exactly zero, and the caller's
-    rate is then NaN (_sample_report says why only a NaN term declines).
-    Every block is read, also after a decline, so a caller that tallies
-    as it yields sees the whole run.
+def _exact_total(x: np.ndarray) -> int | None:
+    """The exact sum of the float64 block x, scaled by 2^1126, as one
+    Python int, formed without a Python float per term: the totals of
+    the blocks of a run, summed and divided by 2^1126, give math.fsum of
+    all their terms bit for bit.  None if a term is non-finite or not
+    below _EXACT_SUM_LIMIT; the caller's rate is then NaN, as it is on a
+    zero total (fsum picks the sign of a zero sum), and _sample_report
+    says why only a NaN term declines.
 
     Each term is m * 2^e with a 53-bit integer m (np.frexp), cut into a
     high and a low half of 27 and 26 bits.  np.bincount sums the halves
-    of a block per exponent in float64, exactly as long as a block holds
-    at most 2^16 terms (_ENTROPY_BLOCK is 2^14); the sums are then added
-    as one Python int scaled by 2^1126 (the least subnormal is 2^-1074 =
+    of the block per exponent in float64, exactly as long as the block
+    holds at most 2^16 terms (_ENTROPY_BLOCK is 2^14); the sums are then
+    added as one int scaled by 2^1126 (the least subnormal is 2^-1074 =
     2^52 * 2^-1126).  int/int division rounds correctly, as CPython's
     fsum does, so both give the float nearest the exact sum, ties to even.
     """
     import numpy as np
 
-    total: int | None = 0
-    for x in blocks:
-        if total is None:
-            continue
-        if not -_EXACT_SUM_LIMIT < x.min() <= x.max() < _EXACT_SUM_LIMIT:  # also NaN
-            total = None
-            continue
-        frac, exp = np.frexp(x)
-        mant = np.ldexp(frac, 53).astype(np.int64)
-        exp += 1126 - 53  # >= 0: frexp of the least subnormal gives 2^-1073
-        high = np.bincount(exp, weights=mant >> 26)
-        low = np.bincount(exp, weights=mant & ((1 << 26) - 1))
-        nonzero = np.flatnonzero((high != 0) | (low != 0))
-        for k, h, lo in zip(nonzero.tolist(), high[nonzero].tolist(), low[nonzero].tolist()):
-            total += ((int(h) << 26) + int(lo)) << k
-    return total / (1 << 1126) if total else None
+    if not -_EXACT_SUM_LIMIT < x.min() <= x.max() < _EXACT_SUM_LIMIT:  # also NaN
+        return None
+    frac, exp = np.frexp(x)
+    mant = np.ldexp(frac, 53).astype(np.int64)
+    exp += 1126 - 53  # >= 0: frexp of the least subnormal gives 2^-1073
+    high = np.bincount(exp, weights=mant >> 26)
+    low = np.bincount(exp, weights=mant & ((1 << 26) - 1))
+    nonzero = np.flatnonzero((high != 0) | (low != 0))
+    return sum(
+        ((int(h) << 26) + int(lo)) << k
+        for k, h, lo in zip(nonzero.tolist(), high[nonzero].tolist(), low[nonzero].tolist())
+    )

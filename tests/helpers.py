@@ -49,6 +49,14 @@ def random_valid_system(rng, require_digit0_fails: bool = False, scaled: bool = 
         return system
 
 
+def transposed_step(system: DeRhamSystem, t, digit: int):
+    """One ratio-state update t -> (a*t + c)/(b*t + d) for the digit's
+    matrix: the fold that measure.ratio_state and the sampling loops
+    must agree with."""
+    a, b, c, d = system.matrix(digit).entries
+    return (a * t + c) / (b * t + d)
+
+
 def philox_uniforms(seed: int, n: int) -> np.ndarray:
     """The first n uniforms of the seed's stream, drawn by numpy alone:
     the oracle for the positioned draw of measure._uniforms."""

@@ -68,7 +68,9 @@ class TestBadRationals:
     LONG = "1" * 5000  # past the int string conversion limit of 4300 digits
 
     @pytest.mark.parametrize(
-        "entry", ["1/0", "0/0", LONG, f"1/{LONG}"], ids=["1/0", "0/0", "long", "long-den"]
+        "entry",
+        ["1/0", "0/0", LONG, f"1/{LONG}", "1e400"],
+        ids=["1/0", "0/0", "long", "long-den", "1e400"],
     )
     def test_preset_and_config_exit_2(self, capsys, tmp_path, entry):
         cfg = tmp_path / "sys.json"
@@ -87,6 +89,47 @@ class TestBadRationals:
         code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == "error: config parse error: a number has too many digits\n"
+
+
+IDENTITY = ["1", "0", "0", "1"]
+
+
+class TestRefusals:
+    # (argv, config written to a file and passed as --config, exit code,
+    # the one stderr line); nothing goes to stdout.
+    CASES = [
+        pytest.param(["validate", "--preset", "walk:x"], None, 2,
+                     "cannot parse scalar 'x'", id="unparseable"),
+        pytest.param(["validate"], {"A0": ["1", "0", "1"], "A1": IDENTITY}, 2,
+                     "A0 must be a list of four entry strings", id="three-entries"),
+        pytest.param(["validate", "--preset", "walk:1"], {"preset": {"walk": "1"}}, 2,
+                     "give exactly one of --preset and --config", id="preset-and-config"),
+        pytest.param(["validate"], None, 2,
+                     "one of --preset or --config is required", id="no-system"),
+        pytest.param(["validate", "--preset", "walk"], None, 2,
+                     "preset must look like name:param, e.g. lebesgue:1/3", id="no-colon"),
+        pytest.param(["validate"], [1, 2], 2, "config must be a JSON object", id="not-object"),
+        pytest.param(["validate"], {"preset": "walk:1"}, 2,
+                     'preset must be an object like {"lebesgue": "1/3"}', id="preset-string"),
+        pytest.param(["validate"], {"A0": IDENTITY}, 2,
+                     "config needs both A0 and A1", id="only-A0"),
+        pytest.param(["validate", "--preset", "lebesgue:3/2"], None, 1,
+                     "DomainError: p = 3/2 outside (0, 1)", id="lebesgue:3/2"),
+        pytest.param(["validate", "--preset", "walk:-1"], None, 1,
+                     "DomainError: u = -1 must be positive", id="walk:-1"),
+        pytest.param(["plot", "--preset", "walk:1", "--depth", "-1"], None, 1,
+                     "DomainError: depth must be >= 0", id="plot-depth-1"),
+        pytest.param(["sample", "--preset", "walk:1", "-n", "0"], None, 1,
+                     "DomainError: n must be >= 1", id="sample-n0"),
+    ]
+
+    @pytest.mark.parametrize("argv, config, code, message", CASES)
+    def test_exit_code_and_message(self, capsys, tmp_path, argv, config, code, message):
+        if config is not None:
+            cfg = tmp_path / "sys.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 class TestGrid:

@@ -30,7 +30,7 @@ from derham_lft.measure import (
     _ENTROPY_BLOCK,
     _WINDOW,
     DEFAULT_SEED,
-    _exact_sum,
+    _exact_total,
     _float_params,
     _uniforms,
 )
@@ -279,13 +279,13 @@ class TestPositionedDraw:
 
 class TestExactSum:
     @staticmethod
-    def _blocks(x):
-        return [x[i : i + _ENTROPY_BLOCK] for i in range(0, len(x), _ENTROPY_BLOCK)]
-
-    def _check(self, x):
-        got = _exact_sum(self._blocks(x))
-        assert got is not None
-        assert got.hex() == fsum(x.tolist()).hex()
+    def _check(x):
+        # The totals of the _ENTROPY_BLOCK blocks of x, summed and divided
+        # by 2^1126, as _sample_report forms its sum.
+        blocks = [x[i : i + _ENTROPY_BLOCK] for i in range(0, len(x), _ENTROPY_BLOCK)]
+        totals = [_exact_total(block) for block in blocks]
+        assert None not in totals
+        assert (sum(totals) / (1 << 1126)).hex() == fsum(x.tolist()).hex()
 
     # 2^16 and 2^16 + 1 terms span several blocks.
     @pytest.mark.parametrize(
@@ -321,15 +321,17 @@ class TestExactSum:
         for x in (np.nextafter(1.0, 0.0), -np.nextafter(2.0**900, 0.0)):
             x = np.full(1 << 16, x)
             self._check(x)
-            assert _exact_sum([x]).hex() == fsum(x.tolist()).hex()
+            assert (_exact_total(x) / (1 << 1126)).hex() == fsum(x.tolist()).hex()
 
     @pytest.mark.parametrize(
         "x",
         [[0.0, 1.0, np.inf], [np.nan, 1.0], [-np.inf], [2.0**970], [0.0, -0.0], [1.0, -1.0]],
     )
-    def test_left_to_fsum(self, x):
-        # Non-finite or huge terms, and exact zero sums (fsum picks the
-        # sign of zero), return None; every block is read all the same.
-        blocks = iter(np.array(x).reshape(-1, 1))
-        assert _exact_sum(blocks) is None
-        assert next(blocks, None) is None
+    def test_none_or_zero_total(self, x):
+        # A non-finite or huge term declines (None), and an exact zero sum
+        # totals 0 (fsum picks the sign of zero): the rate is NaN on both,
+        # with the terms in one block or one term a block.
+        x = np.array(x)
+        assert _exact_total(x) in (None, 0)
+        totals = [_exact_total(block) for block in x.reshape(-1, 1)]
+        assert None in totals or sum(totals) == 0

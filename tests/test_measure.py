@@ -27,8 +27,7 @@ from derham_lft import (
     word_matrix,
 )
 from derham_lft import measure
-from derham_lft.measure import transposed_step
-from helpers import philox_uniforms, random_valid_system
+from helpers import philox_uniforms, random_valid_system, transposed_step
 
 
 class TestIntervalMeasure:
@@ -188,8 +187,6 @@ class TestSamplePath:
         assert len(sample_path(leb14, 100_000, seed=7)) == 100_000
 
     def test_state_recursion(self, walk05):
-        from derham_lft.measure import transposed_step
-
         path = sample_path(walk05, 2000, seed=5)
         for i in range(0, 1999, 97):
             expect = transposed_step(walk05, path.states[i], int(path.digits[i]))

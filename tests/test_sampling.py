@@ -27,8 +27,8 @@ from derham_lft import (
 )
 from derham_lft import _kernels, measure
 from derham_lft.cli import main
-from derham_lft.measure import _DRAW_BLOCK, _float_params, transposed_step
-from helpers import draw_from, philox_uniforms, random_valid_system
+from derham_lft.measure import _DRAW_BLOCK, _float_params
+from helpers import draw_from, philox_uniforms, random_valid_system, transposed_step
 
 LENGTHS = (1, 4095, 4096, 4097, 3 * _kernels.BLOCK + 5)
 
@@ -194,7 +194,8 @@ class TestAffineEntropy:
 
     def test_float_counted_blocks_equal_the_full_pass(self):
         # The estimate of each prefix of one float affine path, against
-        # the fsum of its terms, which _exact_sum equals bit for bit.
+        # the fsum of its terms, which the summed _exact_total of its blocks
+        # equals bit for bit.
         block = measure._ENTROPY_BLOCK
         lengths = (1, block - 1, block, block + 1, 10**6 + 3)
         for system in map(force_approx, _lebesgue_systems()):
@@ -227,8 +228,9 @@ def _oracle_rate(system, path):
 
 class TestFloatEntropy:
     def test_non_affine_rate_equals_the_full_pass(self):
-        # _exact_sum must equal fsum bit for bit on states of the Python
-        # loop (n < LANES * BURN_IN), of the lanes and of the tail past them.
+        # The summed _exact_total of the blocks must equal fsum bit for bit
+        # on states of the Python loop (n < LANES * BURN_IN), of the lanes
+        # and of the tail past them.
         twins = [force_approx(random_valid_system(random.Random(s))) for s in (3, 8)]
         systems = [walk_system(0.5), walk_system(1.5), force_approx(walk_system(1)), *twins]
         block = measure._ENTROPY_BLOCK

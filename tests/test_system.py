@@ -11,12 +11,20 @@ from derham_lft import (
     ValidationError,
     apply_mobius,
     binary_entropy,
+    digit_probability,
+    digits_of,
+    dyadic_digits,
+    evaluate,
     force_approx,
+    functional_equation_residual,
+    interval_measure,
+    inverse_evaluate,
     prob_digit0,
     prob_digit1,
     transpose,
     transpose_fixed_points,
     validate,
+    walk_tree,
 )
 from helpers import random_valid_system
 
@@ -39,6 +47,25 @@ class TestValidate:
             validate(ident, ident)
         assert "A1" in err.value.conditions
         assert any("< 1" in detail for _, detail in err.value.violations)
+
+    @pytest.mark.parametrize(
+        "a0, a1, detail",
+        [
+            (("1/2", "1/10", 0, 1), ("1/2", "1/2", 0, 1), "b0 = 1/10 but b0 = 0 is required"),
+            ((1, 0, -1, 1), ("1/2", "1/2", 0, 1), "c0 + d0 = 0 makes A0(1) undefined"),
+            (("1/3", 0, 0, 1), (1, 1, 1, 0), "d1 = 0 makes A1(0) undefined"),
+            (("1/3", 0, 0, 1), (1, "1/3", -1, 1), "c1 + d1 = 0 makes A1(1) undefined"),
+            (("1/3", 0, 0, 1), ("1/3", "1/3", 0, 1), "A1(1) = 2/3 but A1(1) = 1 is required"),
+            (("-1/3", 0, 0, 1), ("4/3", "-1/3", 0, 1), "A0(1) = -1/3 violates '> 0'"),
+        ],
+        ids=["b0", "c0+d0", "d1", "c1+d1", "A1(1)", "A0(1)"],
+    )
+    def test_boundary_condition_rejected(self, a0, a1, detail):
+        # Each pair fails condition A1 first, with the named detail.
+        with pytest.raises(ValidationError) as err:
+            validate(*(MoebiusMatrix(*map(Fraction, m)) for m in (a0, a1)))
+        assert err.value.violations[0] == ("A1", detail)
+        assert str(err.value).startswith(f"A1: {detail}")
 
     def test_negative_determinant_rejected(self):
         # Boundary values match the lebesgue:1/3 left matrix, but det A1 < 0.
@@ -92,6 +119,32 @@ class TestValidate:
                 for name in ("A0", "A1", "alpha", "beta", "gamma", "mode"):
                     got, want = getattr(mixed, name), getattr(twin, name)
                     assert repr(got) == repr(want), name
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda s: evaluate(s, 1.5, 1e-9), "x = 1.5 outside [0, 1]", id="evaluate"),
+            pytest.param(lambda s: inverse_evaluate(s, -0.25, 1e-9), "y = -0.25 outside [0, 1]",
+                         id="inverse_evaluate"),
+            pytest.param(lambda s: functional_equation_residual(s, Fraction(3, 2)),
+                         "x = 3/2 outside [0, 1]", id="residual"),
+            pytest.param(lambda s: digits_of(1, 4), "x = 1 outside [0, 1)", id="digits_of"),
+            pytest.param(lambda s: dyadic_digits(Fraction(-1, 2)), "x = -1/2 outside [0, 1)",
+                         id="dyadic_digits"),
+            pytest.param(lambda s: walk_tree(s, -1), "depth must be >= 0", id="walk_tree"),
+            pytest.param(lambda s: digit_probability(s, 0, 2), "digit must be 0 or 1, got 2",
+                         id="digit_probability"),
+            pytest.param(lambda s: interval_measure(s, (0, 2)),
+                         "address digits must be 0 or 1, got (0, 2)", id="check_bits"),
+            pytest.param(lambda s: s.matrix(2), "digit must be 0 or 1, got 2", id="matrix"),
+        ],
+    )
+    def test_refused_with_message(self, walk1, call, message):
+        with pytest.raises(DomainError) as err:
+            call(walk1)
+        assert str(err.value) == message
 
 
 class TestProbabilities:
