@@ -25,7 +25,9 @@ Fraction.  The float loops keep the word in four local floats, multiply
 and rescale them as `step` does, and read each node with
 ``numerics.apply_mobius``'s operations; ``numerics._check_pole`` runs
 only where a cheap bound cannot rule the pole out, so results and
-PoleErrors are those of the loop over `step`, bit for bit.
+PoleErrors are those of the loop over `step`, bit for bit.  The bounds,
+like ``numerics.POLE_RTOL``'s test, are relative to the word's entries
+with no absolute floor, so scaling A0 and A1 changes no result.
 
 The top PREFIX_LEVELS levels of the tree are the same for every query,
 so a float basis forms them once, in one pass, with the loops' own
@@ -36,8 +38,7 @@ digits: `evaluate` where no enclosure on that leaf's path is within
 2*tol, `inverse` at the leaf that bisecting the in-order node values
 gives, each stored clamped between its nearest ancestors' so that none
 decreases (float f can be flat).  Both run from the root instead where
-a top node fails either loop's pole bound, or when ``numerics.POLE_RTOL``
-is not the one the prefix was built with.
+a top node fails either loop's pole bound.
 
 Values of f at dyadic points need no word: de Rham's equation
 f(x/2) = A0(f(x)), f((x+1)/2) = A1(f(x)) gives f at an address as
@@ -254,7 +255,7 @@ class WordBasis:
         if 0 < y < 1 and max_depth > PREFIX_LEVELS and two_tol < 1 / LEAVES:
             prefix = self._prefix or self._build_prefix()
             i = int(y * LEAVES)  # the first PREFIX_LEVELS digits of y, exactly
-            if prefix.rtol == numerics.POLE_RTOL and prefix.words and prefix.widths[i] > two_tol:
+            if prefix.words and prefix.widths[i] > two_tol:
                 a, b, c, d = prefix.words[i]
                 y, depth = y * LEAVES - i, PREFIX_LEVELS
         while depth < max_depth:
@@ -268,10 +269,10 @@ class WordBasis:
             if depth % RENORM_EVERY == 0:
                 a, b, c, d = _unit_scaled((a, b, c, d))
             den0, den1 = c * 0.0 + d, c + d
-            # Both above 2*POLE_RTOL*(den0 + den1 + 1): then d = den0 > 0,
+            # Both above 2*POLE_RTOL*(den0 + den1): then d = den0 > 0,
             # |c| <= den1 + den0 up to rounding, so neither is within
-            # POLE_RTOL*max(|c|, |d|, 1), the tolerance _check_pole applies.
-            lim = two_rtol * (den0 + den1 + 1.0)
+            # POLE_RTOL*max(|c|, |d|), the tolerance _check_pole applies.
+            lim = two_rtol * (den0 + den1)
             if not (den0 > lim and den1 > lim):
                 _check_pole(den0, c, d)
                 _check_pole(den1, c, d)
@@ -318,14 +319,14 @@ class WordBasis:
         depth = 0
         if max_depth > PREFIX_LEVELS and tol < 0.5 / LEAVES:
             prefix = self._prefix or self._build_prefix()
-            if prefix.rtol == rtol and prefix.words:  # bisect tests the loop's `y < value`
+            if prefix.words:  # bisect tests the loop's `y < value`
                 i = bisect_right(prefix.values, y)
                 a, b, c, d = prefix.words[i]
                 x_lo, half, depth = i / LEAVES, 0.5 / LEAVES, PREFIX_LEVELS
         while depth < max_depth:
             den = c * split + d
-            # With d > 0, POLE_RTOL*(|c| + d + 1) >= POLE_RTOL*max(|c|, |d|, 1).
-            if not (d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)):
+            # With d > 0, POLE_RTOL*(|c| + d) >= POLE_RTOL*max(|c|, |d|).
+            if not (d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d)):
                 _check_pole(den, c, d)
             if y < (a * split + b) / den:
                 a, b, c, d = a * p0 + b * r0, a * q0 + b * s0, c * p0 + d * r0, c * q0 + d * s0
@@ -357,18 +358,18 @@ class _Prefix:
     `_evaluate_float` reads; and the in-order node values at the basis's
     split, each clamped between its nearest ancestors', the `values`
     `_inverse_float` bisects.  A top node that fails either loop's pole
-    bound at POLE_RTOL as built (`rtol`) leaves all three parts []."""
+    bound leaves all three parts []."""
 
-    __slots__ = ("rtol", "words", "widths", "values")
+    __slots__ = ("words", "widths", "values")
 
     def __init__(self, basis: WordBasis):
         (p0, q0, r0, s0), (p1, q1, r1, s1) = basis.m0, basis.m1
         split, rtol = basis.split, numerics.POLE_RTOL
-        self.rtol, self.words, self.widths, self.values = rtol, [], [], []
+        self.words, self.widths, self.values = [], [], []
         words, widths, values = [basis.identity], [inf], [0.0] * (LEAVES - 1)
         for k in range(PREFIX_LEVELS):
             dens = [c * split + d for _, _, c, d in words]
-            if not all([d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d + 1.0)
+            if not all([d > 0.0 and den > rtol * ((c if c >= 0.0 else -c) + d)
                         for (_, _, c, d), den in zip(words, dens)]):
                 return
             # Node j of level k is in-order value (2j + 1) * s - 1, between its
@@ -391,7 +392,7 @@ class _Prefix:
                 )
             ]
             dens = [(c * 0.0 + d, c + d) for _, _, c, d in words]
-            if not all([lo > 2 * rtol * (lo + hi + 1.0) < hi for lo, hi in dens]):
+            if not all([lo > 2 * rtol * (lo + hi) < hi for lo, hi in dens]):
                 return
             # Each parent's smallest width, once per child.  min keeps it
             # against a NaN width, which the loop does not return at either.
@@ -534,7 +535,7 @@ class _Floats(_Table):
         """``numerics._check_pole`` of c*z + d for every z and both maps; as rounding is
         monotone, z by z only where it nears the tolerance at lo or hi, the extreme z."""
         for _, _, c, d in (self.basis.m0, self.basis.m1):
-            tol = numerics.POLE_RTOL * max(abs(c), abs(d), 1.0)
+            tol = numerics.POLE_RTOL * max(abs(c), abs(d))
             ends = c * lo + d, c * hi + d
             if not (min(ends) > tol or max(ends) < -tol):
                 for z in self.floats():

@@ -89,20 +89,26 @@ def _system_from_preset(name: str, param: str) -> DeRhamSystem:
     return PRESETS[name](parse_scalar(param))
 
 
-def load_system(args: argparse.Namespace) -> tuple[DeRhamSystem, dict]:
-    """Build the system from --preset or --config, honoring --mode."""
+def load_system(
+    args: argparse.Namespace, meta: Optional[dict] = None
+) -> tuple[DeRhamSystem, dict]:
+    """Build the system from --preset or --config, honoring --mode, and the
+    report's meta: schema, the preset or the config's label, and mode.  A
+    `meta` the caller passes is filled in place as the input is read, so
+    after a ValidationError it holds every key but mode."""
     from .presets import force_approx
     from .system import validate
 
-    meta: dict = {"schema": SCHEMA_VERSION}
+    meta = {} if meta is None else meta
+    meta["schema"] = SCHEMA_VERSION
     if args.preset and args.config:
         raise ConfigError("give exactly one of --preset and --config")
     if args.preset:
         if ":" not in args.preset:
             raise ConfigError("preset must look like name:param, e.g. lebesgue:1/3")
         name, param = args.preset.split(":", 1)
-        system = _system_from_preset(name, param)
         meta["preset"] = args.preset
+        system = _system_from_preset(name, param)
     elif args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -122,6 +128,8 @@ def load_system(args: argparse.Namespace) -> tuple[DeRhamSystem, dict]:
         schema = doc.get("schema", SCHEMA_VERSION)
         if type(schema) is not int or schema != SCHEMA_VERSION:
             raise ConfigError(f'config "schema" must be 1, got {_shown(json.dumps(schema))}')
+        if "label" in doc:
+            meta["label"] = str(doc["label"])
         has_matrices = "A0" in doc or "A1" in doc
         has_preset = "preset" in doc
         if has_matrices == has_preset:
@@ -138,8 +146,6 @@ def load_system(args: argparse.Namespace) -> tuple[DeRhamSystem, dict]:
             system = validate(
                 _parse_matrix("A0", doc["A0"]), _parse_matrix("A1", doc["A1"])
             )
-        if "label" in doc:
-            meta["label"] = str(doc["label"])
     else:
         raise ConfigError("one of --preset or --config is required")
 
@@ -193,11 +199,12 @@ def _report(args: argparse.Namespace, meta: dict, code: int = 0, **fields) -> in
 def cmd_validate(args) -> int:
     from .system import transpose_fixed_points
 
+    meta: dict = {}
     try:
-        system, meta = load_system(args)
+        system, meta = load_system(args, meta)
     except ValidationError as exc:
         violations = [{"condition": cond, "detail": detail} for cond, detail in exc.violations]
-        return _report(args, {"schema": SCHEMA_VERSION}, 1, valid=False, violations=violations)
+        return _report(args, dict(meta, mode=exc.mode), 1, valid=False, violations=violations)
     fp0, (fp_minus1, fp1) = transpose_fixed_points(system)
     return _report(
         args,

@@ -23,11 +23,13 @@ class ValidationError(DeRhamError, ValueError):
     """A matrix pair violates one of the admissibility conditions.
 
     Carries the full list of violations as (condition, detail) pairs,
-    where condition is one of "A1", "A2", "A3", "finite" or "derived".
+    where condition is one of "A1", "A2", "A3", "finite" or "derived",
+    and the scalar mode ("exact" or "approx") the pair was checked in.
     """
 
-    def __init__(self, violations: list[tuple[str, str]]):
+    def __init__(self, violations: list[tuple[str, str]], mode: str | None = None):
         self.violations = list(violations)
+        self.mode = mode
         msg = "; ".join(f"{cond}: {detail}" for cond, detail in self.violations)
         super().__init__(msg or "invalid system")
 

@@ -19,7 +19,8 @@ vectorised comparison in either mode (``DeRhamSystem.affine``).  A
 report on such a path forms its one entropy term h once, in either
 mode, and returns h * n / n: fsum of the n equal terms is h * n.
 Otherwise exact sampling reads the state off the integer bottom row
-(r, s) of the word, the coprime integer matrices of ``_words``: each
+(r, s) of the word, stepped by the coprime integer matrices of A0 and
+A1 (``numerics.renormalize``), so it builds no ``_words.WordBasis``: each
 step forms the next pair with Python ints and one gcd (the Fraction
 constructor), and the digit probability is the correctly rounded
 int/int quotient.  On a state interval with alpha < beta exact
@@ -61,7 +62,7 @@ from math import fsum, nan
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError
-from .numerics import MoebiusMatrix, Scalar, _Record
+from .numerics import MoebiusMatrix, Scalar, _Record, renormalize
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
 if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
@@ -326,7 +327,9 @@ def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fractio
     holds only what it keeps of each step (sample_path keeps the states)."""
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
-    (a0, b0, c0, d0), (a1, b1, c1, d1) = sys.word_basis.m0, sys.word_basis.m1
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = (
+        map(int, renormalize(m).entries) for m in (sys.A0, sys.A1)
+    )
     gn, gd = sys.gamma.numerator, sys.gamma.denominator
     t = sys.zero()
     for _, block in _uniform_blocks(seed, n):

@@ -28,9 +28,11 @@ from .errors import PoleError, ZeroMatrixError
 Scalar = Union[int, Fraction, float]
 
 #: Relative denominator threshold below which a float evaluation is
-#: treated as sitting on a pole.  Admissible systems keep denominators
-#: strictly positive on [0, 1], so a near-zero denominator means the
-#: input is numerically unusable, not that the request is valid.
+#: treated as sitting on a pole: |c*z + d| <= POLE_RTOL * max(|c|, |d|),
+#: with no absolute floor, so scaling the matrix changes no verdict.
+#: Admissible systems keep denominators strictly positive on [0, 1], so a
+#: near-zero denominator means the input is numerically unusable, not
+#: that the request is valid.
 POLE_RTOL = 1e-15
 
 
@@ -151,18 +153,16 @@ def _check_pole(den: Scalar, c: Scalar, d: Scalar) -> None:
         if den == 0:
             raise PoleError("exact denominator c*z + d is zero")
     else:
-        scale = max(abs(float(c)), abs(float(d)), 1.0)
-        if abs(den) <= POLE_RTOL * scale:
-            raise PoleError(
-                f"denominator {den!r} within pole tolerance {POLE_RTOL * scale!r}"
-            )
+        tol = POLE_RTOL * max(abs(float(c)), abs(float(d)))
+        if abs(den) <= tol:
+            raise PoleError(f"denominator {den!r} within pole tolerance {tol!r}")
 
 
 def apply_mobius(m: MoebiusMatrix, z: Scalar) -> Scalar:
     """Evaluate (a*z + b)/(c*z + d).
 
     Raises PoleError when the denominator vanishes (exactly in exact
-    mode, within POLE_RTOL relative to max(|c|, |d|, 1) in float mode).
+    mode, within POLE_RTOL relative to max(|c|, |d|) in float mode).
     """
     z = _coerce(z)
     den = m.c * z + m.d

@@ -41,9 +41,11 @@ if TYPE_CHECKING:  # imported on use, so `validate` does not load _words
 EXACT = "exact"
 APPROX = "approx"
 
-#: Absolute tolerance for the A1 equality checks on float input.  Float
-#: input cannot certify algebraic identities, so systems accepted this
-#: way are flagged "approx" throughout.
+#: Tolerance for the A1 equality checks on float input: absolute for the
+#: map values A0(1) = A1(0) and A1(1) = 1, which no scaling changes, and
+#: relative to max(|a0|, |c0|, |d0|) for the entry b0 = 0.  Float input
+#: cannot certify algebraic identities, so systems accepted this way are
+#: flagged "approx" throughout.
 A1_ATOL = 1e-9
 
 #: Residual allowed when verifying fixed points by back-substitution in
@@ -122,10 +124,10 @@ def _finite(x: Scalar) -> bool:
     return is_exact(x) or math.isfinite(x)
 
 
-def _eq(x: Scalar, y: Scalar, exact: bool) -> bool:
+def _eq(x: Scalar, y: Scalar, exact: bool, scale: Scalar = 1.0) -> bool:
     if exact:
         return x == y
-    return abs(x - y) <= A1_ATOL
+    return abs(x - y) <= A1_ATOL * scale
 
 
 def _floated(m: MoebiusMatrix) -> MoebiusMatrix:
@@ -135,7 +137,7 @@ def _floated(m: MoebiusMatrix) -> MoebiusMatrix:
         return MoebiusMatrix(*(float(e) for e in m.entries))
     except OverflowError:
         detail = "matrix entries must be finite numbers; an exact entry exceeds the float range"
-        raise ValidationError([("finite", detail)]) from None
+        raise ValidationError([("finite", detail)], APPROX) from None
 
 
 def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
@@ -146,21 +148,21 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     float entry is converted to all-float matrices and gives an approx
     system, checked, stored and computed in floats throughout.  No other
     normalization is applied.  Raises ValidationError carrying every
-    violated condition together with the failing inequality.
+    violated condition together with the failing inequality, and the
+    mode.
     """
     violations: list[tuple[str, str]] = []
-    entries = a0_raw.entries + a1_raw.entries
-    if not all(_finite(e) for e in entries):
-        raise ValidationError([("finite", "matrix entries must be finite numbers")])
-
     exact = a0_raw.exact and a1_raw.exact
+    mode = EXACT if exact else APPROX
+    if not all(_finite(e) for e in a0_raw.entries + a1_raw.entries):
+        raise ValidationError([("finite", "matrix entries must be finite numbers")], mode)
     if not exact:
         a0_raw, a1_raw = _floated(a0_raw), _floated(a1_raw)
     a0, b0, c0, d0 = a0_raw.entries
     a1, b1, c1, d1 = a1_raw.entries
 
     # A1: boundary matching of the two branch maps.
-    if not _eq(b0, 0, exact):
+    if not _eq(b0, 0, exact, max(abs(a0), abs(c0), abs(d0))):
         violations.append(("A1", f"b0 = {b0} but b0 = 0 is required"))
     den_mid0 = c0 + d0
     den_mid1 = d1
@@ -208,7 +210,7 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
             )
 
     if violations:
-        raise ValidationError(violations)
+        raise ValidationError(violations, mode)
 
     # Derived inequalities.  A1-A3 provably imply them, so a failure here
     # means inconsistent arithmetic upstream; checked for defense in depth
@@ -223,7 +225,7 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     if not b1 + c1 > 0:
         derived.append(("derived", f"b1 + c1 = {b1 + c1} must be positive"))
     if derived:
-        raise ValidationError(derived)
+        raise ValidationError(derived, mode)
 
     z0 = c0 / (d0 - a0)
     z1 = c1 / b1
@@ -232,9 +234,9 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     alpha = min(zero, z0, z1)
     beta = max(zero, z0, z1)
     if not alpha > -1:
-        raise ValidationError([("derived", f"alpha = {alpha} must exceed -1")])
+        raise ValidationError([("derived", f"alpha = {alpha} must exceed -1")], mode)
     if not gamma > 1:
-        raise ValidationError([("derived", f"gamma = {gamma} must exceed 1")])
+        raise ValidationError([("derived", f"gamma = {gamma} must exceed 1")], mode)
 
     return DeRhamSystem(
         A0=a0_raw,
@@ -242,7 +244,7 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        mode=EXACT if exact else APPROX,
+        mode=mode,
     )
 
 
@@ -318,13 +320,15 @@ def ac_identity_residuals(sys: DeRhamSystem) -> tuple[Scalar, Scalar]:
 def _identity_holds(residual: Scalar, lhs_scale: Scalar, exact: bool) -> bool:
     if exact:
         return residual == 0
-    return abs(residual) <= 1e-9 * max(1.0, lhs_scale)
+    return abs(residual) <= 1e-9 * lhs_scale
 
 
 def ac_conditions(sys: DeRhamSystem) -> tuple[bool, bool]:
     """Truth of the two algebraic identities equivalent to absolute
     continuity.  Exact systems get an exact verdict; float systems are
-    decided within 1e-9 relative tolerance (and cannot be certified)."""
+    decided, and cannot be certified, within 1e-9 relative to the square
+    of their matrix's largest entry: with no absolute floor, scaling a
+    matrix changes no verdict."""
     res0, res1 = ac_identity_residuals(sys)
     a0, _, c0, d0 = sys.A0.entries
     a1, b1, c1, d1 = sys.A1.entries

@@ -63,6 +63,34 @@ class TestValidate:
         assert not doc["valid"]
         assert any(v["condition"] == "A3" for v in doc["violations"])
 
+    def test_refusal_keeps_preset_and_mode(self, capsys):
+        # The refusal carries the meta keys of an accepted report.
+        code, out, _ = run_cli(capsys, "validate", "--preset", "walk:6")
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["preset"], doc["mode"], doc["valid"]) == ("walk:6", "exact", False)
+        _, accepted, _ = run_cli(capsys, "validate", "--preset", "walk:1")
+        assert set(json.loads(accepted)) - set(doc) == {
+            "alpha", "beta", "gamma", "conditions", "fixed_points"
+        }
+
+    def test_float_refusal_keeps_label_and_mode(self, capsys, tmp_path):
+        # walk:1's float pair scaled by 1e-6, with b0 = 5e-10 and a0 moved
+        # to keep A0(1) = A1(0): A0(0) = 5e-4, far from 0 at this scale.
+        cfg = tmp_path / "b0.json"
+        cfg.write_text(json.dumps({
+            "label": "walk:1 x 1e-6, b0 = 5e-10",
+            "A0": ["4.995e-7", "5e-10", "-2.5e-7", "1e-6"],
+            "A1": ["0", "5e-7", "-2.5e-7", "7.5e-7"],
+        }))
+        code, out, _ = run_cli(capsys, "validate", "--config", str(cfg))
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["label"], doc["mode"]) == ("walk:1 x 1e-6, b0 = 5e-10", "approx")
+        assert doc["violations"] == [
+            {"condition": "A1", "detail": "b0 = 5e-10 but b0 = 0 is required"}
+        ]
+
 
 class TestBadRationals:
     LONG = "1" * 5000  # past the int string conversion limit of 4300 digits
@@ -723,10 +751,10 @@ class TestImports:
             WORDS | {"solution", "stationary"},
         ),
         # Only float paths that are not affine run, and import, the lanes;
-        # only exact paths that are not affine read the integer words.
+        # exact paths step the coprime integer matrices, with no word basis.
         (["sample", "--preset", "lebesgue:1/4", "-n", "100"], COMMON | {"measure"}),
         (["sample", "--preset", "walk:0.5", "-n", "100"], COMMON | {"measure", "_kernels"}),
-        (["sample", "--preset", "walk:1", "-n", "100"], WORDS | {"measure"}),
+        (["sample", "--preset", "walk:1", "-n", "100"], COMMON | {"measure"}),
     )
 
     @pytest.mark.parametrize("argv, modules", GRAPH, ids=[" ".join(a) for a, _ in GRAPH])
