@@ -4,30 +4,35 @@ descents, and value tables of f.
 Interval masses and ratio states of f are read off the word products
 of dyadic addresses, and `evaluate` and `inverse_evaluate` descend the
 tree on them; enclosures and value tables apply one map per digit from
-the last (`image`, `table`).  This module owns all of these, and
-`WordBasis` picks each mode's arithmetic once, when it is built.
+the last (`image`, `table`).  This module owns all of these, in one
+`WordBasis` class per scalar mode; ``DeRhamSystem.word_basis`` picks the
+class once.
 
-* Exact mode.  A0 and A1 are scaled once to coprime integer matrices
-  M_i (``renormalize``), so A_i = k_i * M_i with rational k_i > 0.  A word
-  is a 4-tuple of Python ints, the product of the M_i.  Map values,
-  masses and ratio states are invariant under positive scaling, so they
-  are read off the integer word and a Fraction is built only for the
-  result; `literal` multiplies k0**n0 * k1**n1 back in when the product
-  itself is wanted.
-* Float mode.  A word is a 4-tuple of floats.  Entries are formed in the
-  same order as ``numerics.mat_mul``, and every RENORM_EVERY-th product
-  divides by the largest entry magnitude like ``numerics.renormalize``,
-  so the float bits equal those of a mat_mul / renormalize fold.
+* Exact mode (`ExactBasis`).  A0 and A1 are scaled once to coprime
+  integer matrices M_i (``renormalize``), so A_i = k_i * M_i with
+  rational k_i > 0.  A word is a 4-tuple of Python ints, the product of
+  the M_i.  Map values, masses and ratio states are invariant under
+  positive scaling, so they are read off the integer word and a Fraction
+  is built only for the result; `literal` multiplies k0**n0 * k1**n1
+  back in when the product itself is wanted.
+* Float mode (`FloatBasis`).  A word is a 4-tuple of floats.  Entries
+  are formed in the same order as ``numerics.mat_mul``, and every
+  RENORM_EVERY-th product divides by the largest entry magnitude like
+  ``numerics.renormalize``, so the float bits equal those of a mat_mul /
+  renormalize fold.  A factor whose largest entry lies outside
+  2**+-EXPONENT_BAND is first scaled by a power of two (`_in_band`):
+  exact, so every map, mass and state keeps its bits, while RENORM_EVERY
+  products of such factors stay in the float range.
 
-The descents (`WordBasis.evaluate`, `WordBasis.inverse`) are one loop per
-mode.  The exact loops step integer words and read each node as a
-Fraction.  The float loops keep the word in four local floats, multiply
-and rescale them as `step` does, and read each node with
-``numerics.apply_mobius``'s operations; ``numerics._check_pole`` runs
-only where a cheap bound cannot rule the pole out, so results and
-PoleErrors are those of the loop over `step`, bit for bit.  The bounds,
-like ``numerics.POLE_RTOL``'s test, are relative to the word's entries
-with no absolute floor, so scaling A0 and A1 changes no result.
+Each class has its own descents (`evaluate`, `inverse`).  The exact loops
+step integer words and read each node as a Fraction.  The float loops
+keep the word in four local floats, multiply and rescale them as `step`
+does, and read each node with ``numerics.apply_mobius``'s operations;
+``numerics._check_pole`` runs only where a cheap bound cannot rule the
+pole out, so results and PoleErrors are those of the loop over `step`,
+bit for bit.  The bounds, like ``numerics.POLE_RTOL``'s test, are
+relative to the word's entries with no absolute floor, so scaling A0 and
+A1 changes no result.
 
 The top PREFIX_LEVELS levels of the tree are the same for every query,
 so a float basis forms them once, in one pass, with the loops' own
@@ -54,16 +59,21 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import inf
+from math import frexp, inf, ldexp
 from operator import add, lt, mul, truediv
 
 from . import numerics
-from .errors import DomainError, PoleError
-from .numerics import MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
+from .errors import PoleError
+from .numerics import Bits, MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
 
 #: Float word products are rescaled after this many multiplications;
 #: entries otherwise grow or shrink geometrically.
 RENORM_EVERY = 16
+
+#: A float factor whose largest entry has a binary exponent (math.frexp)
+#: beyond +-EXPONENT_BAND is scaled by a power of two to one in [1/2, 1):
+#: RENORM_EVERY products of factors inside the band stay in float range.
+EXPONENT_BAND = 16
 
 #: Float descents jump the top PREFIX_LEVELS levels of the word tree, read
 #: from the basis's `_Prefix` of 2**PREFIX_LEVELS leaves (1.1 MB per basis).
@@ -80,70 +90,25 @@ BLOCK_LEVELS = 16
 #: the first array also imports numpy, about 0.12 s.
 ARRAY_LEVELS = 17
 
-#: Deepest value table a request may ask for, 2**22 + 1 values; the
-#: doubling-map quadrature reads one level deeper, so --quad-depth 22
-#: builds 2**23 + 1 values (96.5 MB peak for float walk:0.5, 2-core Xeon).
-MAX_TABLE_DEPTH = 22
-
 Word = tuple  # (a, b, c, d) of ints (exact mode) or floats
-
-Bits = tuple[int, ...]  # a dyadic address, most significant digit first
-
-
-def check_bits(bits: Bits) -> None:
-    if any(b not in (0, 1) for b in bits):
-        raise DomainError(f"address digits must be 0 or 1, got {bits!r}")
 
 
 class WordBasis:
-    """The pair (A0, A1) as the factors of word products, with its `split`,
-    the point f(1/2) = A0(1) at which `inverse` reads each node's word, and
-    the mode's arithmetic chosen once: the quotient `div`, the scales k_i
-    of A_i = k_i * M_i (1.0 in float mode) and the point-query descents
-    `evaluate` and `inverse`.  A float basis keeps the `_Prefix` of its
-    descents, which pickles and copies leave out."""
+    """The pair (A0, A1) as the factors `m0`, `m1` of word products, with
+    their determinants `dets` and the `split`, the point f(1/2) = A0(1) at
+    which `inverse` reads each node's word.  A subclass per scalar mode
+    gives the `identity` word, the quotient `div`, the scales k_i of
+    A_i = k_i * M_i, `step`, `image`, the point-query descents `evaluate`
+    and `inverse`, and `_ends`, the table of n + 1 values that `table`
+    fills, f(0) = 0 first and f(1) = 1 last."""
 
-    __slots__ = (
-        "exact", "split", "m0", "m1", "k0", "k1", "dets", "identity", "div", "evaluate", "inverse",
-        "_prefix",
-    )
+    __slots__ = ("split", "m0", "m1", "dets")
 
-    def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, exact: bool, split: Scalar):
-        self.exact, self.split = exact, split
-        self._prefix = None
-        if exact:
-            self.m0, self.k0 = _integer_factor(a0)
-            self.m1, self.k1 = _integer_factor(a1)
-            self.dets = tuple(m[0] * m[3] - m[1] * m[2] for m in (self.m0, self.m1))
-            self.identity = (1, 0, 0, 1)
-            self.div = Fraction
-            self.evaluate, self.inverse = self._evaluate_exact, self._inverse_exact
-        else:
-            self.m0, self.m1 = a0.entries, a1.entries
-            self.k0 = self.k1 = 1.0
-            self.dets = (a0.det(), a1.det())
-            self.identity = (1.0, 0.0, 0.0, 1.0)
-            self.div = truediv
-            self.evaluate, self.inverse = self._evaluate_float, self._inverse_float
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__ if name != "_prefix"}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._prefix = None
+    def __init__(self, m0: Word, m1: Word, split: Scalar):
+        self.m0, self.m1, self.split = m0, m1, split
+        self.dets = tuple(a * d - b * c for a, b, c, d in (m0, m1))
 
     # -- one path ------------------------------------------------------
-
-    def step(self, word: Word, digit: int, n: int) -> Word:
-        """word @ A_digit as the n-th product of its word."""
-        a, b, c, d = word
-        p, q, r, s = self.m1 if digit else self.m0
-        word = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-        if not self.exact and n % RENORM_EVERY == 0:
-            word = _unit_scaled(word)
-        return word
 
     def path(self, bits) -> Word:
         """Word product of the address."""
@@ -151,13 +116,6 @@ class WordBasis:
         for n, digit in enumerate(bits, start=1):
             word = self.step(word, digit, n)
         return word
-
-    def value(self, word: Word, z: Scalar) -> Fraction:
-        """The integer word's map at the rational z, (a*z + b)/(c*z + d), with
-        the pole check of an exact ``numerics.apply_mobius`` (exact mode)."""
-        a, b, c, d = word
-        p, q = z.numerator, z.denominator
-        return _fraction(a * p + b * q, c * p + d * q)
 
     def mass(self, word: Word) -> Scalar:
         """Interval mass (a*d - b*c)/(d*(c + d)), as ``measure.mass_from_word``."""
@@ -174,53 +132,65 @@ class WordBasis:
         scale = self.k0**n0 * self.k1**n1
         return MoebiusMatrix(*(scale * e for e in word))
 
-    def image(self, bits: Bits, z: Scalar) -> Scalar:
-        """A_{i1}(A_{i2}(... A_{in}(z))), the address's word at z, one map per
-        digit from the last, with the operations of `table`: in exact mode on
-        the pair (p, q) of z, with one Fraction and the pole check of
-        `value` at the end; in float mode with ``numerics.apply_mobius``'s
-        pole check at every map."""
-        if self.exact:
-            p, q = z.numerator, z.denominator
-            for digit in reversed(bits):
-                a, b, c, d = self.m1 if digit else self.m0
-                p, q = a * p + b * q, c * p + d * q
-            return _fraction(p, q)
-        for digit in reversed(bits):
-            a, b, c, d = self.m1 if digit else self.m0
-            den = c * z + d
-            _check_pole(den, c, d)
-            z = (a * z + b) / den
-        return z
-
     def table(self, depth: int) -> _Table:
         """f(j / 2**depth) for j = 0 .. 2**depth: `image` at 0 of every
         address at `depth`, in address order, then f(1) = 1.  From [0], each
         level is A0 of the level before followed by A1 of it, in one table of
         the final length: a block of at most 2**BLOCK_LEVELS values of the
         level is mapped by A1 into the second half and by A0 onto itself."""
-        n, width = 1 << depth, 1 << BLOCK_LEVELS
-        if self.exact:
-            table = _Pairs(self, [0] * n + [1], [1] * (n + 1))
-        elif depth > ARRAY_LEVELS:
-            import numpy as np
-
-            table = _Array(self, np.zeros(n + 1))
-            table.zs[n] = 1.0
-        else:
-            table = _Floats(self, [0.0] * n + [1.0])
+        width = 1 << BLOCK_LEVELS
+        table = self._ends(1 << depth)
         for size in (1 << k for k in range(depth)):
             for s in range(0, size, width):
                 table.double(size, s, min(s + width, size))
         return table
 
-    # -- point queries -------------------------------------------------
-    #
-    # Each descent returns (result, depth, width), the digits it read and
-    # the width of its last enclosure; result is None when max_depth digits
-    # did not reach tol, and the caller raises NonConvergenceError.
+    # Each subclass's point-query descents, `evaluate` and `inverse`,
+    # return (result, depth, width), the digits read and the width of
+    # the last enclosure; result is None when max_depth digits did not
+    # reach tol, and the caller raises NonConvergenceError.
 
-    def _evaluate_exact(self, y: Fraction, tol, max_depth: int):
+
+class ExactBasis(WordBasis):
+    """Exact mode: the coprime integer factors M_i, with A_i = k_i * M_i."""
+
+    __slots__ = ("k0", "k1")
+
+    identity = (1, 0, 0, 1)
+    div = Fraction
+
+    def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, split: Scalar):
+        (m0, self.k0), (m1, self.k1) = _integer_factor(a0), _integer_factor(a1)
+        super().__init__(m0, m1, split)
+
+    def step(self, word: Word, digit: int, n: int) -> Word:
+        """word @ M_digit as the n-th product of its word."""
+        a, b, c, d = word
+        p, q, r, s = self.m1 if digit else self.m0
+        return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+    def value(self, word: Word, z: Scalar) -> Fraction:
+        """The integer word's map at the rational z, (a*z + b)/(c*z + d), with
+        the pole check of an exact ``numerics.apply_mobius``."""
+        a, b, c, d = word
+        p, q = z.numerator, z.denominator
+        return _fraction(a * p + b * q, c * p + d * q)
+
+    def image(self, bits: Bits, z: Scalar) -> Fraction:
+        """A_{i1}(A_{i2}(... A_{in}(z))), the address's word at z, one map per
+        digit from the last, with the operations of `table`: on the pair
+        (p, q) of z, with one Fraction and the pole check of `value` at the
+        end."""
+        p, q = z.numerator, z.denominator
+        for digit in reversed(bits):
+            a, b, c, d = self.m1 if digit else self.m0
+            p, q = a * p + b * q, c * p + d * q
+        return _fraction(p, q)
+
+    def _ends(self, n: int) -> _Pairs:
+        return _Pairs(self, [0] * n + [1], [1] * (n + 1))
+
+    def evaluate(self, y: Fraction, tol, max_depth: int):
         """``solution.evaluate``'s descent to the digits of y in (0, 1): the
         midpoint of the first enclosure [W(0), W(1)] no wider than 2*tol."""
         word = self.identity
@@ -242,8 +212,86 @@ class WordBasis:
                 return (lower + upper) / 2, depth, width
         return None, depth, width
 
-    def _evaluate_float(self, y: float, tol, max_depth: int):
-        """`_evaluate_exact` in floats, fused as the module docstring says:
+    def inverse(self, y: Fraction, tol, max_depth: int):
+        """``solution.inverse_evaluate``'s descent: at each node, the child
+        whose value range holds y, split at the word's value at `split`,
+        f(1/2); a y equal to that value returns its dyadic point."""
+        split = self.split
+        word = self.identity
+        x_lo = Fraction(0)
+        half = Fraction(1, 2)
+        depth = 0
+        while depth < max_depth:
+            mid_value = self.value(word, split)
+            if y == mid_value:
+                return x_lo + half, depth, 2 * half
+            if y < mid_value:
+                digit = 0
+            else:
+                digit = 1
+                x_lo = x_lo + half
+            depth += 1
+            word = self.step(word, digit, depth)
+            half = half / 2
+            if half <= tol:  # x is pinned to an interval of width 2*half
+                return x_lo + half, depth, 2 * half
+        return None, depth, 2 * half
+
+    def entry_bits(self) -> int:
+        """Bit length of the largest entry of the integer factors."""
+        return max(abs(e).bit_length() for e in self.m0 + self.m1)
+
+
+class FloatBasis(WordBasis):
+    """Float mode: the factors' float entries, each scaled into the band
+    (`_in_band`), and the `_Prefix` of the descents, which pickles and
+    copies leave out."""
+
+    __slots__ = ("_prefix",)
+
+    identity = (1.0, 0.0, 0.0, 1.0)
+    div = truediv
+    k0 = k1 = 1.0
+
+    def __init__(self, a0: MoebiusMatrix, a1: MoebiusMatrix, split: Scalar):
+        super().__init__(_in_band(a0.entries), _in_band(a1.entries), split)
+        self._prefix = None
+
+    def __getstate__(self) -> tuple:
+        """No dict, and the slots with `_prefix` None: a clone builds its own."""
+        return None, {**{n: getattr(self, n) for n in WordBasis.__slots__}, "_prefix": None}
+
+    def step(self, word: Word, digit: int, n: int) -> Word:
+        """word @ A_digit as the n-th product of its word, rescaled every
+        RENORM_EVERY-th product."""
+        a, b, c, d = word
+        p, q, r, s = self.m1 if digit else self.m0
+        word = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+        if n % RENORM_EVERY == 0:
+            word = _unit_scaled(word)
+        return word
+
+    def image(self, bits: Bits, z: float) -> float:
+        """`ExactBasis.image` in floats, with ``numerics.apply_mobius``'s
+        pole check at every map."""
+        for digit in reversed(bits):
+            a, b, c, d = self.m1 if digit else self.m0
+            den = c * z + d
+            _check_pole(den, c, d)
+            z = (a * z + b) / den
+        return z
+
+    def _ends(self, n: int) -> _Floats:
+        if n > 1 << ARRAY_LEVELS:
+            import numpy as np
+
+            table = _Array(self, np.zeros(n + 1))
+            table.zs[n] = 1.0
+            return table
+        return _Floats(self, [0.0] * n + [1.0])
+
+    def evaluate(self, y: float, tol, max_depth: int):
+        """`ExactBasis.evaluate` in floats, fused as the module docstring says:
         bit for bit the loop over `step` reading the word at 0 and 1."""
         (p0, q0, r0, s0), (p1, q1, r1, s1) = self.m0, self.m1
         a, b, c, d = self.identity
@@ -283,34 +331,9 @@ class WordBasis:
                 return (lower + upper) / 2, depth, width
         return None, depth, width
 
-    def _inverse_exact(self, y: Fraction, tol, max_depth: int):
-        """``solution.inverse_evaluate``'s descent: at each node, the child
-        whose value range holds y, split at the word's value at `split`,
-        f(1/2); a y equal to that value returns its dyadic point."""
-        split = self.split
-        word = self.identity
-        x_lo = Fraction(0)
-        half = Fraction(1, 2)
-        depth = 0
-        while depth < max_depth:
-            mid_value = self.value(word, split)
-            if y == mid_value:
-                return x_lo + half, depth, 2 * half
-            if y < mid_value:
-                digit = 0
-            else:
-                digit = 1
-                x_lo = x_lo + half
-            depth += 1
-            word = self.step(word, digit, depth)
-            half = half / 2
-            if half <= tol:  # x is pinned to an interval of width 2*half
-                return x_lo + half, depth, 2 * half
-        return None, depth, 2 * half
-
-    def _inverse_float(self, y, tol, max_depth: int):
-        """`_inverse_exact` in floats, with no equality exit, fused as
-        `_evaluate_float` is.  An exact y is compared as it is, not cast."""
+    def inverse(self, y, tol, max_depth: int):
+        """`ExactBasis.inverse` in floats, with no equality exit, fused as
+        `evaluate` is.  An exact y is compared as it is, not cast."""
         (p0, q0, r0, s0), (p1, q1, r1, s1) = self.m0, self.m1
         a, b, c, d = self.identity
         split, rtol = self.split, numerics.POLE_RTOL
@@ -345,24 +368,20 @@ class WordBasis:
         self._prefix = _Prefix(self)
         return self._prefix
 
-    def entry_bits(self) -> int:
-        """Bit length of the largest entry of the integer factors (exact mode)."""
-        return max(abs(e).bit_length() for e in self.m0 + self.m1)
-
 
 class _Prefix:
     """The top PREFIX_LEVELS levels of a float basis's word tree, formed in
     one pass with the float descents' operations in their order (no level
     is rescaled): the `words` of the 2**PREFIX_LEVELS leaves in address
     order; each leaf's smallest enclosure width on its path, the `widths`
-    `_evaluate_float` reads; and the in-order node values at the basis's
+    `FloatBasis.evaluate` reads; and the in-order node values at the basis's
     split, each clamped between its nearest ancestors', the `values`
-    `_inverse_float` bisects.  A top node that fails either loop's pole
+    `FloatBasis.inverse` bisects.  A top node that fails either loop's pole
     bound leaves all three parts []."""
 
     __slots__ = ("words", "widths", "values")
 
-    def __init__(self, basis: WordBasis):
+    def __init__(self, basis: FloatBasis):
         (p0, q0, r0, s0), (p1, q1, r1, s1) = basis.m0, basis.m1
         split, rtol = basis.split, numerics.POLE_RTOL
         self.words, self.widths, self.values = [], [], []
@@ -588,3 +607,11 @@ def _integer_factor(m: MoebiusMatrix) -> tuple[Word, Fraction]:
     ints = tuple(int(e) for e in renormalize(m).entries)
     k = next(Fraction(e) / i for e, i in zip(m.entries, ints) if i)
     return ints, k
+
+
+def _in_band(entries: Word) -> Word:
+    """The float entries, scaled by the power of two that takes the
+    largest magnitude into [1/2, 1) where its binary exponent lies beyond
+    +-EXPONENT_BAND: exact for every entry that stays in the normal range."""
+    e = frexp(max(map(abs, entries)))[1]
+    return tuple(ldexp(x, -e) for x in entries) if abs(e) > EXPONENT_BAND else entries

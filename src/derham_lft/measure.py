@@ -9,7 +9,7 @@ computed from the word product ((p, q), (r, s)) of that address.  The
 bottom-row ratio t = r/s is the orbit of 0 under the transposed maps,
 stays inside [alpha, beta], and drives the digit law: the next digit is
 0 with probability (t + 1)/(t + gamma).  Masses and states of given
-addresses are read off the word (``_words.WordBasis``); sampling only
+addresses are read off the word (``DeRhamSystem.word_basis``); sampling only
 needs the scalar recursion t -> tAi(t), one float (or Fraction) per step.
 
 When c0 = c1 = 0 both transposed maps fix 0 (the pair is affine, and
@@ -20,7 +20,7 @@ report on such a path forms its one entropy term h once, in either
 mode, and returns h * n / n: fsum of the n equal terms is h * n.
 Otherwise exact sampling reads the state off the integer bottom row
 (r, s) of the word, stepped by the coprime integer matrices of A0 and
-A1 (``numerics.renormalize``), so it builds no ``_words.WordBasis``: each
+A1 (``numerics.renormalize``), so it builds no ``word_basis``: each
 step forms the next pair with Python ints and one gcd (the Fraction
 constructor), and the digit probability is the correctly rounded
 int/int quotient.  On a state interval with alpha < beta exact
@@ -62,13 +62,11 @@ from math import fsum, nan
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError
-from .numerics import MoebiusMatrix, Scalar, _Record, renormalize
+from .numerics import Bits, MoebiusMatrix, Scalar, _Record, check_bits, renormalize
 from .system import DeRhamSystem, binary_entropy, prob_digit0
 
 if TYPE_CHECKING:  # imported on use, so `import derham_lft` does not load numpy
     import numpy as np
-
-    from ._words import Bits
 
 #: Containment of ratio states in [alpha, beta] is exact in exact mode;
 #: float orbits are allowed to spill by this much.
@@ -129,8 +127,6 @@ def interval_measure(sys: DeRhamSystem, bits: Bits) -> Scalar:
     width of the value enclosure of the same address; in (0, 1] in exact
     mode.  Float masses lose relative accuracy with the depth and can be
     0 (walk:0.5 at (1,) * 30, not 6.1e-23) or negative (ROADMAP.md item 3)."""
-    from ._words import check_bits
-
     check_bits(bits)
     basis = sys.word_basis
     return basis.mass(basis.path(bits))
@@ -141,8 +137,6 @@ def ratio_state(sys: DeRhamSystem, bits: Bits) -> Scalar:
     of t = 0 under the transposed maps t -> (a*t + c)/(b*t + d), up to
     float rounding.  Inside [alpha, beta], float states within STATE_ATOL
     of it."""
-    from ._words import check_bits
-
     check_bits(bits)
     basis = sys.word_basis
     return basis.state(basis.path(bits))

@@ -23,9 +23,11 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import PoleError, ZeroMatrixError
+from .errors import DomainError, PoleError, ZeroMatrixError
 
 Scalar = Union[int, Fraction, float]
+
+Bits = tuple[int, ...]  # a dyadic address, most significant digit first
 
 #: Relative denominator threshold below which a float evaluation is
 #: treated as sitting on a pole: |c*z + d| <= POLE_RTOL * max(|c|, |d|),
@@ -34,6 +36,11 @@ Scalar = Union[int, Fraction, float]
 #: near-zero denominator means the input is numerically unusable, not
 #: that the request is valid.
 POLE_RTOL = 1e-15
+
+
+def check_bits(bits: Bits) -> None:
+    if any(b not in (0, 1) for b in bits):
+        raise DomainError(f"address digits must be 0 or 1, got {bits!r}")
 
 
 def is_exact(x: Scalar) -> bool:

@@ -15,14 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from ._words import MAX_TABLE_DEPTH, Bits, check_bits
 from .errors import (
     DomainError,
     FormMismatchError,
     NonConvergenceError,
     NotAbsolutelyContinuousError,
 )
-from .numerics import MoebiusMatrix, Scalar, apply_mobius
+from .numerics import Bits, MoebiusMatrix, Scalar, apply_mobius, check_bits
 from .system import DeRhamSystem, ac_conditions
 
 #: Adaptive evaluation refuses to descend further than this.  The
@@ -39,6 +38,11 @@ MAX_DEPTH = 4096
 #: Fraction, 0.65-0.72 s (123 MB), and on a pair with 18-bit integer
 #: entries 1.8 s (215 MB).
 _MAX_EXACT_TABLE_DEPTH = 20
+
+#: Deepest value table a request may ask for, 2**22 + 1 values; the
+#: doubling-map quadrature reads one level deeper, so --quad-depth 22
+#: builds 2**23 + 1 values (96.5 MB peak for float walk:0.5, 2-core Xeon).
+MAX_TABLE_DEPTH = 22
 
 
 class ValueEnclosure(NamedTuple):
@@ -102,8 +106,12 @@ def dyadic_digits(x: Scalar) -> Bits:
 def word_matrix(sys: DeRhamSystem, bits: Bits) -> MoebiusMatrix:
     """Left-to-right product of the matrices named by the address.  In float
     mode it is rescaled by a positive factor every 16 factors, as
-    ``WordBasis.path`` forms it: the same map, masses and states, other entries
-    (force_approx(walk:1) at (0, 1) * 10: 192 times the mat_mul fold)."""
+    ``FloatBasis.path`` forms it: the same map, masses and states, other entries
+    (force_approx(walk:1) at (0, 1) * 10: 192 times the mat_mul fold).  A
+    float pair with an entry whose binary exponent lies beyond
+    +-``_words.EXPONENT_BAND`` (16) is read up to a power of two too: the
+    product of its factors scaled into that band, so that no rescaling
+    block leaves the float range."""
     check_bits(bits)
     basis = sys.word_basis
     ones = sum(bits)
@@ -173,7 +181,7 @@ def evaluate(
     """Value v with |v - f(x)| <= tol.
 
     Deepens the dyadic address of x until the enclosure width is at most
-    2*tol and returns the midpoint (``WordBasis.evaluate``, the descent
+    2*tol and returns the midpoint (``word_basis.evaluate``, the descent
     of the system's mode; float mode reads each word at 0 and 1 with
     ``apply_mobius``'s operations).  Exact-mode dyadic rationals take the
     terminating address and return f(x) exactly (so tol = 0 is allowed
@@ -245,7 +253,7 @@ def inverse_evaluate(
     enclosure contains y (f is strictly increasing, so the children split
     the parent's value range at f of the interval midpoint, the node's
     word at the basis's split f(1/2) = A0(1), ``split_value``);
-    ``WordBasis.inverse`` is the descent of the system's mode.  In exact
+    ``word_basis.inverse`` is the descent of the system's mode.  In exact
     mode a y that hits a dyadic image exactly returns g(y) exactly.  An
     exact y on a float system is compared with the float node values as
     it is, not cast.  In approx mode tol is not a guarantee: where f is

@@ -20,10 +20,9 @@ masses, so the only error is the integrand's variation within a cell.
 
 from __future__ import annotations
 
-from ._words import MAX_TABLE_DEPTH
 from .errors import DomainError
 from .numerics import Scalar, _Record, mobius_derivative
-from .solution import _value_table, dyadic_value_table, inverse_evaluate
+from .solution import MAX_TABLE_DEPTH, _value_table, dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
 

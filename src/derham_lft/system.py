@@ -36,7 +36,7 @@ from .errors import DomainError, ValidationError
 from .numerics import MoebiusMatrix, Scalar, _Record, apply_mobius, is_exact, transpose
 
 if TYPE_CHECKING:  # imported on use, so `validate` does not load _words
-    from ._words import WordBasis
+    from ._words import ExactBasis, FloatBasis
 
 EXACT = "exact"
 APPROX = "approx"
@@ -89,12 +89,12 @@ class DeRhamSystem(_Record):
         return transpose(self.A1)
 
     @cached_property
-    def word_basis(self) -> WordBasis:
-        """A0 and A1 as the factors of word products, split at `split_value`
-        (see _words)."""
-        from ._words import WordBasis
+    def word_basis(self) -> ExactBasis | FloatBasis:
+        """A0 and A1 as the factors of word products, split at `split_value`,
+        in the class of the system's mode (see _words)."""
+        from ._words import ExactBasis, FloatBasis
 
-        return WordBasis(self.A0, self.A1, self.exact, self.split_value)
+        return (ExactBasis if self.exact else FloatBasis)(self.A0, self.A1, self.split_value)
 
     @cached_property
     def split_value(self) -> Scalar:

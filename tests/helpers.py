@@ -14,6 +14,7 @@ from derham_lft import (
     apply_mobius,
     validate,
 )
+from derham_lft._words import ExactBasis
 from derham_lft.numerics import _check_pole
 from derham_lft.solution import MAX_DEPTH
 
@@ -109,7 +110,7 @@ def iterate_functional_equation(system: DeRhamSystem, depth: int, sweeps: int = 
 def reference_value(basis, word, z):
     """The word's map at z, (a*z + b)/(c*z + d), with the pole check of
     numerics.apply_mobius, in either mode: the unfused read of a word."""
-    if basis.exact:
+    if isinstance(basis, ExactBasis):
         return basis.value(word, z)
     a, b, c, d = word
     den = c * z + d

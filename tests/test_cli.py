@@ -741,8 +741,9 @@ class TestImports:
         (["--version"], {"cli", "errors"}),
         (["validate", "--preset", "walk:1"], COMMON),
         (["classify", "--preset", "lebesgue:1/3"], COMMON | {"analysis"}),
-        # The absolutely continuous branch reads c0 off the normal form.
-        (["classify", "--preset", "walk:1"], WORDS | {"analysis", "solution"}),
+        # The absolutely continuous branch reads c0 off the normal form, which
+        # forms no word.
+        (["classify", "--preset", "walk:1"], COMMON | {"analysis", "solution"}),
         (["dimension", "--preset", "walk:1"], COMMON | {"analysis"}),
         (["plot", "--preset", "walk:1", "--depth", "6"], WORDS | {"solution"}),
         (["plot", "--preset", "walk:1", "--depth", "6", "--mode", "approx"], WORDS | {"solution"}),

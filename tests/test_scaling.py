@@ -4,10 +4,14 @@ float system by a power of two changes no result bit, and no verdict.
 Every float test on matrix or word entries (the pole tests, the inline
 bounds of the descents, the absolute-continuity identities, b0 = 0) is
 relative to those entries.  A power of two scales every product exactly,
-and at 2**-30 and 2**20 every 16-factor word product stays in the normal
-range, so each function below must give the same float.hex."""
+and a float word basis scales a factor far from unit scale back into its
+exponent band, where every 16-factor word product stays in the normal
+range, so each function below must give the same float.hex from 2**-300
+to 2**300."""
 
+import itertools
 import json
+import math
 import random
 from array import array
 from fractions import Fraction
@@ -33,11 +37,12 @@ from derham_lft import (
     validate,
     walk_system,
     walk_tree,
+    word_matrix,
 )
 from derham_lft.cli import main
 from helpers import random_valid_system
 
-SCALES = (2.0**-30, 2.0**-10, 2.0**20)
+SCALES = tuple(2.0**e for e in (-300, -80, -70, -40, -36, -30, -10, 20, 40, 300))
 
 
 def float_systems():
@@ -86,6 +91,7 @@ def fingerprint(system) -> dict:
         for tol in (1e-12, 1e-6)
     }
     addresses = [(0,) * 20, (1,) * 20, (0, 1) * 12, tuple(rng.getrandbits(1) for _ in range(40))]
+    addresses += [(0,) * 15, (1,) * 15]  # words 15 products past the last rescaling
     enclosures = [dyadic_enclosure(system, bits) for bits in addresses]
     report = stationarity_check(system, 8, 1e-11)
     verdict = classify(system)
@@ -98,6 +104,9 @@ def fingerprint(system) -> dict:
         "masses": bits_of([interval_measure(system, bits) for bits in addresses]),
         "states": bits_of([ratio_state(system, bits) for bits in addresses]),
         "tree": bits_of([v for node in walk_tree(system, 6) for v in (node.mass, node.state)]),
+        "deep tree": bits_of(
+            [v for node in itertools.islice(walk_tree(system, 20), 64) for v in (node.mass, node.state)]
+        ),
         "stationary": bits_of([report.max_residual_recursion, report.max_residual_mass]),
         "doubling": outcome(doubling_map_change_of_measure, system, 2, 12),
         "entropy": [outcome(entropy_rate_estimate, system, n, 5) for n in (1000, 40_000)],
@@ -158,15 +167,18 @@ def _config(system, k):
 def test_scaled_stationary_report_equals_the_unscaled(capsys, tmp_path):
     # walk:1's float pair times 2**-10, whose word denominators reach
     # 6.0e-16: a pole tolerance with an absolute floor of 1e-15 refuses it.
-    doc = _config(walk_system(1), 2.0**-10)
+    # Times 2**-70, a 16-factor word underflows to the zero matrix unless
+    # the basis scales the factors back into their exponent band.
     extra = ["--depth", "8", "--quad-depth", "12"]
-    code, got, err = _run(capsys, tmp_path, ["stationary", *extra], doc)
-    assert (code, err) == (0, "")
     argv = ["stationary", "--preset", "walk:1", "--mode", "approx", *extra]
     _, want, _ = _run(capsys, tmp_path, argv)
-    assert got.pop("mode") == want.pop("mode") == "approx"
+    assert want.pop("mode") == "approx"
     assert want.pop("preset") == "walk:1"
-    assert got == want
+    for k in (2.0**-10, 2.0**-70):
+        code, got, err = _run(capsys, tmp_path, ["stationary", *extra], _config(walk_system(1), k))
+        assert (code, err) == (0, ""), k
+        assert got.pop("mode") == "approx"
+        assert got == want, k
 
 
 @pytest.mark.parametrize("k", [2.0**-14, 1e-4])
@@ -193,3 +205,17 @@ def test_b0_is_tested_relative_to_its_row():
     assert info.value.mode == "approx"
     # One part in 10**10 of the row is zero within A1_ATOL.
     assert validate(MoebiusMatrix(5e-7, 1e-16, -2.5e-7, 1e-6), a1).mode == "approx"
+
+
+def test_far_word_matrix_is_the_unit_word_up_to_a_power_of_two():
+    # The factors of a pair far from unit scale are scaled into their
+    # exponent band, so its words are the unit-scale pair's words times one
+    # power of two: before the first rescaling and after it (ratio 1).
+    system = walk_system(0.5)
+    for k in (2.0**-80, 2.0**300):
+        other = scaled(system, k)
+        for bits in ((0, 1) * 5, (1,) * 15, (0,) * 16, (1, 0) * 20):
+            want, got = word_matrix(system, bits).entries, word_matrix(other, bits).entries
+            assert [g == 0 for g in got] == [w == 0 for w in want]
+            ratios = {g / w for g, w in zip(got, want) if w}
+            assert len(ratios) == 1 and math.frexp(ratios.pop())[0] == 0.5, (k, bits)

@@ -37,10 +37,12 @@ from derham_lft import (
 from derham_lft import NonConvergenceError, _words, numerics
 from derham_lft._words import (
     BLOCK_LEVELS,
+    EXPONENT_BAND,
     LEAVES,
     PREFIX_LEVELS,
     RENORM_EVERY,
-    WordBasis,
+    ExactBasis,
+    FloatBasis,
     _Array,
     _Floats,
     _Pairs,
@@ -241,7 +243,7 @@ class TestValueTable:
             assert isinstance(walk_system(1).word_basis.table(8), _Pairs)  # exact pairs
             monkeypatch.setattr(_words, "ARRAY_LEVELS", 1)
             with pytest.raises(PoleError) as got:
-                WordBasis(hop, hop, False, 0.5).table(2)
+                FloatBasis(hop, hop, 0.5).table(2)
             assert str(got.value) == str(pole.value)
 
     @pytest.mark.parametrize("index", range(13))
@@ -292,7 +294,7 @@ def test_pole_checks(exact):
     if not exact:
         pole = MoebiusMatrix(*(float(e) for e in pole.entries))
     one = Fraction(1) if exact else 1.0
-    basis = WordBasis(pole, pole, exact, one)
+    basis = (ExactBasis if exact else FloatBasis)(pole, pole, one)
     with pytest.raises(PoleError):  # the descent reads A0 at 1
         basis.evaluate(one / 3, 0.0, 8)
     with pytest.raises(PoleError):  # a split value of 1
@@ -312,7 +314,7 @@ def test_pole_checks(exact):
     hop = MoebiusMatrix(1, 1, -1, 1)
     if not exact:
         hop = MoebiusMatrix(*(float(e) for e in hop.entries))
-    basis = WordBasis(hop, hop, exact, one / 2)
+    basis = (ExactBasis if exact else FloatBasis)(hop, hop, one / 2)
     with pytest.raises(PoleError) as want:
         apply_mobius(hop, apply_mobius(hop, 0 * one))
     # Exact tables hold pairs, so the pole shows where their values are formed.
@@ -358,7 +360,7 @@ def outcome(call, *args):
 
 class TestFusedDescents:
     """Float evaluate and inverse_evaluate equal, in float.hex, the loop over
-    WordBasis.step and the word's value at a point (helpers' reference)."""
+    FloatBasis.step and the word's value at a point (helpers' reference)."""
 
     TOLS = (1e-6, 1e-12, 1e-15, 0.0)
 
@@ -516,7 +518,7 @@ class TestFusedDescents:
             split = system.split_value
             sizes = []
             for other in (math.nextafter(split, 1.0), math.nextafter(split, 0.0), 0.25, 0.75):
-                basis = WordBasis(system.A0, system.A1, False, other)
+                basis = FloatBasis(system.A0, system.A1, other)
                 for y in (0.1, 0.3, split, other, 0.7, 0.95):
                     for tol in (1e-12, 0.0):
                         got = outcome(basis_descent(basis, "inverse"), y, tol, 60)
@@ -534,7 +536,7 @@ class TestFusedDescents:
         pole = MoebiusMatrix(1.0, 0.0, -0.25, 1.0)
         for split in (2.0, 0.0):
             system = types.SimpleNamespace(
-                exact=False, word_basis=WordBasis(pole, pole, False, split), split_value=split,
+                exact=False, word_basis=FloatBasis(pole, pole, split), split_value=split,
                 zero=lambda: 0.0, one=lambda: 1.0,
             )
             for op, ref in REFERENCES:
@@ -572,13 +574,16 @@ class TestFusedDescents:
             want = outcome(reference_evaluate, system, x, 1e-12, 60)
             assert basis_outcome(system, "evaluate", x, 1e-12, 60) == want, x
 
-    def test_nan_node_values_send_y_right(self):
+    def test_nan_node_values_send_y_right(self, monkeypatch):
         # Entries overflow to inf and -inf by level 11, where the node values
         # are NaN (inf - inf): the loop sends every y right there, and the
-        # values stored clamped to their lower bound send it right too.
+        # values stored clamped to their lower bound send it right too.  A
+        # factor inside the exponent band cannot overflow within the prefix,
+        # so this one is left unscaled by a band that holds every float.
+        monkeypatch.setattr(_words, "EXPONENT_BAND", 1100)
         grow = MoebiusMatrix(1e30, -1e30, 0.0, 1.0)
         system = types.SimpleNamespace(
-            exact=False, word_basis=WordBasis(grow, grow, False, 0.5), split_value=0.5,
+            exact=False, word_basis=FloatBasis(grow, grow, 0.5), split_value=0.5,
             zero=lambda: 0.0, one=lambda: 1.0,
         )
         word = system.word_basis.path((0,) * (PREFIX_LEVELS - 1))
@@ -635,26 +640,33 @@ class TestFusedDescents:
                     want = outcome(reference_evaluate, system, x, tol, 60)
                     assert basis_outcome(system, "evaluate", x, tol, 60) == want, (i, tol)
 
-    def test_rescaling_raises_as_unit_scaled(self):
-        # Entries past float range by depth 16: the rescaling raises
-        # _unit_scaled's ZeroMatrixError, after a jump or without one.
-        grow = MoebiusMatrix(1e25, 0.0, 0.0, 1.0)
-        system = types.SimpleNamespace(
-            exact=False, word_basis=WordBasis(grow, grow, False, 0.5), split_value=0.5,
-            zero=lambda: 0.0, one=lambda: 1.0,
-        )
-        for op, ref in REFERENCES:
-            for max_depth in (PREFIX_LEVELS, 20):
-                want = outcome(ref, system, 0.3, 1e-12, max_depth)
-                assert basis_outcome(system, op, 0.3, 1e-12, max_depth) == want
-            assert want[:2] == ("ZeroMatrixError", "cannot renormalize a non-finite matrix")
+    def test_rescaling_raises_as_unit_scaled(self, monkeypatch):
+        # An infinite entry, which no band scaling changes, makes every word
+        # non-finite (0 * inf is NaN) with no pole raised on the way, and the
+        # prefix keeps nothing.  Entries of 1e25 are scaled into the band,
+        # where no word leaves float range; left unscaled, they pass it by
+        # depth 16, after a jump.  Either way the rescaling raises
+        # _unit_scaled's ZeroMatrixError, as the reference loop does.
+        for entry, band, jumps in ((math.inf, EXPONENT_BAND, False), (1e25, 1100, True)):
+            monkeypatch.setattr(_words, "EXPONENT_BAND", band)
+            grow = MoebiusMatrix(entry, 0.0, 0.0, 1.0)
+            system = types.SimpleNamespace(
+                exact=False, word_basis=FloatBasis(grow, grow, 0.5), split_value=0.5,
+                zero=lambda: 0.0, one=lambda: 1.0,
+            )
+            for op, ref in REFERENCES:
+                for max_depth in (PREFIX_LEVELS, 20):
+                    want = outcome(ref, system, 0.3, 1e-12, max_depth)
+                    assert basis_outcome(system, op, 0.3, 1e-12, max_depth) == want
+                assert want[:2] == ("ZeroMatrixError", "cannot renormalize a non-finite matrix")
+            assert bool(system.word_basis._prefix.words) == jumps
 
     def test_exact_basis_never_builds_the_prefix(self):
         for system in (walk_system(1), walk_system(Fraction(3, 7))) + tuple(systems(2, 9)):
             for z in (Fraction(1, 3), Fraction(5, 7)):
                 evaluate(system, z, 1e-12)
                 inverse_evaluate(system, z, 1e-12)
-            assert system.word_basis._prefix is None
+            assert not hasattr(system.word_basis, "_prefix")
 
 
 REFERENCES = (("evaluate", reference_evaluate), ("inverse", reference_inverse_evaluate))
@@ -689,7 +701,7 @@ def test_level_pole_check_reads_the_extremes_then_every_value():
     # c*z + d = 1 - 2z: the extremes 0 and 1 straddle the pole at 1/2, so
     # each value is checked; only a value at the pole raises.
     m = MoebiusMatrix(1.0, 0.0, -2.0, 1.0)
-    basis = WordBasis(m, m, False, 0.5)
+    basis = FloatBasis(m, m, 0.5)
     _Floats(basis, [0.0, 0.25, 1.0]).check_poles(0.0, 1.0)
     with pytest.raises(PoleError, match="^denominator 0.0 within pole tolerance 2e-15$"):
         _Floats(basis, [0.0, 0.5, 1.0]).check_poles(0.0, 1.0)
