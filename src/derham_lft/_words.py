@@ -20,7 +20,8 @@ class once.
   RENORM_EVERY-th product divides by the largest entry magnitude like
   ``numerics.renormalize``, so the float bits equal those of a mat_mul /
   renormalize fold.  A factor whose largest entry lies outside
-  2**+-EXPONENT_BAND is first scaled by a power of two (`_in_band`):
+  2**+-EXPONENT_BAND is first scaled by a power of two
+  (``numerics._in_band``):
   exact, so every map, mass and state keeps its bits, while RENORM_EVERY
   products of such factors stay in the float range.
 
@@ -59,21 +60,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import frexp, inf, ldexp
+from math import inf
 from operator import add, lt, mul, truediv
 
 from . import numerics
 from .errors import PoleError
-from .numerics import Bits, MoebiusMatrix, Scalar, _check_pole, _unit_scaled, renormalize
+from .numerics import Bits, MoebiusMatrix, Scalar, _check_pole, _in_band, _unit_scaled, renormalize
 
 #: Float word products are rescaled after this many multiplications;
 #: entries otherwise grow or shrink geometrically.
 RENORM_EVERY = 16
-
-#: A float factor whose largest entry has a binary exponent (math.frexp)
-#: beyond +-EXPONENT_BAND is scaled by a power of two to one in [1/2, 1):
-#: RENORM_EVERY products of factors inside the band stay in float range.
-EXPONENT_BAND = 16
 
 #: Float descents jump the top PREFIX_LEVELS levels of the word tree, read
 #: from the basis's `_Prefix` of 2**PREFIX_LEVELS leaves (1.1 MB per basis).
@@ -608,10 +604,3 @@ def _integer_factor(m: MoebiusMatrix) -> tuple[Word, Fraction]:
     k = next(Fraction(e) / i for e, i in zip(m.entries, ints) if i)
     return ints, k
 
-
-def _in_band(entries: Word) -> Word:
-    """The float entries, scaled by the power of two that takes the
-    largest magnitude into [1/2, 1) where its binary exponent lies beyond
-    +-EXPONENT_BAND: exact for every entry that stays in the normal range."""
-    e = frexp(max(map(abs, entries)))[1]
-    return tuple(ldexp(x, -e) for x in entries) if abs(e) > EXPONENT_BAND else entries

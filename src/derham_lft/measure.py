@@ -29,11 +29,16 @@ those paths stay quadratic in their length.  Float paths run the loop
 of ``_kernels``, imported for them alone: a long path in numpy lanes
 that are checked and repaired against the Python loop bit for bit, a
 short one in that loop.  Every path takes its uniforms from one Philox
-stream per seed, entered at any position (``_uniforms``), so no path
+stream per seed, Generator(Philox(seed)).  numpy draws it for float and
+affine paths, entered at any position (``_uniforms``), so no such path
 holds an array of uniforms beside its digits and states: float paths
 draw them into the state array, which the loop overwrites step by
-step, and repairs draw the stretch they re-run again; affine and
-exact paths read blocks of 2^16 uniforms (``_uniform_blocks``).  The
+step, and repairs draw the stretch they re-run again; affine paths
+read blocks of 2^16 uniforms (``_uniform_blocks``).  An exact
+non-affine path, at most _MAX_EXACT_GROWING_STEPS steps, draws the
+same stream bit for bit in pure Python (``_philox_uniforms``), so its
+report imports no numpy, which would cost more start-up time than the
+whole report (0.13 s against 0.02 s at 3000 steps of walk:1).  The
 entropy rate of a float path is the exact sum of its terms, an integer
 total per numpy block of terms (``_exact_total``), summed and rounded
 once, so it equals ``math.fsum`` over the terms bit for bit at about
@@ -79,8 +84,8 @@ DEFAULT_SEED = 99991
 #: walk:3/7), so time grows quadratically in n, and so does the memory of
 #: sample_path, which holds the Fraction states; a report holds a float per
 #: state.  Timed on walk:1 only, as a report that held the path: 0.85 s,
-#: 88 MB at 20k steps (40 MB since it holds floats); 2.9 s, 244 MB at 40k
-#: (2-core Xeon).
+#: 88 MB at 20k steps (20 MB as a report that holds floats and loads no
+#: numpy); 2.9 s, 244 MB at 40k (2-core Xeon).
 _MAX_EXACT_GROWING_STEPS = 20_000
 
 #: Longest path in any mode.  It bounds the arrays sample_path returns
@@ -222,6 +227,72 @@ def _uniforms(seed: int, start: int, out: np.ndarray) -> None:
     np.random.Generator(bit_generator).random(out=out)
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _philox_keys(seed: int) -> list[tuple[int, int]]:
+    """The ten round keys of Philox(seed): its key, numpy's
+    SeedSequence(seed).generate_state(2, uint64), bumped by two Weyl
+    constants before each round after the first.  SeedSequence (after
+    O'Neill's seed_seq_fe) hashes the seed's 32-bit words, low first,
+    into a pool of four words and draws four words from the pool, paired
+    little-endian into the two 64-bit words of the key."""
+    entropy = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    mult = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in (entropy + [0] * 4)[:4]]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w in entropy[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(w))
+    mult, words = 0x8B51F9DD, []
+    for value in pool:
+        value ^= mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        words.append(value ^ value >> 16)
+    k0, k1 = words[0] | words[1] << 32, words[2] | words[3] << 32
+    keys = []
+    for _ in range(10):
+        keys.append((k0, k1))
+        k0, k1 = k0 + 0x9E3779B97F4A7C15 & _MASK64, k1 + 0xBB67AE8584CAA73B & _MASK64
+    return keys
+
+
+def _philox_block(counter: int, keys: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """The four 64-bit words of Philox4x64-10 at the 256-bit counter."""
+    x0, x1, x2, x3 = (counter >> k & _MASK64 for k in (0, 64, 128, 192))
+    for k0, k1 in keys:
+        p, q = 0xD2E7470EE14C6C93 * x0, 0xCA5A826395121157 * x2
+        x0, x1, x2, x3 = q >> 64 ^ x1 ^ k0, q & _MASK64, p >> 64 ^ x3 ^ k1, p & _MASK64
+    return x0, x1, x2, x3
+
+
+def _philox_uniforms(seed: int, n: int) -> list[float]:
+    """Generator(Philox(seed)).random(n) as a list, in pure Python, so an
+    exact non-affine path loads no numpy: numpy increments the counter
+    before each block, so the stream starts at counter 1, and random()
+    reads one 64-bit word per uniform as (word >> 11) * 2**-53."""
+    keys = _philox_keys(seed)
+    blocks = (_philox_block(counter, keys) for counter in range(1, (n + 3) // 4 + 1))
+    return [(w >> 11) * 2.0**-53 for block in blocks for w in block][:n]
+
+
 def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
     return (*sys.A0.entries, *sys.A1.entries, sys.gamma)
 
@@ -318,7 +389,9 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
 def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fraction, float, int]]:
     """(state, P(0) at it as a float, digit) of each step of the exact
     path of a non-affine pair, yielded one step at a time, so a reader
-    holds only what it keeps of each step (sample_path keeps the states)."""
+    holds only what it keeps of each step (sample_path keeps the states).
+    Its uniforms come from the pure-Python stream (_philox_uniforms),
+    which equals numpy's, so it loads no numpy."""
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
     (a0, b0, c0, d0), (a1, b1, c1, d1) = (
@@ -326,17 +399,16 @@ def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fractio
     )
     gn, gd = sys.gamma.numerator, sys.gamma.denominator
     t = sys.zero()
-    for _, block in _uniform_blocks(seed, n):
-        for x in block.tolist():
-            r, s = t.numerator, t.denominator
-            # float((t + 1)/(t + gamma)): int/int division rounds correctly.
-            p0 = gd * (r + s) / (gd * r + gn * s)
-            if x < p0:
-                yield t, p0, 0
-                t = Fraction(a0 * r + c0 * s, b0 * r + d0 * s)
-            else:
-                yield t, p0, 1
-                t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
+    for x in _philox_uniforms(seed, n):
+        r, s = t.numerator, t.denominator
+        # float((t + 1)/(t + gamma)): int/int division rounds correctly.
+        p0 = gd * (r + s) / (gd * r + gn * s)
+        if x < p0:
+            yield t, p0, 0
+            t = Fraction(a0 * r + c0 * s, b0 * r + d0 * s)
+        else:
+            yield t, p0, 1
+            t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
 
 
 def _affine_p0(sys: DeRhamSystem) -> float:
@@ -385,9 +457,11 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
     _MAX_EXACT_GROWING_STEPS steps) are read step by step from
     _exact_steps, which sample_path holds whole and the report does not:
     it keeps a float per state and the float P(0) at each, and sums the
-    terms with math.fsum.  Float paths run in windows of _WINDOW steps,
-    in one loop that tallies digit 0 and the state range and adds the
-    integer total of each block of terms (_exact_total).
+    terms with math.fsum.  That branch comes before numpy is imported:
+    its uniforms are drawn in pure Python, so it loads no numpy.  Float
+    paths run in windows of _WINDOW steps, in one loop that tallies
+    digit 0 and the state range and adds the integer total of each block
+    of terms (_exact_total).
 
     _exact_total returns None only on a NaN term, and the rate is then
     NaN, as fsum's sum of the terms would be.  A term at a p0 in (0, 1)
@@ -398,6 +472,11 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
     number, 0 * (-inf) at p0 = 0 or 1, or inf * NaN at p0 = inf.
     """
     _check_request(sys, n, seed)
+    if sys.exact and not sys.affine:  # before numpy: this branch needs none
+        steps = ((float(t), p0, digit) for t, p0, digit in _exact_steps(sys, n, seed))
+        states, p0s, digits = zip(*steps)
+        rate = fsum(map(binary_entropy, p0s)) / n
+        return _SampleReport(n - sum(digits), min(states), max(states), rate)
     import numpy as np
 
     if sys.affine:  # every state is 0
@@ -405,11 +484,6 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
         zeros = sum(int(np.count_nonzero(block < p0)) for _, block in _uniform_blocks(seed, n))
         h = binary_entropy(p0) if sys.exact else float(_float_terms(sys.gamma, np.zeros(1))[0])
         return _SampleReport(zeros, 0.0, 0.0, h * n / n)
-    if sys.exact:
-        steps = ((float(t), p0, digit) for t, p0, digit in _exact_steps(sys, n, seed))
-        states, p0s, digits = zip(*steps)
-        rate = fsum(map(binary_entropy, p0s)) / n
-        return _SampleReport(n - sum(digits), min(states), max(states), rate)
     zeros, lo, hi, total = 0, np.inf, -np.inf, 0
     for digits, states in _float_windows(sys, n, seed, _WINDOW):
         zeros += len(digits) - int(np.count_nonzero(digits))

@@ -227,3 +227,19 @@ def _unit_scaled(entries: tuple[float, ...]) -> tuple[float, ...]:
     if not math.isfinite(top):
         raise ZeroMatrixError("cannot renormalize a non-finite matrix")
     return a / top, b / top, c / top, d / top
+
+
+#: A float matrix whose largest entry has a binary exponent (math.frexp)
+#: beyond +-EXPONENT_BAND is scaled by a power of two to one in [1/2, 1)
+#: (`_in_band`): _words.RENORM_EVERY products of factors inside the band
+#: stay in float range, and so do the determinant and squares that
+#: system.validate tests.
+EXPONENT_BAND = 16
+
+
+def _in_band(entries: tuple[float, ...]) -> tuple[float, ...]:
+    """The float entries, scaled by the power of two that takes the
+    largest magnitude into [1/2, 1) where its binary exponent lies beyond
+    +-EXPONENT_BAND: exact for every entry that stays in the normal range."""
+    e = math.frexp(max(map(abs, entries)))[1]
+    return tuple(math.ldexp(x, -e) for x in entries) if abs(e) > EXPONENT_BAND else entries

@@ -109,7 +109,7 @@ def word_matrix(sys: DeRhamSystem, bits: Bits) -> MoebiusMatrix:
     ``FloatBasis.path`` forms it: the same map, masses and states, other entries
     (force_approx(walk:1) at (0, 1) * 10: 192 times the mat_mul fold).  A
     float pair with an entry whose binary exponent lies beyond
-    +-``_words.EXPONENT_BAND`` (16) is read up to a power of two too: the
+    +-``numerics.EXPONENT_BAND`` (16) is read up to a power of two too: the
     product of its factors scaled into that band, so that no rescaling
     block leaves the float range."""
     check_bits(bits)

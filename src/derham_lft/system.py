@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ValidationError
-from .numerics import MoebiusMatrix, Scalar, _Record, apply_mobius, is_exact, transpose
+from .numerics import MoebiusMatrix, Scalar, _in_band, _Record, apply_mobius, is_exact, transpose
 
 if TYPE_CHECKING:  # imported on use, so `validate` does not load _words
     from ._words import ExactBasis, FloatBasis
@@ -147,9 +147,11 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
     all exact (int or Fraction) gives an exact system; a pair with any
     float entry is converted to all-float matrices and gives an approx
     system, checked, stored and computed in floats throughout.  No other
-    normalization is applied.  Raises ValidationError carrying every
-    violated condition together with the failing inequality, and the
-    mode.
+    normalization is applied: A2 and A3 of a float matrix are tested on
+    it scaled by a power of two into the exponent band, which is exact,
+    and the matrix is stored as given.  Raises ValidationError carrying
+    every violated condition together with the failing inequality, and
+    the mode.
     """
     violations: list[tuple[str, str]] = []
     exact = a0_raw.exact and a1_raw.exact
@@ -190,23 +192,31 @@ def validate(a0_raw: MoebiusMatrix, a1_raw: MoebiusMatrix) -> DeRhamSystem:
         if not mid0 < 1:
             violations.append(("A1", f"A0(1) = {mid0} violates '< 1'"))
 
+    # A2 and A3 are homogeneous of degree 2 in a matrix's entries, so a
+    # float matrix is tested scaled by a power of two into the exponent
+    # band (numerics._in_band), exactly: its determinant and squares then
+    # neither overflow nor underflow at any scale of the pair.
+    tested = []
+    for i, m in enumerate((a0_raw, a1_raw)):
+        entries = m.entries if exact else _in_band(m.entries)
+        note = "" if exact or entries == m.entries else f" (A{i} scaled by a power of two)"
+        a, b, c, d = entries
+        tested.append((i, a * d - b * c, min(d, c + d), note))
+
     # A2: positive determinants.
-    det0 = a0_raw.det()
-    det1 = a1_raw.det()
-    for i, det in ((0, det0), (1, det1)):
+    for i, det, _, note in tested:
         if not det > 0:
-            violations.append(("A2", f"det A{i} = {det} is not > 0"))
+            violations.append(("A2", f"det A{i} = {det} is not > 0{note}"))
 
     # A3: contraction margin, checked in the squared form
     # det < min(d, c+d)^2 with min(d, c+d) > 0, which avoids square
     # roots and stays decidable in rational arithmetic.
-    for i, (det, d, cd) in ((0, (det0, d0, c0 + d0)), (1, (det1, d1, c1 + d1))):
-        m = min(d, cd)
-        if not m > 0:
-            violations.append(("A3", f"min(d{i}, c{i}+d{i}) = {m} is not > 0"))
-        elif not det < m * m:
+    for i, det, low, note in tested:
+        if not low > 0:
+            violations.append(("A3", f"min(d{i}, c{i}+d{i}) = {low} is not > 0{note}"))
+        elif not det < low * low:
             violations.append(
-                ("A3", f"det A{i} = {det} is not < min(d{i}, c{i}+d{i})^2 = {m * m}")
+                ("A3", f"det A{i} = {det} is not < min(d{i}, c{i}+d{i})^2 = {low * low}{note}")
             )
 
     if violations:

@@ -480,10 +480,12 @@ class TestSample:
     def test_exact_growing_states_default_n_refused(self, capsys, monkeypatch):
         from derham_lft import measure
 
-        def no_draw(seed, start, out):
+        def no_draw(*args):
             raise AssertionError("drew uniforms for a refused path")
 
+        # Both streams: numpy's and the pure one of exact non-affine paths.
         monkeypatch.setattr(measure, "_uniforms", no_draw)
+        monkeypatch.setattr(measure, "_philox_uniforms", no_draw)
         code, out, err = run_cli(capsys, "sample", "--preset", "walk:1")
         assert code == 1
         assert out == ""
@@ -494,20 +496,27 @@ class TestSample:
         from derham_lft import measure
 
         calls = []
-        draw = measure._uniforms
+        draw, pure = measure._uniforms, measure._philox_uniforms
 
         def counted(seed, start, out):
-            calls.append((seed, start, len(out)))
+            calls.append(("numpy", seed, start, len(out)))
             return draw(seed, start, out)
 
+        def counted_pure(seed, n):
+            calls.append(("pure", seed, 0, n))
+            return pure(seed, n)
+
+        # An exact non-affine path draws from the pure stream, a float
+        # path from numpy's; each draws its uniforms once.
         monkeypatch.setattr(measure, "_uniforms", counted)
-        for mode in ("exact", "approx"):
+        monkeypatch.setattr(measure, "_philox_uniforms", counted_pure)
+        for mode, stream in (("exact", "pure"), ("approx", "numpy")):
             calls.clear()
             code, _, _ = run_cli(
                 capsys, "sample", "--preset", "walk:1", "--mode", mode, "-n", "500"
             )
             assert code == 0
-            assert calls == [(99991, 0, 500)], mode
+            assert calls == [(stream, 99991, 0, 500)], mode
 
 
 class TestStationaryCommand:
@@ -733,6 +742,28 @@ class TestImports:
         )
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert run.stdout == "16 False\n17 True\n"
+
+    @pytest.mark.parametrize(
+        "argv, numpy",
+        [
+            # Exact non-affine paths draw their uniforms from the pure
+            # Philox stream; affine and float paths draw them with numpy.
+            (["sample", "--preset", "walk:1", "-n", "100"], False),
+            (["sample", "--preset", "lebesgue:1/4", "-n", "100"], True),
+            (["sample", "--preset", "walk:0.5", "-n", "100"], True),
+            (["sample", "--preset", "walk:1", "--mode", "approx", "-n", "100"], True),
+        ],
+    )
+    def test_only_exact_non_affine_sample_skips_numpy(self, argv, numpy):
+        code = (
+            "import contextlib, io, sys\n"
+            "from derham_lft.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout == f"{numpy}\n"
 
     # The derham_lft submodules each command leaves in sys.modules.
     COMMON = {"cli", "errors", "numerics", "system", "presets"}

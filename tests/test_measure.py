@@ -169,14 +169,18 @@ class TestSamplePath:
                 draw(leb14, 10, seed=-1)
 
     def test_long_exact_growing_path_refused_before_drawing(self, walk1, leb14, monkeypatch):
-        def no_draw(seed, start, out):
+        def no_draw(*args):
             raise AssertionError("drew uniforms for a refused path")
 
         with monkeypatch.context() as patch:
+            # Both streams: numpy's and the pure one of exact non-affine paths.
             patch.setattr(measure, "_uniforms", no_draw)
+            patch.setattr(measure, "_philox_uniforms", no_draw)
             for n in (measure._MAX_EXACT_GROWING_STEPS + 1, 100_000):
                 with pytest.raises(DomainError, match="--mode approx"):
                     sample_path(walk1, n)
+                with pytest.raises(DomainError, match="--mode approx"):
+                    entropy_rate_estimate(walk1, n)
         # The cap itself is allowed; float walk:1 and exact lebesgue
         # (alpha = beta, states stay at 0) are not capped.
         monkeypatch.setattr(measure, "_MAX_EXACT_GROWING_STEPS", 100)

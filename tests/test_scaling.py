@@ -219,3 +219,39 @@ def test_far_word_matrix_is_the_unit_word_up_to_a_power_of_two():
             assert [g == 0 for g in got] == [w == 0 for w in want]
             ratios = {g / w for g, w in zip(got, want) if w}
             assert len(ratios) == 1 and math.frexp(ratios.pop())[0] == 0.5, (k, bits)
+
+
+@pytest.mark.parametrize("k", [2.0**-540, 2.0**540])
+def test_admissibility_is_tested_in_the_exponent_band(k):
+    # Past 2**+-512 the determinants and squares of A2 and A3 underflow to
+    # 0 or overflow to inf; each factor is tested scaled into the exponent
+    # band, so these pairs are admitted, and give the unscaled bits.
+    for system in SYSTEMS:
+        other = scaled(system, k)
+        assert other.mode == "approx"
+        assert bits_of([other.alpha, other.beta, other.gamma]) == bits_of(
+            [system.alpha, system.beta, system.gamma]
+        )
+        for tol in (1e-12, 1e-6):
+            for x in (0.3, 0.5, 1 / 3):
+                assert outcome(evaluate, other, x, tol) == outcome(evaluate, system, x, tol)
+                assert outcome(inverse_evaluate, other, x, tol) == outcome(
+                    inverse_evaluate, system, x, tol
+                )
+    # A pair failing A2 (det A1 < 0) or A3 (det A0 = min(d0, c0+d0)^2) is
+    # refused for the same conditions, named on the scaled factor.
+    third = MoebiusMatrix(1 / 3, 0.0, 0.0, 1.0)
+    for a0, a1, failed in (
+        (third, MoebiusMatrix(-2.0, 1.0, -4.0, 3.0), "A2"),
+        (MoebiusMatrix(2.0, 0.0, 1.0, 2.0), MoebiusMatrix(1 / 3, 2 / 3, 0.0, 1.0), "A3"),
+    ):
+        with pytest.raises(ValidationError) as unit:
+            validate(a0, a1)
+        with pytest.raises(ValidationError) as far:
+            validate(a0.scaled(k), a1.scaled(k))
+        assert failed in far.value.conditions
+        assert far.value.conditions == unit.value.conditions
+        assert not any(detail.endswith("power of two)") for _, detail in unit.value.violations)
+        for condition, detail in far.value.violations:
+            if condition in ("A2", "A3"):
+                assert detail.endswith("scaled by a power of two)"), detail

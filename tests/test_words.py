@@ -37,7 +37,6 @@ from derham_lft import (
 from derham_lft import NonConvergenceError, _words, numerics
 from derham_lft._words import (
     BLOCK_LEVELS,
-    EXPONENT_BAND,
     LEAVES,
     PREFIX_LEVELS,
     RENORM_EVERY,
@@ -580,7 +579,7 @@ class TestFusedDescents:
         # values stored clamped to their lower bound send it right too.  A
         # factor inside the exponent band cannot overflow within the prefix,
         # so this one is left unscaled by a band that holds every float.
-        monkeypatch.setattr(_words, "EXPONENT_BAND", 1100)
+        monkeypatch.setattr(numerics, "EXPONENT_BAND", 1100)
         grow = MoebiusMatrix(1e30, -1e30, 0.0, 1.0)
         system = types.SimpleNamespace(
             exact=False, word_basis=FloatBasis(grow, grow, 0.5), split_value=0.5,
@@ -647,8 +646,8 @@ class TestFusedDescents:
         # where no word leaves float range; left unscaled, they pass it by
         # depth 16, after a jump.  Either way the rescaling raises
         # _unit_scaled's ZeroMatrixError, as the reference loop does.
-        for entry, band, jumps in ((math.inf, EXPONENT_BAND, False), (1e25, 1100, True)):
-            monkeypatch.setattr(_words, "EXPONENT_BAND", band)
+        for entry, band, jumps in ((math.inf, numerics.EXPONENT_BAND, False), (1e25, 1100, True)):
+            monkeypatch.setattr(numerics, "EXPONENT_BAND", band)
             grow = MoebiusMatrix(entry, 0.0, 0.0, 1.0)
             system = types.SimpleNamespace(
                 exact=False, word_basis=FloatBasis(grow, grow, 0.5), split_value=0.5,
