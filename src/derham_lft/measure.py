@@ -24,8 +24,11 @@ A1 (``numerics.renormalize``), so it builds no ``word_basis``: each
 step forms the next pair with Python ints and one gcd (the Fraction
 constructor), and the digit probability is the correctly rounded
 int/int quotient.  On a state interval with alpha < beta exact
-states gain about one bit of denominator per step (exact walk:1), so
-those paths stay quadratic in their length.  Float paths run the loop
+states gain bits of denominator per step that depend on the pair (one
+on exact walk:1, three on walk:3/7), so ``sample_path``, which returns
+those Fraction states, stays at least quadratic in its length, and is
+refused past the time walk:1 takes at _MAX_EXACT_GROWING_STEPS steps
+(``_state_growth``, ``_exact_path_cap``).  Float paths run the loop
 of ``_kernels``, imported for them alone: a long path in numpy lanes
 that are checked and repaired against the Python loop bit for bit, a
 short one in that loop.  Every path takes its uniforms from one Philox
@@ -34,11 +37,13 @@ affine paths, entered at any position (``_uniforms``), so no such path
 holds an array of uniforms beside its digits and states: float paths
 draw them into the state array, which the loop overwrites step by
 step, and repairs draw the stretch they re-run again; affine paths
-read blocks of 2^16 uniforms (``_uniform_blocks``).  An exact
-non-affine path, at most _MAX_EXACT_GROWING_STEPS steps, draws the
-same stream bit for bit in pure Python (``_philox_uniforms``), so its
-report imports no numpy, which would cost more start-up time than the
-whole report (0.13 s against 0.02 s at 3000 steps of walk:1).  The
+read blocks of 2^16 uniforms (``_uniform_blocks``).  Exact reports, and
+exact non-affine paths, draw the same stream bit for bit in pure
+Python, its blocks advanced together as the slots of one int
+(``_philox_lanes``), so an exact report imports no numpy (an affine
+one up to _MAX_PURE_AFFINE_STEPS steps), whose import would cost more
+start-up time than the whole report (0.13 s against 0.02 s at 3000
+steps of walk:1).  The
 entropy rate of a float path is the exact sum of its terms, an integer
 total per numpy block of terms (``_exact_total``), summed and rounded
 once, so it equals ``math.fsum`` over the terms bit for bit at about
@@ -48,22 +53,26 @@ once, so it equals ``math.fsum`` over the terms bit for bit at about
 the Fraction states of an exact path).  A report (``_sample_report``:
 ``entropy_rate_estimate`` and the CLI's ``sample``) needs only the count
 of digit 0, the least and greatest state and the entropy sum, so it
-reads its path once and does not hold it: a float path runs in windows
+reads its path once and does not hold it, in time linear in its
+length: a float path runs in windows
 of ``_WINDOW`` steps in one reused pair of buffers, each window drawing
 its own stretch of uniforms and starting from the true end state of the
 window before, and the report adds the integer totals of
 ``_exact_total`` across the windows; an affine pair counts digit 0
-block by block and forms no path at all; an exact non-affine path is
-read step by step (``_exact_steps``), keeping a float per state and
-the float P(0) at each.  The report equals that of the whole path bit
-for bit; ``sample walk:0.5 -n 8000000`` peaks at about 39 MB of
-resident memory.
+block by block (``_philox_count_below`` in exact mode) and forms no
+path at all; an exact non-affine path steps integer intervals that hold
+its states (``_interval_report``), which decide each digit, P(0) and
+the state range as the Fraction loop (``_exact_steps``) rounds them.
+The report equals that of the whole path bit for bit; ``sample
+walk:0.5 -n 8000000`` peaks at about 39 MB of resident memory.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from math import fsum, nan
+from math import ceil, fsum, nan
+from sys import byteorder
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError
@@ -79,13 +88,15 @@ STATE_ATOL = 1e-10
 
 DEFAULT_SEED = 99991
 
-#: Longest exact path drawn for a non-affine pair: state denominators grow
-#: by bits per step that depend on the pair (1.00 on walk:1, 3.01 on
-#: walk:3/7), so time grows quadratically in n, and so does the memory of
-#: sample_path, which holds the Fraction states; a report holds a float per
-#: state.  Timed on walk:1 only, as a report that held the path: 0.85 s,
-#: 88 MB at 20k steps (20 MB as a report that holds floats and loads no
-#: numpy); 2.9 s, 244 MB at 40k (2-core Xeon).
+#: Longest exact path drawn for a non-affine pair.  A report steps integer
+#: intervals in time linear in n (walk:1 and walk:3/7 about 0.1 s in
+#: process at 20k steps, 0.26 s as CLI runs that load no numpy).
+#: sample_path holds Fraction states whose denominators grow by bits per
+#: step that depend on the pair (1.00 on walk:1, 3.01 on walk:3/7), so its
+#: time grows at least quadratically in n: walk:1 keeps this cap (about
+#: 0.5 s in process; it was 0.85 s, 88 MB when reports held the path, and
+#: 2.9 s, 244 MB at 40k, 2-core Xeon), and faster-growing pairs stop
+#: where their path would take longer (_exact_path_cap).
 _MAX_EXACT_GROWING_STEPS = 20_000
 
 #: Longest path in any mode.  It bounds the arrays sample_path returns
@@ -212,6 +223,14 @@ class SamplePath(_Record):
 #: time, so that no path-sized array of uniforms is held.
 _DRAW_BLOCK = 1 << 16
 
+#: Longest exact affine report counted on the pure-Python stream
+#: (_philox_count_below), which loads no numpy; a longer one imports
+#: numpy, whose import and count cost less than the pure count there.
+#: `sample --preset lebesgue:1/4 -n N` as a CLI run (medians of 7, 2-core
+#: Xeon), pure against numpy: 0.171 / 0.187 s at N = 4e5, 0.168 / 0.168 s
+#: at 4.5e5, 0.192 / 0.180 s at 5e5; peak RSS 21.7 against 35.2 MB.
+_MAX_PURE_AFFINE_STEPS = 450_000
+
 
 def _uniforms(seed: int, start: int, out: np.ndarray) -> None:
     """Fill the float64 array out with the uniforms start, start + 1, ...
@@ -274,23 +293,92 @@ def _philox_keys(seed: int) -> list[tuple[int, int]]:
     return keys
 
 
-def _philox_block(counter: int, keys: list[tuple[int, int]]) -> tuple[int, int, int, int]:
-    """The four 64-bit words of Philox4x64-10 at the 256-bit counter."""
-    x0, x1, x2, x3 = (counter >> k & _MASK64 for k in (0, 64, 128, 192))
+#: Philox blocks per stretch of the lane-packed stream: _DRAW_BLOCK
+#: uniforms, whose packed words (256 KB each) stay in cache.
+_LANE_BLOCKS = _DRAW_BLOCK // 4
+
+
+def _lane_ones(blocks: int) -> tuple[int, int]:
+    """(ones, ramp) of the lanes of `blocks` blocks: 1, and the block
+    index j, in the 128-bit slot 128j of one int."""
+    ones, ramp, width = 1, 0, 1
+    while width < blocks:
+        ramp |= ramp + width * ones << 128 * width
+        ones |= ones << 128 * width
+        width *= 2
+    mask = (1 << 128 * blocks) - 1
+    return ones & mask, ramp & mask
+
+
+def _philox_lanes(counter: int, keys: list[tuple[int, int]], blocks: int) -> tuple[int, ...]:
+    """Philox4x64-10 at the 256-bit counters counter, counter + 1, ...
+    (modulo 2^256), up to _LANE_BLOCKS of them, as four ints: word i of
+    block j fills the low 64 bits of the 128-bit slot 128j of the i-th
+    (SIMD within a register: Lamport, CACM 1975).  A product of a word
+    and a 64-bit multiplier stays below 2^128, inside its slot, so every
+    round is a dozen operations on whole ints, whatever the blocks."""
+    low = counter & _MASK64
+    if low + blocks > 1 << 64:  # the low counter word carries inside the stretch
+        head = (1 << 64) - low
+        tail = _philox_lanes(counter + head & (1 << 256) - 1, keys, blocks - head)
+        return tuple(x | y << 128 * head for x, y in zip(_philox_lanes(counter, keys, head), tail))
+    ones, ramp = _lane_ones(blocks)
+    mask = _MASK64 * ones
+    x0 = low * ones + ramp
+    x1, x2, x3 = ((counter >> k & _MASK64) * ones for k in (64, 128, 192))
     for k0, k1 in keys:
         p, q = 0xD2E7470EE14C6C93 * x0, 0xCA5A826395121157 * x2
-        x0, x1, x2, x3 = q >> 64 ^ x1 ^ k0, q & _MASK64, p >> 64 ^ x3 ^ k1, p & _MASK64
+        x0, x1 = (q >> 64 & mask) ^ x1 ^ k0 * ones, q & mask
+        x2, x3 = (p >> 64 & mask) ^ x3 ^ k1 * ones, p & mask
     return x0, x1, x2, x3
 
 
-def _philox_uniforms(seed: int, n: int) -> list[float]:
-    """Generator(Philox(seed)).random(n) as a list, in pure Python, so an
-    exact non-affine path loads no numpy: numpy increments the counter
-    before each block, so the stream starts at counter 1, and random()
-    reads one 64-bit word per uniform as (word >> 11) * 2**-53."""
+def _philox_stretches(seed: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(lanes, blocks) of the Philox blocks that hold the seed's first n
+    uniforms, _LANE_BLOCKS at a time: numpy increments the counter before
+    each block, so the stream starts at counter 1."""
     keys = _philox_keys(seed)
-    blocks = (_philox_block(counter, keys) for counter in range(1, (n + 3) // 4 + 1))
-    return [(w >> 11) * 2.0**-53 for block in blocks for w in block][:n]
+    total = (n + 3) // 4
+    for start in range(0, total, _LANE_BLOCKS):
+        blocks = min(_LANE_BLOCKS, total - start)
+        yield _philox_lanes(start + 1, keys, blocks), blocks
+
+
+def _lane_words(lanes: tuple[int, ...], blocks: int) -> array:
+    """The 64-bit words of the lanes in stream order: each block's four."""
+    words = array("Q", bytes(32 * blocks))
+    for i, x in enumerate(lanes):
+        slots = array("Q", x.to_bytes(16 * blocks, "little"))
+        if byteorder == "big":
+            slots.byteswap()
+        words[i::4] = slots[::2]
+    return words
+
+
+def _philox_uniforms(seed: int, n: int) -> list[float]:
+    """Generator(Philox(seed)).random(n) as a list, in pure Python:
+    random() reads one 64-bit word per uniform as (word >> 11) * 2**-53."""
+    u: list[float] = []
+    for lanes, blocks in _philox_stretches(seed, n):
+        u += [(w >> 11) * 2.0**-53 for w in _lane_words(lanes, blocks)]
+    del u[n:]
+    return u
+
+
+def _philox_count_below(seed: int, n: int, p0: float) -> int:
+    """How many of the seed's first n uniforms lie below the float p0 in
+    (0, 1], counted on the packed words.  A uniform (w >> 11) * 2**-53 is
+    below p0 exactly when w < ceil(p0 * 2**53) << 11, one bound per word:
+    with 2^64 added to each 128-bit slot and the bound subtracted, bit 64
+    of a slot stays set exactly when its word is not below the bound."""
+    bound = ceil(p0 * 2.0**53) << 11
+    below = 0
+    for lanes, blocks in _philox_stretches(seed, n):
+        ones = _lane_ones(blocks)[0]
+        high, subtract = ones << 64, bound * ones
+        below += 4 * blocks - sum(((x | high) - subtract & high).bit_count() for x in lanes)
+    # The words of the last block past the n-th uniform.
+    return below - sum(x >> 128 * (blocks - 1) < bound for x in lanes[4 - (-n % 4) :])
 
 
 def _float_params(sys: DeRhamSystem) -> tuple[float, ...]:
@@ -365,11 +453,24 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     one gcd per step into a Fraction state, and compare the uniform with
     the correctly rounded float of the digit probability; state
     denominators grow with the path length there (about one bit per step
-    on walk:1, so the path is quadratic in n), and long paths over those
-    belong in approximate mode: non-affine exact systems are
-    refused above _MAX_EXACT_GROWING_STEPS steps.  Any path is refused
-    above _MAX_STEPS steps, before its arrays are allocated."""
+    on walk:1, three on walk:3/7, so the path is at least quadratic in
+    n), and long paths over those belong in approximate mode, or in
+    entropy_rate_estimate, which holds no path: non-affine exact systems
+    are refused above _MAX_EXACT_GROWING_STEPS steps, and above the
+    length whose time passes walk:1's there (_exact_path_cap), before
+    anything is drawn.  Any path is refused above _MAX_STEPS steps,
+    before its arrays are allocated."""
     _check_request(sys, n, seed)
+    if sys.exact and not sys.affine:
+        growth = _state_growth(sys)
+        cap = _exact_path_cap(growth)
+        if n > cap:
+            raise DomainError(
+                f"n = {n} exceeds {cap}, the cap for an exact sample_path of this pair "
+                f"(its Fraction states grow by about {growth[0]:.3g} bits per step, and a "
+                f"longer path takes longer than walk:1 at {_MAX_EXACT_GROWING_STEPS} steps); "
+                "use force_approx, a smaller n, or entropy_rate_estimate, which holds no path"
+            )
     import numpy as np
 
     if sys.affine:
@@ -382,24 +483,25 @@ def sample_path(sys: DeRhamSystem, n: int, seed: int = DEFAULT_SEED) -> SamplePa
     if not sys.exact:
         digits, states = next(_float_windows(sys, n, seed, n))
         return SamplePath(digits, states, seed)
-    states, _, digits = zip(*_exact_steps(sys, n, seed))
+    states, _, digits = zip(*_exact_steps(sys, _philox_uniforms(seed, n)))
     return SamplePath(np.array(digits, dtype=np.uint8), list(states), seed)
 
 
-def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fraction, float, int]]:
-    """(state, P(0) at it as a float, digit) of each step of the exact
-    path of a non-affine pair, yielded one step at a time, so a reader
-    holds only what it keeps of each step (sample_path keeps the states).
-    Its uniforms come from the pure-Python stream (_philox_uniforms),
-    which equals numpy's, so it loads no numpy."""
+def _integer_maps(sys: DeRhamSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # The transposed step (a*t + c)/(b*t + d) is invariant under positive
     # scaling, so the coprime integer matrices serve as well as A0 and A1.
-    (a0, b0, c0, d0), (a1, b1, c1, d1) = (
-        map(int, renormalize(m).entries) for m in (sys.A0, sys.A1)
-    )
+    return tuple(tuple(map(int, renormalize(m).entries)) for m in (sys.A0, sys.A1))
+
+
+def _exact_steps(sys: DeRhamSystem, u: Sequence[float]) -> Iterator[tuple[Fraction, float, int]]:
+    """(state, P(0) at it as a float, digit) of each step of the exact
+    path of a non-affine pair on the uniforms u, yielded one step at a
+    time, so a reader holds only what it keeps of each step (sample_path
+    keeps the states)."""
+    (a0, b0, c0, d0), (a1, b1, c1, d1) = _integer_maps(sys)
     gn, gd = sys.gamma.numerator, sys.gamma.denominator
     t = sys.zero()
-    for x in _philox_uniforms(seed, n):
+    for x in u:
         r, s = t.numerator, t.denominator
         # float((t + 1)/(t + gamma)): int/int division rounds correctly.
         p0 = gd * (r + s) / (gd * r + gn * s)
@@ -409,6 +511,110 @@ def _exact_steps(sys: DeRhamSystem, n: int, seed: int) -> Iterator[tuple[Fractio
         else:
             yield t, p0, 1
             t = Fraction(a1 * r + c1 * s, b1 * r + d1 * s)
+
+
+#: Steps of the pilot path that sample_path reads the growth of a pair's
+#: Fraction states off (_state_growth).
+_PILOT_STEPS = 256
+
+#: Continued-fraction quotients of a state's gcd that cost about as much
+#: as one linear pass over the state (fitted on the pairs below).
+_QUOTIENTS_PER_PASS = 600
+
+
+def _state_growth(sys: DeRhamSystem) -> tuple[float, float]:
+    """Bits and continued-fraction quotients per step of the Fraction
+    states of an exact path, read off the last state of a pilot path of
+    _PILOT_STEPS steps.  Its uniforms come from a fixed 64-bit LCG
+    (Knuth's MMIX constants), so no uniform of the request is drawn."""
+    x, u = 1, []
+    for _ in range(_PILOT_STEPS):
+        x = x * 6364136223846793005 + 1442695040888963407 & _MASK64
+        u.append((x >> 11) * 2.0**-53)
+    *_, (t, _, _) = _exact_steps(sys, u)
+    r, s, quotients = t.numerator, t.denominator, 0
+    while r:
+        s, r = r, s % r
+        quotients += 1
+    return t.denominator.bit_length() / _PILOT_STEPS, quotients / _PILOT_STEPS
+
+
+def _path_work(n: int, growth: tuple[float, float]) -> float:
+    """The time of an exact sample_path of n steps, up to a constant: step
+    k forms integers of about k*g bits and reduces the state by a gcd of
+    about k*h quotients (g, h = growth)."""
+    g, h = growth
+    return n * n * g * (1 + n * h / _QUOTIENTS_PER_PASS)
+
+
+#: _path_work of walk:1 at _MAX_EXACT_GROWING_STEPS, from its pilot growth
+#: (257/256 bits and 4/256 quotients per step): the budget of every exact
+#: sample_path.  walk:1's states have few, large quotients, so their gcds
+#: are cheap; other pairs with 2- to 18-bit entries, whose states grow by
+#: 0.7 to 13.6 bits per step, reach it at 10151 to 1476 steps.
+_EXACT_PATH_WORK = _path_work(_MAX_EXACT_GROWING_STEPS, (257 / 256, 4 / 256))
+
+
+def _exact_path_cap(growth: tuple[float, float]) -> int:
+    """Most steps, at most _MAX_EXACT_GROWING_STEPS, whose _path_work at
+    the growth stays within _EXACT_PATH_WORK."""
+    lo, hi = 1, _MAX_EXACT_GROWING_STEPS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _path_work(mid, growth) <= _EXACT_PATH_WORK else (lo, mid - 1)
+    return lo
+
+
+#: Bits P of the first run of an exact report's interval states
+#: (_interval_report); each undecided run is read again at twice P.
+_STATE_BITS = 128
+
+#: Past this P an undecided report is read from the Fraction loop, whose
+#: states need no rounding: a state whose P(0) is a tie between two floats
+#: is undecided at every P.  No run of the presets or of random pairs
+#: was undecided at 128 bits.
+_MAX_STATE_BITS = 1 << 12
+
+
+def _interval_report(sys: DeRhamSystem, u: Sequence[float], bits: int) -> _SampleReport | None:
+    """The report of the exact path on the uniforms u, with each state t
+    carried as an integer interval [lo, hi] / 2^bits that holds it; None
+    on an undecided step.  Each digit's map t -> (a*t + c)/(b*t + d)
+    increases (det > 0) where it has no pole, so lo, rounded down, and
+    hi, rounded up, bound the next state.  P(0) increases in t, and so
+    do roundings: where the int/int-rounded P(0) at lo and at hi agree,
+    that float is P(0) at t, as the Fraction loop rounds it, and it gives
+    the digit.  The least and greatest state are decided the same way
+    from the least and greatest ends, once, at the end."""
+    one = 1 << bits
+    maps = [(a, b, c << bits, d << bits) for a, b, c, d in _integer_maps(sys)]
+    gn, gd = sys.gamma.numerator, sys.gamma.denominator
+    g_one = gn << bits
+    lo = hi = low_lo = low_hi = high_lo = high_hi = 0
+    zeros, p0s = 0, []
+    for x in u:
+        low_lo, low_hi = min(low_lo, lo), min(low_hi, hi)
+        high_lo, high_hi = max(high_lo, lo), max(high_hi, hi)
+        den_lo, den_hi = gd * lo + g_one, gd * hi + g_one
+        if den_lo <= 0:
+            return None
+        p0 = gd * (lo + one) / den_lo
+        if p0 != gd * (hi + one) / den_hi:
+            return None
+        p0s.append(p0)
+        if x < p0:
+            zeros += 1
+            a, b, c, d = maps[0]
+        else:
+            a, b, c, d = maps[1]
+        den_lo, den_hi = b * lo + d, b * hi + d
+        if den_lo * den_hi <= 0:  # a pole in the interval
+            return None
+        lo, hi = (a * lo + c << bits) // den_lo, -(-(a * hi + c << bits) // den_hi)
+    state_min, state_max = low_lo / one, high_lo / one
+    if state_min != low_hi / one or state_max != high_hi / one:
+        return None
+    return _SampleReport(zeros, state_min, state_max, fsum(map(binary_entropy, p0s)) / len(u))
 
 
 def _affine_p0(sys: DeRhamSystem) -> float:
@@ -453,12 +659,15 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
     entropy rate is the correctly rounded sum of the binary entropy of
     the digit law at every state, divided by n.  Affine pairs count
     digit 0 per block of uniforms, and their n terms are one term h, so
-    the sum is h * n.  Exact non-affine paths (at most
-    _MAX_EXACT_GROWING_STEPS steps) are read step by step from
-    _exact_steps, which sample_path holds whole and the report does not:
-    it keeps a float per state and the float P(0) at each, and sums the
-    terms with math.fsum.  That branch comes before numpy is imported:
-    its uniforms are drawn in pure Python, so it loads no numpy.  Float
+    the sum is h * n; an exact one of at most _MAX_PURE_AFFINE_STEPS
+    steps counts on the packed pure-Python stream.  Exact non-affine
+    paths (at most _MAX_EXACT_GROWING_STEPS steps) step integer-interval
+    states (_interval_report) at _STATE_BITS, twice that on an undecided
+    step, and so on; past _MAX_STATE_BITS they are read from _exact_steps,
+    the Fraction loop of sample_path.  Either way the float P(0) of each
+    step is kept and the terms are summed with math.fsum.  Those branches
+    come before numpy is imported: their uniforms are drawn in pure
+    Python, so they load no numpy.  Float
     paths run in windows of _WINDOW steps, in one loop that tallies
     digit 0 and the state range and adds the integer total of each block
     of terms (_exact_total).
@@ -473,10 +682,19 @@ def _sample_report(sys: DeRhamSystem, n: int, seed: int) -> _SampleReport:
     """
     _check_request(sys, n, seed)
     if sys.exact and not sys.affine:  # before numpy: this branch needs none
-        steps = ((float(t), p0, digit) for t, p0, digit in _exact_steps(sys, n, seed))
-        states, p0s, digits = zip(*steps)
+        u = _philox_uniforms(seed, n)
+        bits = _STATE_BITS
+        while bits <= _MAX_STATE_BITS:
+            report = _interval_report(sys, u, bits)
+            if report is not None:
+                return report
+            bits *= 2
+        states, p0s, digits = zip(*((float(t), p0, d) for t, p0, d in _exact_steps(sys, u)))
         rate = fsum(map(binary_entropy, p0s)) / n
         return _SampleReport(n - sum(digits), min(states), max(states), rate)
+    if sys.affine and sys.exact and n <= _MAX_PURE_AFFINE_STEPS:  # before numpy too
+        p0 = _affine_p0(sys)
+        return _SampleReport(_philox_count_below(seed, n, p0), 0.0, 0.0, binary_entropy(p0) * n / n)
     import numpy as np
 
     if sys.affine:  # every state is 0

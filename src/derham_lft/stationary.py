@@ -21,7 +21,7 @@ masses, so the only error is the integrand's variation within a cell.
 from __future__ import annotations
 
 from .errors import DomainError
-from .numerics import Scalar, _Record, mobius_derivative
+from .numerics import MoebiusMatrix, Scalar, _in_band, _Record, mobius_derivative
 from .solution import MAX_TABLE_DEPTH, _value_table, dyadic_value_table, inverse_evaluate
 from .system import DeRhamSystem
 
@@ -195,7 +195,11 @@ def doubling_map_change_of_measure(
         # A0' + A1' is the constant det0/d0**2 + det1/d1**2, so the sum over
         # A's cells is that constant times the mass of A, that of its two
         # children 2j and 2j + 1.
-        slope = mobius_derivative(sys.A0, 0) + mobius_derivative(sys.A1, 0)
+        # det/d**2 is unchanged by a positive scaling, so a float factor is
+        # taken scaled into its exponent band (numerics._in_band), exactly,
+        # where det and d**2 neither overflow nor underflow.
+        m0, m1 = (m if sys.exact else MoebiusMatrix(*_in_band(m.entries)) for m in (sys.A0, sys.A1))
+        slope = mobius_derivative(m0, 0) + mobius_derivative(m1, 0)
         rhs = [slope * (a + b) for a, b in zip(masses[::2], masses[1::2])]
     else:
         rhs = table.cell_sums(quad_depth - depth, n_intervals)

@@ -320,11 +320,13 @@ def ac_identity_residuals(sys: DeRhamSystem) -> tuple[Scalar, Scalar]:
     Both are homogeneous of degree 2 in the entries of their matrix, so
     the residual's vanishing is scale invariant.
     """
-    a0, _, c0, d0 = sys.A0.entries
-    a1, b1, c1, d1 = sys.A1.entries
-    res0 = (c0 + d0 - 2 * a0) * (d0 - a0) - a0 * c0
-    res1 = (a1 - 2 * c1) * (d1 - 2 * b1) - b1 * c1
-    return res0, res1
+    return _ac_residuals(sys.A0.entries, sys.A1.entries)
+
+
+def _ac_residuals(m0: tuple[Scalar, ...], m1: tuple[Scalar, ...]) -> tuple[Scalar, Scalar]:
+    a0, _, c0, d0 = m0
+    a1, b1, c1, d1 = m1
+    return (c0 + d0 - 2 * a0) * (d0 - a0) - a0 * c0, (a1 - 2 * c1) * (d1 - 2 * b1) - b1 * c1
 
 
 def _identity_holds(residual: Scalar, lhs_scale: Scalar, exact: bool) -> bool:
@@ -338,12 +340,15 @@ def ac_conditions(sys: DeRhamSystem) -> tuple[bool, bool]:
     continuity.  Exact systems get an exact verdict; float systems are
     decided, and cannot be certified, within 1e-9 relative to the square
     of their matrix's largest entry: with no absolute floor, scaling a
-    matrix changes no verdict."""
-    res0, res1 = ac_identity_residuals(sys)
-    a0, _, c0, d0 = sys.A0.entries
-    a1, b1, c1, d1 = sys.A1.entries
+    matrix changes no verdict.  Both sides are homogeneous of degree 2,
+    so a float matrix is tested scaled by a power of two into the
+    exponent band (numerics._in_band), exactly, where its squares
+    neither overflow nor underflow."""
+    m0, m1 = (m.entries if sys.exact else _in_band(m.entries) for m in (sys.A0, sys.A1))
+    res0, res1 = _ac_residuals(m0, m1)
+    a0, _, c0, d0 = m0
     scale0 = max(abs(e) for e in (a0, c0, d0)) ** 2
-    scale1 = max(abs(e) for e in (a1, b1, c1, d1)) ** 2
+    scale1 = max(abs(e) for e in m1) ** 2
     return (
         _identity_holds(res0, scale0, sys.exact),
         _identity_holds(res1, scale1, sys.exact),

@@ -9,6 +9,7 @@ import pytest
 from derham_lft import dyadic_value_table, force_approx, lebesgue_system, walk_system
 from derham_lft import cli
 from derham_lft.cli import main
+from derham_lft.measure import _MAX_PURE_AFFINE_STEPS
 from helpers import random_valid_system
 
 
@@ -496,7 +497,7 @@ class TestSample:
         from derham_lft import measure
 
         calls = []
-        draw, pure = measure._uniforms, measure._philox_uniforms
+        draw, pure, count = measure._uniforms, measure._philox_uniforms, measure._philox_count_below
 
         def counted(seed, start, out):
             calls.append(("numpy", seed, start, len(out)))
@@ -506,17 +507,28 @@ class TestSample:
             calls.append(("pure", seed, 0, n))
             return pure(seed, n)
 
-        # An exact non-affine path draws from the pure stream, a float
-        # path from numpy's; each draws its uniforms once.
+        def counted_count(seed, n, p0):
+            calls.append(("count", seed, 0, n))
+            return count(seed, n, p0)
+
+        # An exact non-affine path draws from the pure stream, an exact
+        # affine one counts on it, and a float path draws from numpy's;
+        # each draws its uniforms once.
         monkeypatch.setattr(measure, "_uniforms", counted)
         monkeypatch.setattr(measure, "_philox_uniforms", counted_pure)
-        for mode, stream in (("exact", "pure"), ("approx", "numpy")):
+        monkeypatch.setattr(measure, "_philox_count_below", counted_count)
+        for preset, mode, stream in (
+            ("walk:1", "exact", "pure"),
+            ("walk:1", "approx", "numpy"),
+            ("lebesgue:1/4", "exact", "count"),
+            ("lebesgue:1/4", "approx", "numpy"),
+        ):
             calls.clear()
             code, _, _ = run_cli(
-                capsys, "sample", "--preset", "walk:1", "--mode", mode, "-n", "500"
+                capsys, "sample", "--preset", preset, "--mode", mode, "-n", "500"
             )
             assert code == 0
-            assert calls == [(stream, 99991, 0, 500)], mode
+            assert calls == [(stream, 99991, 0, 500)], (preset, mode)
 
 
 class TestStationaryCommand:
@@ -746,12 +758,16 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv, numpy",
         [
-            # Exact non-affine paths draw their uniforms from the pure
-            # Philox stream; affine and float paths draw them with numpy.
+            # Exact non-affine reports, and exact affine ones up to the
+            # switch, draw their uniforms from the pure Philox stream; longer
+            # affine and all float paths draw them with numpy.
             (["sample", "--preset", "walk:1", "-n", "100"], False),
-            (["sample", "--preset", "lebesgue:1/4", "-n", "100"], True),
+            (["sample", "--preset", "lebesgue:1/4", "-n", str(_MAX_PURE_AFFINE_STEPS + 1)], True),
             (["sample", "--preset", "walk:0.5", "-n", "100"], True),
             (["sample", "--preset", "walk:1", "--mode", "approx", "-n", "100"], True),
+            (["sample", "--preset", "lebesgue:1/4", "-n", "100"], False),
+            (["sample", "--preset", "lebesgue:1/4", "-n", str(_MAX_PURE_AFFINE_STEPS)], False),
+            (["sample", "--preset", "lebesgue:1/3", "--mode", "approx", "-n", "100"], True),
         ],
     )
     def test_only_exact_non_affine_sample_skips_numpy(self, argv, numpy):

@@ -8,6 +8,7 @@ import pytest
 
 from derham_lft import (
     DomainError,
+    MoebiusMatrix,
     digit_probability,
     dimension_bounds,
     dyadic_enclosure,
@@ -21,6 +22,7 @@ from derham_lft import (
     sample_path,
     transpose,
     apply_mobius,
+    validate,
     walk_system,
     walk_tree,
     binary_entropy,
@@ -189,6 +191,38 @@ class TestSamplePath:
             sample_path(walk1, 101)
         assert len(sample_path(force_approx(walk1), 101)) == 101
         assert len(sample_path(leb14, 100_000, seed=7)) == 100_000
+
+    def test_exact_path_cap_is_walk1_at_20000(self, walk1):
+        # The budget of every exact sample_path is walk:1's work at 20000
+        # steps, from its pilot growth: pinned here, so neither drifts.
+        growth = measure._state_growth(walk1)
+        assert growth == (257 / 256, 4 / 256)
+        assert measure._EXACT_PATH_WORK == measure._path_work(20_000, growth)
+        assert measure._exact_path_cap(growth) == measure._MAX_EXACT_GROWING_STEPS == 20_000
+
+    def test_fast_growing_path_refused_before_drawing(self, monkeypatch):
+        # walk:3/7's states grow by 3 bits per step, and 2- and 3-bit pairs
+        # by 0.7 to 3: their gcds are dearer than walk:1's, so the entry
+        # bits alone cannot set the cap.  Reports stay allowed to 20000.
+        def no_draw(*args):
+            raise AssertionError("drew uniforms for a refused path")
+
+        rng = random.Random(14)
+        small = validate(MoebiusMatrix(*map(Fraction, (4, 0, 7, 7))), MoebiusMatrix(*map(Fraction, (6, 2, 1, 7))))
+        systems = [walk_system(Fraction(3, 7)), small, *(random_valid_system(rng) for _ in range(3))]
+        caps = []
+        with monkeypatch.context() as patch:
+            patch.setattr(measure, "_philox_uniforms", no_draw)
+            for system in systems:
+                cap = measure._exact_path_cap(measure._state_growth(system))
+                caps.append(cap)
+                for n in (cap + 1, 20_000):
+                    with pytest.raises(DomainError, match=f"n = {n} exceeds {cap}.*force_approx"):
+                        sample_path(system, n)
+        assert 3000 < caps[0] < 5000 and 3000 < caps[1] < 5000, caps
+        assert all(cap < 4000 for cap in caps[2:]), caps
+        assert len(sample_path(systems[0], caps[0], seed=3)) == caps[0]
+        assert 0 < entropy_rate_estimate(systems[0], 20_000) < 1
 
     def test_state_recursion(self, walk05):
         path = sample_path(walk05, 2000, seed=5)

@@ -7,6 +7,7 @@ A report run in windows (`measure._sample_report`) must equal, bit for
 bit, the report read off the whole path.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import fsum
@@ -385,6 +386,87 @@ class TestStreamedReport:
         else:
             want = _hex((held.states.min(), held.states.max(), _oracle_rate(system, held)))
             assert _hex(fields) == want
+
+
+def _fraction_report(system, n, seed):
+    """The report of the Fraction loop (_exact_steps) on numpy's draw of
+    the seed's uniforms: the oracle of the interval report."""
+    steps = list(measure._exact_steps(system, philox_uniforms(seed, n).tolist()))
+    states = [float(t) for t, _, _ in steps]
+    rate = fsum(binary_entropy(p0) for _, p0, _ in steps) / n
+    return (sum(d == 0 for *_, d in steps) / n, min(states), max(states), rate)
+
+
+def _interval_systems():
+    rng = random.Random(34)
+    return [random_valid_system(rng, scaled=bool(i % 2)) for i in range(6)]
+
+
+class TestIntervalReport:
+    """Exact non-affine reports step integer intervals [lo, hi] / 2^P that
+    hold the states; the Fraction loop is the oracle, in float.hex."""
+
+    @pytest.mark.parametrize(
+        "system, lengths",
+        [
+            (walk_system(1), (1, 2, 3, 5, 3000, 20_000)),
+            (walk_system(Fraction(3, 7)), (1, 2, 3, 5, 3000)),
+            *[(system, (1, 7, 1000)) for system in _interval_systems()],
+        ],
+        ids=["walk:1", "walk:3/7", *(f"random{i}" for i in range(6))],
+    )
+    def test_equals_the_fraction_loop(self, system, lengths):
+        for n in lengths:
+            assert _hex(_streamed_report(system, n, n + 11)) == _hex(_fraction_report(system, n, n + 11)), n
+
+    def test_walk_3_7_at_the_cap(self, capsys):
+        # Its Fraction loop took about 40 s: this is that loop's report.
+        argv = ["sample", "--preset", "walk:3/7", "-n", "20000", "--seed", "5"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["digit0_frequency"], doc["state_min"], doc["state_max"]) == (0.8213, -0.4999229190621068, 0.0)
+        assert doc["entropy_rate_estimate"] == 0.47052605915960255
+
+    def _runs(self, monkeypatch):
+        runs, run = [], measure._interval_report
+
+        def recorded(system, u, bits):
+            report = run(system, u, bits)
+            runs.append((bits, report is not None))
+            return report
+
+        monkeypatch.setattr(measure, "_interval_report", recorded)
+        return runs
+
+    def test_undecided_step_runs_again(self, monkeypatch):
+        # At 4 bits the first state intervals already straddle P(0)'s
+        # roundings: each undecided run is read again at twice the bits.
+        monkeypatch.setattr(measure, "_STATE_BITS", 4)
+        runs = self._runs(monkeypatch)
+        for system in (walk_system(1), walk_system(Fraction(3, 7)), _interval_systems()[0]):
+            runs.clear()
+            assert _hex(_streamed_report(system, 2000, 3)) == _hex(_fraction_report(system, 2000, 3))
+            assert runs[0] == (4, False) and runs[-1][1], runs
+            assert [bits for bits, _ in runs] == [4 << k for k in range(len(runs))]
+
+    @pytest.mark.parametrize("preset, n, seed", [("walk:1", 30, 43), ("walk:3/7", 30, 39), ("walk:3/7", 10, 65)])
+    def test_p0_is_decided_at_both_ends(self, preset, n, seed, monkeypatch):
+        # At 56 bits these runs decide their state range, but at one step
+        # the rounded P(0) at lo is not that at hi: read off lo alone, it
+        # changes the entropy rate in its last bit.
+        monkeypatch.setattr(measure, "_STATE_BITS", 56)
+        runs = self._runs(monkeypatch)
+        system = walk_system(Fraction(preset[5:]))
+        assert _hex(_streamed_report(system, n, seed)) == _hex(_fraction_report(system, n, seed))
+        assert runs == [(56, False), (112, True)]
+
+    def test_undecided_past_the_most_bits_reads_the_fraction_loop(self, monkeypatch):
+        monkeypatch.setattr(measure, "_STATE_BITS", 4)
+        monkeypatch.setattr(measure, "_MAX_STATE_BITS", 8)
+        runs = self._runs(monkeypatch)
+        system = walk_system(Fraction(3, 7))
+        assert _hex(_streamed_report(system, 2000, 3)) == _hex(_fraction_report(system, 2000, 3))
+        assert runs == [(4, False), (8, False)]
 
 
 class TestStepCap:

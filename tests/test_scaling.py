@@ -255,3 +255,30 @@ def test_admissibility_is_tested_in_the_exponent_band(k):
         for condition, detail in far.value.violations:
             if condition in ("A2", "A3"):
                 assert detail.endswith("scaled by a power of two)"), detail
+
+
+@pytest.mark.parametrize("k", [2.0**-540, 2.0**540])
+def test_classify_is_tested_in_the_exponent_band(capsys, tmp_path, k):
+    # The identities' residuals and their scale are squares of the entries,
+    # which underflow or overflow past 2**+-512 unless each factor is first
+    # scaled into its exponent band: every float system gives the unscaled
+    # verdict and report, in process and as a CLI run.
+    for index, system in enumerate(SYSTEMS):
+        want = classify(system)
+        assert classify(scaled(system, k)) == want, index
+        unit = _run(capsys, tmp_path, ["classify"], _config(system, 1.0))
+        assert unit[0] == 0
+        assert _run(capsys, tmp_path, ["classify"], _config(system, k)) == unit, index
+
+
+@pytest.mark.parametrize("k", [2.0**-540, 2.0**540])
+def test_affine_quadrature_is_tested_in_the_exponent_band(k):
+    # The affine quadrature's slope det/d**2 of each factor is formed on
+    # the factor scaled into its band: unscaled bits, not a
+    # ZeroDivisionError (2**-540) or nan (2**540).
+    for system in (lebesgue_system(0.99), force_approx(lebesgue_system(Fraction(1, 3)))):
+        assert system.affine
+        for depth, quad_depth in ((1, 6), (2, 12)):
+            want = outcome(doubling_map_change_of_measure, system, depth, quad_depth)
+            assert isinstance(want, str)
+            assert outcome(doubling_map_change_of_measure, scaled(system, k), depth, quad_depth) == want
